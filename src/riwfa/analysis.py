@@ -28,77 +28,59 @@ from .model import (
     user_utility,
 )
 
-POWER_ITER_TOL = 1e-10
-POWER_ITER_MAX = 10_000
-
 
 # ---------------------------------------------------------------------------
 # Gain-ratio matrices and spectral machinery
 # ---------------------------------------------------------------------------
 
+def _ratio_matrices(channel: ChannelRealization) -> np.ndarray:
+    """All W(k) as one (K, M, M) array."""
+    w = channel.gains.transpose(2, 1, 0) / np.diagonal(channel.gains)[:, :, None]
+    users = np.arange(channel.num_users)
+    w[:, users, users] = 0.0
+    return w
+
+
 def interference_ratio_matrix(channel: ChannelRealization, k: int) -> np.ndarray:
     """W(k): zero diagonal, W[i, j] = gains[j, i, k] / gains[i, i, k]."""
     if not 0 <= k < channel.num_subchannels:
         raise ValueError(f"sub-channel index {k} out of range")
-    gains_k = channel.gains[:, :, k]
-    direct = np.diag(gains_k).copy()
-    w = gains_k.T / direct[:, None]
-    np.fill_diagonal(w, 0.0)
-    return w
+    return _ratio_matrices(channel)[k]
 
 
 def interference_ratio_matrix_max(channel: ChannelRealization) -> np.ndarray:
     """Entrywise max of W(k) over sub-channels (governs async dynamics)."""
-    w_all = np.stack([interference_ratio_matrix(channel, k)
-                      for k in range(channel.num_subchannels)])
-    return w_all.max(axis=0)
+    return _ratio_matrices(channel).max(axis=0)
 
 
 def _square(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(w)):
         raise ValueError("matrix entries must be finite")
     return w
 
 
-def spectral_radius(w) -> float:
+# The norms take one (M, M) matrix or a (..., M, M) stack, one value per
+# matrix.  LAPACK factors each matrix on its own, so stacking changes no bit.
+
+def spectral_radius(w) -> float | np.ndarray:
     """Largest eigenvalue magnitude of the symmetric part (W + W.T)/2."""
     w = _square(w)
-    sym = 0.5 * (w + w.T)
-    return float(np.abs(np.linalg.eigvalsh(sym)).max())
+    sym = 0.5 * (w + np.swapaxes(w, -1, -2))
+    return np.abs(np.linalg.eigvalsh(sym)).max(axis=-1)
 
 
-def operator_norm_2(w, tol: float = POWER_ITER_TOL, max_iter: int = POWER_ITER_MAX) -> float:
-    """Largest singular value, by power iteration on W.T @ W.
+def operator_norm_2(w) -> float | np.ndarray:
+    """Largest singular value of W, from its singular value decomposition:
+    exact to rounding, never an iterative estimate."""
+    return np.linalg.svd(_square(w), compute_uv=False).max(axis=-1)
 
-    Deterministic start vector; stops when the eigen-residual of W.T W drops
-    below ``tol`` (relative for large eigenvalues).  The returned value is a
-    Rayleigh-quotient estimate and thus never exceeds the true norm.
-    """
+
+def frobenius_norm(w) -> float | np.ndarray:
     w = _square(w)
-    n = w.shape[0]
-    gram = w.T @ w
-    # Slightly tilted start so symmetric traps cannot hide the top eigenvector.
-    x = 1.0 + 1e-3 * np.arange(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = gram @ x
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0
-        x = y / norm_y
-        lam = float(x @ (gram @ x))
-        if np.linalg.norm(gram @ x - lam * x) <= tol * max(1.0, abs(lam)):
-            break
-    return float(np.sqrt(max(lam, 0.0)))
-
-
-def frobenius_norm(w) -> float:
-    w = _square(w)
-    return float(np.sqrt((w * w).sum()))
+    return np.sqrt((w * w).sum(axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +126,10 @@ def check_rne_uniqueness(channel: ChannelRealization,
     eps_eff = uncertainty.effective_eps()
     if eps_eff.shape != (channel.num_users, channel.num_subchannels):
         raise ValueError("uncertainty shape does not match the channel")
-    num_k = channel.num_subchannels
-    rho = np.empty(num_k)
-    norm2 = np.empty(num_k)
-    eps_norm = np.empty(num_k)
-    for k in range(num_k):
-        w = interference_ratio_matrix(channel, k)
-        rho[k] = spectral_radius(w)
-        norm2[k] = operator_norm_2(w)
-        eps_norm[k] = np.linalg.norm(eps_eff[:, k])
+    w = _ratio_matrices(channel)
+    rho = spectral_radius(w)
+    norm2 = operator_norm_2(w)
+    eps_norm = np.linalg.norm(eps_eff, axis=0)
     margins = np.minimum(rho, norm2) + eps_norm - 1.0
     return CertificateResult(
         passed=bool(np.all(margins < 0.0)),
@@ -231,15 +208,11 @@ def orthogonality_index(profile: np.ndarray, threshold: float) -> float:
     profile = np.asarray(profile, dtype=float)
     if profile.ndim != 2:
         raise ValueError("profile must have shape (M, K)")
-    supports = profile > threshold
+    supports = (profile > threshold).astype(np.int64)
     sizes = supports.sum(axis=1)
-    num_users = profile.shape[0]
-    overlap = 0
-    worst = 0
-    for i in range(num_users):
-        for j in range(i + 1, num_users):
-            overlap += int((supports[i] & supports[j]).sum())
-            worst += int(min(sizes[i], sizes[j]))
+    pairs = np.triu_indices(profile.shape[0], k=1)
+    overlap = int((supports @ supports.T)[pairs].sum())
+    worst = int(np.minimum.outer(sizes, sizes)[pairs].sum())
     if worst == 0:
         return 1.0
     return 1.0 - overlap / worst

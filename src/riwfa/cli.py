@@ -10,6 +10,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -54,6 +55,16 @@ MONOTONE_TOL = 1e-9
 
 class CliError(Exception):
     """Input error: bad flags, malformed scenario, unknown preset."""
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """Report a ValueError raised while validating flag values as an input
+    error: an `error:` line and exit 1, not a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +263,13 @@ def _report_dict(report, scenario: Scenario) -> dict:
 
 def cmd_run(args) -> int:
     source, source_desc = _resolve_source(args)
-    scenario = (source if isinstance(source, Scenario)
-                else source.realize(args.seed))
-    scenario = _resolve_uncertainty(args, scenario)
-    config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
-                       record_trajectory=args.trajectory is not None)
-    schedule = _build_schedule(args, scenario.num_users)
+    with _input_errors():
+        scenario = (source if isinstance(source, Scenario)
+                    else source.realize(args.seed))
+        scenario = _resolve_uncertainty(args, scenario)
+        config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
+                           record_trajectory=args.trajectory is not None)
+        schedule = _build_schedule(args, scenario.num_users)
     report = run(scenario, schedule, config)
 
     resolved = {"command": "run", **source_desc,
@@ -279,22 +291,23 @@ def cmd_sweep(args) -> int:
     source, source_desc = _resolve_source(args)
     if (args.eps_grid is None) == (args.delta0_grid is None):
         raise CliError("exactly one of --eps-grid or --delta0-grid is required")
-    config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)
     if args.realizations < 1:
         raise CliError("--realizations must be >= 1")
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
+    with _input_errors():
+        config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)
 
     if args.eps_grid is not None:
         grid = _parse_grid(args.eps_grid, "--eps-grid")
         mode = args.mode or "worstcase"
         if mode == "probabilistic" and args.delta0 is None:
             raise CliError("probabilistic eps sweeps need --delta0")
-        try:
+        with _input_errors():
             result = epsilon_sweep(source, grid, num_realizations=args.realizations,
                                    seed=args.seed, mode=mode, delta0=args.delta0,
                                    schedule_kind=args.schedule, config=config,
                                    jobs=args.jobs)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
         resolved = {"command": "sweep", **source_desc, "parameter": "epsilon",
                     "grid": [float(v) for v in grid], "mode": mode,
                     "delta0": args.delta0, "realizations": args.realizations,
@@ -304,13 +317,11 @@ def cmd_sweep(args) -> int:
         if args.eps is None:
             raise CliError("--delta0-grid requires --eps")
         grid = _parse_grid(args.delta0_grid, "--delta0-grid")
-        try:
+        with _input_errors():
             result = delta0_sweep(source, args.eps, grid,
                                   num_realizations=args.realizations,
                                   seed=args.seed, schedule_kind=args.schedule,
                                   config=config, jobs=args.jobs)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
         resolved = {"command": "sweep", **source_desc, "parameter": "delta0",
                     "grid": [float(v) for v in grid], "eps": args.eps,
                     "realizations": args.realizations,
@@ -328,9 +339,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     source, source_desc = _resolve_source(args)
-    scenario = (source if isinstance(source, Scenario)
-                else source.realize(args.seed))
-    scenario = _resolve_uncertainty(args, scenario)
+    with _input_errors():
+        scenario = (source if isinstance(source, Scenario)
+                    else source.realize(args.seed))
+        scenario = _resolve_uncertainty(args, scenario)
     uniqueness = check_rne_uniqueness(scenario.channel, scenario.uncertainty)
     s_bar_max = interference_upper_bounds(scenario.channel, scenario.constraints)
     asynchronous = check_async_convergence(scenario.channel, s_bar_max,
@@ -613,6 +625,8 @@ PRESETS = {"table3": _preset_table3, "table4": _preset_table4,
 def cmd_reproduce(args) -> int:
     if args.realizations is not None and args.realizations < 1:
         raise CliError("--realizations must be >= 1")
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
     os.makedirs(args.out_dir, exist_ok=True)
     code = PRESETS[args.preset](args)
     verdict = "OK" if code == EXIT_OK else "FAILED"

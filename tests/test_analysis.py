@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riwfa import (
     ChannelRealization,
@@ -33,6 +36,8 @@ from riwfa import (
     write_sweep_csv,
     zero_profile,
 )
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def symmetric_channel(alpha: float, num_subchannels: int = 2,
@@ -97,9 +102,15 @@ def test_spectral_quantities_on_hand_cases():
 
 def test_operator_norm_cross_checked_against_numpy():
     rng = np.random.default_rng(4)
+    matrices = []
     for _ in range(100):
         n = int(rng.integers(1, 17))
-        w = rng.uniform(-1.0, 1.0, size=(n, n))
+        matrices.append(rng.uniform(-1.0, 1.0, size=(n, n)))
+    # two nearly equal singular values 1 + d/4 and (1 - d)(1 + d/4)
+    d = 1e-5
+    matrices.append(np.array([[0.0, 1.0, 0.0], [1.0 - d, 0.0, 0.0],
+                              [0.0, 0.0, 0.0]]) * (1 + d / 4))
+    for w in matrices:
         ours = operator_norm_2(w)
         theirs = float(np.linalg.norm(w, 2))
         assert abs(ours - theirs) <= 1e-8 * max(1.0, theirs)
@@ -205,6 +216,47 @@ def test_async_certificate_two_user_hand_value():
     assert abs(cert.margin + 1.0 - (0.5 + np.sqrt(2) * 0.5)) < 1e-10
     assert abs(cert.margin + 1.0 - 1.2071) < 1e-4
     assert np.allclose(cert.components["w_max"], [0.3, 0.4])
+
+
+def test_async_certificate_fails_just_above_unit_norm():
+    # ||W_max||_2 = 1 + d/4 with a second singular value within d of it: an
+    # estimate that lands below the true norm passes this channel
+    d = 1e-5
+    gains = np.zeros((3, 3, 1))
+    for i in range(3):
+        gains[i, i] = 1.0
+    gains[1, 0, 0] = 1 + d / 4
+    gains[0, 1, 0] = (1 - d) * (1 + d / 4)
+    channel = ChannelRealization(gains=gains, noise=np.full((3, 1), 0.1))
+    cert = check_async_convergence(channel, np.ones((3, 1)),
+                                   UncertaintySpec.nominal(3, 1))
+    w_max = interference_ratio_matrix_max(channel)
+    assert not cert.passed
+    assert abs(cert.margin - (np.linalg.norm(w_max, 2) - 1.0)) <= 1e-12
+
+
+@st.composite
+def channels(draw):
+    """Channels with zero, tied and widely spread gains."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    gain = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-4, 10.0))
+    gains = draw(arrays(float, (m, m, k), elements=gain))
+    direct = draw(arrays(float, (m, k), elements=st.floats(1e-3, 10.0)))
+    gains[np.arange(m), np.arange(m)] = direct
+    return ChannelRealization(gains=gains, noise=np.full((m, k), 0.1))
+
+
+@PROPERTY
+@given(channels())
+def test_uniqueness_components_equal_per_subchannel_calls(channel):
+    num_k = channel.num_subchannels
+    cert = check_rne_uniqueness(channel,
+                                UncertaintySpec.nominal(channel.num_users, num_k))
+    for k in range(num_k):
+        w = interference_ratio_matrix(channel, k)
+        assert cert.components["rho_sym"][k] == spectral_radius(w)
+        assert cert.components["norm2"][k] == operator_norm_2(w)
 
 
 def test_certificate_result_serializes():

@@ -303,6 +303,25 @@ def test_reproduce_input_errors(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--generate", "low", "--tol", "-1"],
+    ["run", "--generate", "low", "--users", "0"],
+    ["run", "--generate", "low", "--schedule", "asynchronous",
+     "--update-prob", "0"],
+    ["run", "--generate", "low", "--eps", "nan"],
+    ["check", "--generate", "low", "--eps", "-1"],
+    ["sweep", "--generate", "low", "--eps-grid", "0", "--jobs", "0"],
+    ["reproduce", "table3", "--jobs", "0"],
+])
+def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, argv)
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_command_is_input_error(capsys):
     code, _, _ = run_cli(capsys, ["frobnicate"])
     assert code == EXIT_INPUT

@@ -1,6 +1,8 @@
 """Water-filling solver tests against closed forms and KKT conditions."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riwfa import (
     UncertaintySpec,
@@ -10,6 +12,8 @@ from riwfa import (
     user_utility,
     waterfill,
 )
+
+PROPERTY = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
 
 def test_two_channel_closed_form():
@@ -35,25 +39,76 @@ def test_single_channel_fills_binding_cap():
     assert np.allclose(sol.p, [0.2], atol=1e-10)
 
 
-def test_kkt_conditions_on_random_instances():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        k = int(rng.integers(1, 12))
-        s = rng.uniform(0.01, 2.0, size=k)
-        mask = rng.uniform(0.05, 1.5, size=k)
-        p_max = float(rng.uniform(0.05, 3.0))
-        sol = waterfill(s, p_max, mask)
-        # reconstruction from the reported water level
-        assert np.allclose(sol.p, np.clip(sol.water_level - s, 0.0, mask),
-                           atol=1e-12)
-        total = sol.p.sum()
-        assert total <= p_max + 1e-9
-        if sol.budget_active:
-            assert abs(total - p_max) <= 1e-9 * max(1.0, p_max)
-        else:
-            # complementary slackness: lam = 0 when the budget is slack
-            assert sol.lam == 0.0
-        assert np.all(sol.p >= 0) and np.all(sol.p <= mask + 1e-12)
+@st.composite
+def waterfill_instances(draw):
+    """(s, mask, p_max, flat) with tied levels, coincident breakpoints
+    (s[i] = s[j] + mask[j]), tiny masks, budgets the masks cannot reach and
+    budgets that the masks of the cheapest channels spend exactly.
+
+    Half the instances live on a grid of multiples of 1/64, where every sum
+    the solver forms is exact.  ``flat`` is the lower end of the flat
+    stretch of the water-filling curve that spends the budget, if any.
+    """
+    k = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        s_values = st.integers(1, 128).map(lambda n: n / 64)
+        mask_values = st.integers(4, 96).map(lambda n: n / 64)
+        budgets = st.integers(4, 192).map(lambda n: n / 64)
+    else:
+        s_values = st.floats(0.01, 2.0)
+        mask_values = st.one_of(st.floats(0.05, 1.5), st.floats(1e-18, 1e-6),
+                                st.integers(1, 12).map(lambda n: n / 8))
+        budgets = st.floats(0.05, 3.0)
+    s = np.array(draw(st.lists(s_values, min_size=k, max_size=k)))
+    mask = np.array(draw(st.lists(mask_values, min_size=k, max_size=k)))
+    base = s.copy()
+    links = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.booleans())
+    for i, j, coincide in draw(st.lists(links, max_size=k)):
+        s[i] = base[j] + mask[j] if coincide else base[j]
+
+    kind = draw(st.sampled_from(["budget", "prefix", "below_total"]))
+    if kind == "budget":
+        return s, mask, draw(budgets), None
+    if kind == "below_total":
+        # one ulp under the masks' total, which the solver's running total
+        # can fall short of; the floor keeps the budget above the resolution
+        # of the water level
+        return s, mask, float(np.nextafter(max(mask.sum(), 0.05), 0.0)), None
+    top = s + mask
+    lowest = np.argsort(top, kind="stable")
+    n = draw(st.integers(1, k))
+    cheap, rest = lowest[:n], lowest[n:]
+    p_max = float(mask[cheap].sum())
+    exact_sum = np.all(mask[cheap] * 64 == np.round(mask[cheap] * 64))
+    flat = top[cheap].max()
+    if exact_sum and p_max >= 0.05 and np.all(s[rest] >= flat):
+        return s, mask, p_max, flat
+    return s, mask, max(p_max, 0.05), None
+
+
+@PROPERTY
+@given(waterfill_instances())
+# the running total falls an ulp short of budgets these masks spend exactly
+@example((np.array([0.1, 0.2, 2.0]), np.array([0.5, 0.5, 1.0]), 1.0, 0.2 + 0.5))
+@example((np.array([0.7]), np.array([0.1]), float(np.nextafter(0.1, 0.0)), None))
+def test_kkt_conditions_on_random_instances(instance):
+    s, mask, p_max, flat = instance
+    sol = waterfill(s, p_max, mask)
+    # the allocation is the water-filling shape at the reported level
+    assert np.array_equal(sol.p, np.clip(sol.water_level - s, 0.0, mask))
+    assert np.all(sol.p >= 0)
+    if sol.budget_active:
+        assert mask.sum() > p_max
+        assert abs(sol.p.sum() - p_max) <= 1e-12 * p_max
+        assert sol.lam == 1.0 / sol.water_level
+        if flat is not None:
+            # the lowest of the water levels that spend the budget
+            assert abs(sol.water_level - flat) <= 1e-12 * flat
+    else:
+        # every channel saturated; complementary slackness: lam = 0
+        assert mask.sum() <= p_max
+        assert np.array_equal(sol.p, mask)
+        assert sol.lam == 0.0 and sol.water_level == np.inf
 
 
 def test_permutation_equivariance():
