@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RunConfig, Schedule, run
+from .dynamics import EquilibriumReport, RunConfig, Schedule, run
 from .model import (
     ChannelRealization,
     PowerConstraints,
@@ -236,6 +236,14 @@ class SweepResult:
     utilities: np.ndarray
     num_total: int
 
+    @classmethod
+    def from_reports(cls, parameter: str, grid, reports) -> "SweepResult":
+        """From ``reports[g][r]`` as returned by sweep_reports."""
+        utilities = np.array([[rep.social_utility if rep.converged else np.nan for rep in row]
+                              for row in reports], dtype=float)
+        return cls(parameter=parameter, grid=np.asarray(grid, dtype=float),
+                   utilities=utilities, num_total=utilities.shape[1])
+
     @property
     def num_converged(self) -> np.ndarray:
         return (~np.isnan(self.utilities)).sum(axis=1)
@@ -255,45 +263,39 @@ class SweepResult:
             return np.nanstd(self.utilities, axis=1)
 
 
-def _sweep_uncertainty(mode: str, eps: float, delta0, num_users: int,
-                       num_subchannels: int) -> UncertaintySpec:
-    return UncertaintySpec.uniform(num_users, num_subchannels, eps, mode=mode, delta0=delta0)
+def _sweep_run(task) -> EquilibriumReport:
+    source, seed, spec, schedule_kind, config = task
+    scenario = (source.with_uncertainty(spec) if isinstance(source, Scenario)
+                else source.realize(seed, uncertainty=spec))
+    return run(scenario, Schedule(kind=schedule_kind), config)
 
 
-def _sweep_run(task) -> float:
-    source, mode, eps, delta0, seed, schedule_kind, config = task
-    if isinstance(source, Scenario):
-        spec = _sweep_uncertainty(mode, eps, delta0, source.num_users, source.num_subchannels)
-        scenario = source.with_uncertainty(spec)
-    else:
-        spec = _sweep_uncertainty(mode, eps, delta0, source.num_users, source.num_subchannels)
-        scenario = source.realize(seed, uncertainty=spec)
-    report = run(scenario, Schedule(kind=schedule_kind), config)
-    return report.social_utility if report.converged else np.nan
-
-
-def _sweep(source, parameter: str, grid, tasks, num_realizations: int, jobs: int) -> SweepResult:
+def sweep_reports(source, seeds, specs, schedule_kind: str = "sequential",
+                  config: RunConfig = RunConfig(), jobs: int = 1) -> list[list[EquilibriumReport]]:
+    """Run every realization under every uncertainty spec: ``reports[g][r]``
+    plays the channel drawn from ``seeds[r]`` (a Scenario source is its own
+    channel) under ``specs[g]``.  The reports do not depend on ``jobs``."""
+    tasks = [(source, seed, spec, schedule_kind, config) for spec in specs for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             flat = list(pool.map(_sweep_run, tasks))
     else:
         flat = [_sweep_run(task) for task in tasks]
-    utilities = np.array(flat, dtype=float).reshape(len(grid), num_realizations)
-    return SweepResult(parameter=parameter, grid=np.asarray(grid, dtype=float),
-                       utilities=utilities, num_total=num_realizations)
+    n = len(seeds)
+    return [flat[g * n:(g + 1) * n] for g in range(len(specs))]
 
 
-def _sweep_source_and_seeds(source, num_realizations: int, seed: int | None):
+def _sweep_seeds(source, num_realizations: int, seed: int | None) -> list:
     if not isinstance(source, (Scenario, ScenarioTemplate)):
         raise ValueError("source must be a Scenario or ScenarioTemplate")
     if num_realizations < 1:
         raise ValueError("num_realizations must be >= 1")
     if isinstance(source, Scenario):
-        seeds = [None] * num_realizations
-    else:
-        base = 0 if seed is None else int(seed)
-        seeds = [base + r for r in range(num_realizations)]
-    return seeds
+        if num_realizations != 1:
+            raise ValueError("a Scenario is one realization: num_realizations must be 1")
+        return [None]
+    base = 0 if seed is None else int(seed)
+    return [base + r for r in range(num_realizations)]
 
 
 def epsilon_sweep(source, eps_grid, num_realizations: int = 1, seed: int | None = None,
@@ -303,22 +305,21 @@ def epsilon_sweep(source, eps_grid, num_realizations: int = 1, seed: int | None 
     """Converged social utility along a grid of uniform eps values.
 
     Realization r draws its channel from ``seed + r`` and reuses it at every
-    grid point, so utilities are comparable pointwise along the grid.  At
-    eps=0 the worst-case multiplier is exactly 1, i.e. the nominal game.
+    grid point, so utilities are comparable pointwise along the grid.  A
+    Scenario source is a single realization.  At eps=0 the worst-case
+    multiplier is exactly 1, i.e. the nominal game.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size == 0:
         raise ValueError("eps_grid must be a nonempty 1-d array")
     if np.any(eps_grid < 0):
         raise ValueError("eps values must be >= 0")
-    seeds = _sweep_source_and_seeds(source, num_realizations, seed)
-    tasks = [
-        (source, mode, float(eps),
-         delta0 if mode == "probabilistic" else None,
-         seeds[r], schedule_kind, config)
-        for eps in eps_grid for r in range(num_realizations)
-    ]
-    return _sweep(source, "epsilon", eps_grid, tasks, num_realizations, jobs)
+    seeds = _sweep_seeds(source, num_realizations, seed)
+    delta0 = delta0 if mode == "probabilistic" else None
+    specs = [UncertaintySpec.uniform(source.num_users, source.num_subchannels, eps,
+                                     mode=mode, delta0=delta0) for eps in eps_grid]
+    reports = sweep_reports(source, seeds, specs, schedule_kind, config, jobs)
+    return SweepResult.from_reports("epsilon", eps_grid, reports)
 
 
 def delta0_sweep(source, eps: float, delta0_grid, num_realizations: int = 1,
@@ -334,12 +335,12 @@ def delta0_sweep(source, eps: float, delta0_grid, num_realizations: int = 1,
         raise ValueError("delta0 values must lie in [0, 1]")
     if not float(eps) >= 0:
         raise ValueError("eps must be >= 0")
-    seeds = _sweep_source_and_seeds(source, num_realizations, seed)
-    tasks = [
-        (source, "probabilistic", float(eps), float(d0), seeds[r], schedule_kind, config)
-        for d0 in delta0_grid for r in range(num_realizations)
-    ]
-    return _sweep(source, "delta0", delta0_grid, tasks, num_realizations, jobs)
+    seeds = _sweep_seeds(source, num_realizations, seed)
+    specs = [UncertaintySpec.uniform(source.num_users, source.num_subchannels, eps,
+                                     mode="probabilistic", delta0=float(d0))
+             for d0 in delta0_grid]
+    reports = sweep_reports(source, seeds, specs, schedule_kind, config, jobs)
+    return SweepResult.from_reports("delta0", delta0_grid, reports)
 
 
 def write_sweep_csv(result: SweepResult, path, preamble: str | None = None) -> None:

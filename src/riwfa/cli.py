@@ -24,9 +24,11 @@ from .analysis import (
     delta0_sweep,
     epsilon_sweep,
     interference_upper_bounds,
+    sweep_reports,
     write_sweep_csv,
 )
 from .dynamics import RunConfig, Schedule, generate_schedule, run, write_trajectory_csv
+from .dynamics import _support_threshold
 from .model import (
     MODES,
     Scenario,
@@ -136,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated eps values")
     p_sweep.add_argument("--delta0-grid", metavar="D1,D2,...",
                          help="comma-separated delta0 values (needs --eps)")
-    p_sweep.add_argument("--realizations", type=int, default=20)
+    p_sweep.add_argument("--realizations", type=int,
+                         help="channel draws per grid point (default 20 with "
+                              "--generate; a --scenario file is one realization)")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes")
     p_sweep.add_argument("--out", metavar="FILE",
@@ -193,13 +197,22 @@ def _resolve_source(args):
                              "subchannels": args.subchannels, "seed": args.seed}
 
 
-def _resolve_uncertainty(args, scenario: Scenario) -> Scenario:
-    """Apply --mode/--eps/--delta0 on top of a concrete scenario."""
+def _reject_ignored_flags(args, mode: str) -> None:
+    """A flag the mode ignores would still be echoed into the output config."""
+    if args.delta0 is not None and mode != "probabilistic":
+        raise CliError("--delta0 applies only to --mode probabilistic")
+    if args.eps is not None and mode == "nominal":
+        raise CliError("--eps does not apply to --mode nominal")
+
+
+def _resolve_scenario(args, source) -> Scenario:
+    """Realize a template at --seed, then apply --mode/--eps/--delta0."""
+    scenario = source if isinstance(source, Scenario) else source.realize(args.seed)
     mode, eps, delta0 = args.mode, args.eps, args.delta0
     if mode is None and eps is None and delta0 is None:
         return scenario
-    if mode is None:
-        mode = "worstcase"
+    mode = mode or "worstcase"
+    _reject_ignored_flags(args, mode)
     if mode == "nominal":
         spec = UncertaintySpec.nominal(scenario.num_users, scenario.num_subchannels)
     elif mode == "worstcase":
@@ -216,8 +229,8 @@ def _resolve_uncertainty(args, scenario: Scenario) -> Scenario:
     return scenario.with_uncertainty(spec)
 
 
-def _support_sets(profile: np.ndarray, p_max: np.ndarray) -> list[list[int]]:
-    threshold = 1e-3 * float(np.min(p_max))
+def _support_sets(profile: np.ndarray, scenario: Scenario) -> list[list[int]]:
+    threshold = _support_threshold(scenario)
     return [sorted(int(k) for k in np.flatnonzero(row > threshold))
             for row in profile]
 
@@ -256,7 +269,7 @@ def _report_dict(report, scenario: Scenario) -> dict:
         "social_utility": report.social_utility,
         "orthogonality_index": report.orthogonality_index,
         "degenerate_uncertainty": report.degenerate_uncertainty,
-        "supports": _support_sets(report.profile, scenario.constraints.p_max),
+        "supports": _support_sets(report.profile, scenario),
         "profile": report.profile.tolist(),
     }
 
@@ -264,9 +277,7 @@ def _report_dict(report, scenario: Scenario) -> dict:
 def cmd_run(args) -> int:
     source, source_desc = _resolve_source(args)
     with _input_errors():
-        scenario = (source if isinstance(source, Scenario)
-                    else source.realize(args.seed))
-        scenario = _resolve_uncertainty(args, scenario)
+        scenario = _resolve_scenario(args, source)
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
                            record_trajectory=args.trajectory is not None)
         schedule = _build_schedule(args, scenario.num_users)
@@ -291,7 +302,10 @@ def cmd_sweep(args) -> int:
     source, source_desc = _resolve_source(args)
     if (args.eps_grid is None) == (args.delta0_grid is None):
         raise CliError("exactly one of --eps-grid or --delta0-grid is required")
-    if args.realizations < 1:
+    realizations = args.realizations
+    if realizations is None:
+        realizations = 1 if isinstance(source, Scenario) else 20
+    if realizations < 1:
         raise CliError("--realizations must be >= 1")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
@@ -299,40 +313,44 @@ def cmd_sweep(args) -> int:
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)
 
     if args.eps_grid is not None:
+        if args.eps is not None:
+            raise CliError("--eps-grid replaces --eps")
         grid = _parse_grid(args.eps_grid, "--eps-grid")
         mode = args.mode or "worstcase"
+        _reject_ignored_flags(args, mode)
         if mode == "probabilistic" and args.delta0 is None:
             raise CliError("probabilistic eps sweeps need --delta0")
         with _input_errors():
-            result = epsilon_sweep(source, grid, num_realizations=args.realizations,
+            result = epsilon_sweep(source, grid, num_realizations=realizations,
                                    seed=args.seed, mode=mode, delta0=args.delta0,
                                    schedule_kind=args.schedule, config=config,
                                    jobs=args.jobs)
         resolved = {"command": "sweep", **source_desc, "parameter": "epsilon",
                     "grid": [float(v) for v in grid], "mode": mode,
-                    "delta0": args.delta0, "realizations": args.realizations,
+                    "delta0": args.delta0, "realizations": realizations,
                     "schedule": args.schedule, "init": args.init,
                     "tol": args.tol, "max_iter": args.max_iter}
     else:
         if args.eps is None:
             raise CliError("--delta0-grid requires --eps")
+        if args.delta0 is not None:
+            raise CliError("--delta0-grid replaces --delta0")
+        if args.mode not in (None, "probabilistic"):
+            raise CliError("--delta0-grid sweeps --mode probabilistic only")
         grid = _parse_grid(args.delta0_grid, "--delta0-grid")
         with _input_errors():
             result = delta0_sweep(source, args.eps, grid,
-                                  num_realizations=args.realizations,
+                                  num_realizations=realizations,
                                   seed=args.seed, schedule_kind=args.schedule,
                                   config=config, jobs=args.jobs)
         resolved = {"command": "sweep", **source_desc, "parameter": "delta0",
                     "grid": [float(v) for v in grid], "eps": args.eps,
-                    "realizations": args.realizations,
+                    "realizations": realizations,
                     "schedule": args.schedule, "init": args.init,
                     "tol": args.tol, "max_iter": args.max_iter}
 
-    preamble = json.dumps(resolved, sort_keys=True)
-    if args.out is None:
-        write_sweep_csv(result, sys.stdout, preamble=preamble)
-    else:
-        write_sweep_csv(result, args.out, preamble=preamble)
+    write_sweep_csv(result, sys.stdout if args.out is None else args.out,
+                    preamble=json.dumps(resolved, sort_keys=True))
     all_converged = bool(np.all(result.num_converged == result.num_total))
     return EXIT_OK if all_converged else EXIT_FAILED
 
@@ -340,9 +358,7 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     source, source_desc = _resolve_source(args)
     with _input_errors():
-        scenario = (source if isinstance(source, Scenario)
-                    else source.realize(args.seed))
-        scenario = _resolve_uncertainty(args, scenario)
+        scenario = _resolve_scenario(args, source)
     uniqueness = check_rne_uniqueness(scenario.channel, scenario.uncertainty)
     s_bar_max = interference_upper_bounds(scenario.channel, scenario.constraints)
     asynchronous = check_async_convergence(scenario.channel, s_bar_max,
@@ -410,8 +426,7 @@ def _should_match_table(checks: Checks, label: str, report, scenario,
                util_ok,
                f"measured={np.round(measured, 4).tolist()} "
                f"published={list(utilities)}")
-    found = [set(s) for s in _support_sets(report.profile,
-                                           scenario.constraints.p_max)]
+    found = [set(s) for s in _support_sets(report.profile, scenario)]
     checks.add("should", f"{label} support sets match", found == list(supports),
                f"measured={[sorted(s) for s in found]} "
                f"published={[sorted(s) for s in supports]}")
@@ -453,39 +468,31 @@ def _preset_table4(args) -> int:
     return EXIT_OK if checks.must_ok() else EXIT_FAILED
 
 
-def _certified_scenarios(template: ScenarioTemplate, count: int, base_seed: int,
-                         max_attempts: int = 10_000):
-    """Draw channels from the template until `count` pass the uniqueness
-    certificate at eps=0; returns (seeds, scenarios)."""
-    seeds, scenarios, seed = [], [], base_seed
-    while len(scenarios) < count:
+def _certified_seeds(template: ScenarioTemplate, count: int, base_seed: int,
+                     max_attempts: int = 10_000) -> list[int]:
+    """The first `count` seeds from `base_seed` on whose channels pass the
+    uniqueness certificate at eps=0."""
+    seeds, seed = [], base_seed
+    while len(seeds) < count:
         if seed - base_seed >= max_attempts:
             raise CliError(f"could not find {count} certificate-passing "
                            f"channels in {max_attempts} draws")
         sc = template.realize(seed)
         if check_rne_uniqueness(sc.channel, sc.uncertainty).passed:
             seeds.append(seed)
-            scenarios.append(sc)
         seed += 1
-    return seeds, scenarios
+    return seeds
 
 
 def _preset_fig1(args) -> int:
     count = args.realizations or 20
     template = ScenarioTemplate.low_interference()
-    seeds, scenarios = _certified_scenarios(template, count, base_seed=100)
-    config = RunConfig(tol=1e-8, max_iter=10_000)
-    utilities = np.full((len(FIG_EPS_GRID), count), np.nan)
-    for r, sc in enumerate(scenarios):
-        for g, eps in enumerate(FIG_EPS_GRID):
-            spec = UncertaintySpec.uniform(8, 64, eps)
-            rep = run(sc.with_uncertainty(spec), Schedule(kind="sequential"),
-                      config)
-            if rep.converged:
-                utilities[g, r] = rep.social_utility
-    result = SweepResult(parameter="epsilon",
-                         grid=np.array(FIG_EPS_GRID, dtype=float),
-                         utilities=utilities, num_total=count)
+    seeds = _certified_seeds(template, count, base_seed=100)
+    specs = [UncertaintySpec.uniform(8, 64, eps) for eps in FIG_EPS_GRID]
+    reports = sweep_reports(template, seeds, specs,
+                            config=RunConfig(tol=1e-8, max_iter=10_000), jobs=args.jobs)
+    result = SweepResult.from_reports("epsilon", FIG_EPS_GRID, reports)
+    utilities = result.utilities
     resolved = {"command": "reproduce", "preset": "fig1",
                 "realizations": count, "eps_grid": list(FIG_EPS_GRID),
                 "accepted_seeds": seeds}
@@ -537,36 +544,22 @@ def _preset_fig2(args) -> int:
 
 def _delta0_comparison(args, preset: str, template: ScenarioTemplate,
                        base_seed: int, count: int, max_iter: int) -> int:
-    config = RunConfig(tol=1e-8, max_iter=max_iter)
     m, k = template.num_users, template.num_subchannels
     grid = FIG_DELTA0_GRID
-    prob_utilities = np.full((len(grid), count), np.nan)
-    wc_utilities = np.full(count, np.nan)
-    identity_nominal, identity_worstcase, all_converged = True, True, True
-    for r in range(count):
-        seed = base_seed + r
-        nominal = run(template.realize(seed, UncertaintySpec.nominal(m, k)),
-                      Schedule(kind="sequential"), config)
-        wc = run(template.realize(seed, UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS)),
-                 Schedule(kind="sequential"), config)
-        if wc.converged:
-            wc_utilities[r] = wc.social_utility
-        all_converged &= nominal.converged and wc.converged
-        for g, d0 in enumerate(grid):
-            spec = UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS,
-                                           mode="probabilistic", delta0=d0)
-            rep = run(template.realize(seed, spec),
-                      Schedule(kind="sequential"), config)
-            if rep.converged:
-                prob_utilities[g, r] = rep.social_utility
-            all_converged &= rep.converged
-            if d0 == 0.5:
-                identity_nominal &= np.array_equal(rep.profile, nominal.profile)
-            if d0 == 1.0:
-                identity_worstcase &= np.array_equal(rep.profile, wc.profile)
-
-    result = SweepResult(parameter="delta0", grid=np.array(grid),
-                         utilities=prob_utilities, num_total=count)
+    specs = [UncertaintySpec.nominal(m, k), UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS)]
+    specs += [UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS, mode="probabilistic", delta0=d0)
+              for d0 in grid]
+    reports = sweep_reports(template, range(base_seed, base_seed + count), specs,
+                            config=RunConfig(tol=1e-8, max_iter=max_iter), jobs=args.jobs)
+    nominal, wc, *prob = reports
+    result = SweepResult.from_reports("delta0", grid, prob)
+    prob_utilities = result.utilities
+    wc_utilities = np.array([rep.social_utility if rep.converged else np.nan for rep in wc])
+    all_converged = all(rep.converged for row in reports for rep in row)
+    identity_nominal = all(np.array_equal(a.profile, b.profile)
+                           for a, b in zip(prob[grid.index(0.5)], nominal))
+    identity_worstcase = all(np.array_equal(a.profile, b.profile)
+                             for a, b in zip(prob[grid.index(1.0)], wc))
     resolved = {"command": "reproduce", "preset": preset,
                 "realizations": count, "delta0_grid": list(grid),
                 "eps": FIG_DELTA0_EPS, "seed": base_seed, "max_iter": max_iter}

@@ -1,16 +1,20 @@
 """Best-response iteration until a fixed point: sequential, simultaneous, async.
 
-One iteration is a full round: a Gauss-Seidel sweep over users in index order
-(sequential), a Jacobi update of all users from the previous profile
-(simultaneous), or one tick of an asynchronous schedule in which a random
-subset of users update from possibly stale profile snapshots.  Iteration
-stops once the largest per-user power change stays below ``tol`` for a full
-round of updates (for async schedules: for max_staleness + 1 consecutive
-ticks, which the schedule generator guarantees covers every user).
+One loop runs all three schedules.  Each tick visits the users in index
+order; a user's reply overwrites its row of the profile at once, and the
+profile it replies to depends on the schedule: the live profile
+(sequential, a Gauss-Seidel sweep), the copy taken at the start of the
+tick (simultaneous, a Jacobi round), or, for a user the asynchronous
+schedule picks, the start-of-tick copy from ``snapshots[t, i]``, at most
+max_staleness ticks old.  Iteration stops once the largest power change of
+a tick stays at or below ``tol`` for max_staleness + 1 consecutive ticks:
+one tick for sequential and simultaneous play, and for asynchronous play
+enough ticks that the schedule generator guarantees every user updated.
 """
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +43,7 @@ class Schedule:
     For ``asynchronous`` schedules, ``updates[t, i]`` says whether user i
     updates at tick t and ``snapshots[t, i]`` is the (virtual) time of the
     profile it reacts to, with  0 <= t - snapshots[t, i] <= max_staleness.
-    Sequential and simultaneous schedules carry no arrays.
+    Sequential and simultaneous schedules carry no arrays and no staleness.
     """
 
     kind: str
@@ -63,8 +67,8 @@ class Schedule:
                 raise ValueError("snapshots violate the staleness bound")
             object.__setattr__(self, "updates", updates)
             object.__setattr__(self, "snapshots", snapshots)
-        elif self.updates is not None or self.snapshots is not None:
-            raise ValueError(f"{self.kind} schedules do not take update arrays")
+        elif self.updates is not None or self.snapshots is not None or self.max_staleness:
+            raise ValueError(f"{self.kind} schedules take no update arrays or staleness")
 
     def __len__(self) -> int:
         return 0 if self.updates is None else self.updates.shape[0]
@@ -185,72 +189,44 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     """
     from .analysis import orthogonality_index, per_user_utilities  # local import, no cycle at module load
 
-    m = scenario.num_users
     profile = _initial_profile(scenario, config)
     trajectory = [profile.copy()] if config.record_trajectory else None
     step_residuals: list[float] = []
     converged = False
-    iterations = 0
-
-    if schedule.kind == "asynchronous":
-        total_ticks = min(config.max_iter, len(schedule))
-        window = schedule.max_staleness + 1
-        recent = {0: profile.copy()}
-        quiet = 0
-        for t in range(total_ticks):
-            iterations = t + 1
-            delta = 0.0
-            nxt = profile.copy()
-            for i in range(m):
-                if schedule.updates[t, i]:
-                    snap = recent[int(schedule.snapshots[t, i])]
-                    reply = best_response(i, scenario.channel, snap,
-                                          scenario.constraints, scenario.uncertainty).p
-                    delta = max(delta, float(np.abs(reply - profile[i]).max()))
-                    nxt[i] = reply
-            profile = nxt
-            recent[t + 1] = profile.copy()
-            stale_floor = t + 1 - schedule.max_staleness
-            for key in [k for k in recent if k < stale_floor]:
-                del recent[key]
-            step_residuals.append(delta)
-            if config.record_trajectory:
-                trajectory.append(profile.copy())
-            quiet = quiet + 1 if delta <= config.tol else 0
-            if quiet >= window:
-                converged = True
-                break
-    else:
-        sequential = schedule.kind == "sequential"
-        for t in range(config.max_iter):
-            iterations = t + 1
-            delta = 0.0
-            if sequential:
-                for i in range(m):
-                    reply = best_response(i, scenario.channel, profile,
-                                          scenario.constraints, scenario.uncertainty).p
-                    delta = max(delta, float(np.abs(reply - profile[i]).max()))
-                    profile[i] = reply
+    asynchronous = schedule.kind == "asynchronous"
+    ticks = min(config.max_iter, len(schedule)) if asynchronous else config.max_iter
+    window = schedule.max_staleness + 1
+    history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
+    quiet = 0
+    for t in range(ticks):
+        history.append(profile.copy())
+        delta = 0.0
+        for i in range(scenario.num_users):
+            if schedule.kind == "sequential":
+                seen = profile
+            elif not asynchronous:
+                seen = history[-1]
+            elif schedule.updates[t, i]:
+                seen = history[schedule.snapshots[t, i] - t - 1]
             else:
-                nxt = profile.copy()
-                for i in range(m):
-                    reply = best_response(i, scenario.channel, profile,
-                                          scenario.constraints, scenario.uncertainty).p
-                    delta = max(delta, float(np.abs(reply - profile[i]).max()))
-                    nxt[i] = reply
-                profile = nxt
-            step_residuals.append(delta)
-            if config.record_trajectory:
-                trajectory.append(profile.copy())
-            if delta <= config.tol:
-                converged = True
-                break
+                continue
+            reply = best_response(i, scenario.channel, seen,
+                                  scenario.constraints, scenario.uncertainty).p
+            delta = max(delta, float(np.abs(reply - profile[i]).max()))
+            profile[i] = reply
+        step_residuals.append(delta)
+        if config.record_trajectory:
+            trajectory.append(profile.copy())
+        quiet = quiet + 1 if delta <= config.tol else 0
+        if quiet >= window:
+            converged = True
+            break
 
     utilities = per_user_utilities(profile, scenario.channel)
     return EquilibriumReport(
         profile=profile,
         converged=converged,
-        iterations=iterations,
+        iterations=len(step_residuals),
         residual=fixed_point_residual(profile, scenario),
         per_user_utility=utilities,
         social_utility=float(utilities.sum()),

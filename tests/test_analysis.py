@@ -380,6 +380,11 @@ def test_sweep_validation():
         delta0_sweep(sc, 0.5, [1.5])
     with pytest.raises(ValueError):
         epsilon_sweep("not a scenario", [0.1])
+    # a Scenario is one channel: replaying it would fake a sample of several
+    with pytest.raises(ValueError):
+        epsilon_sweep(sc, [0.1], num_realizations=2)
+    with pytest.raises(ValueError):
+        delta0_sweep(sc, 0.5, [0.5], num_realizations=3)
 
 
 def test_sweep_jobs_deterministic():

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, output formats, reproducibility."""
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from riwfa import (
     save_scenario,
 )
 from riwfa.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
+
+BUNDLED_SCENARIO = str(resources.files("riwfa") / "data" / "table2.json")
 
 
 @pytest.fixture
@@ -210,6 +213,19 @@ def test_sweep_delta0_identities(capsys, tmp_path):
     assert prob_rows[2][1] == eps_rows[1][1]
 
 
+def test_sweep_scenario_is_one_realization(capsys, tmp_path, table2_file):
+    out_file = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, [
+        "sweep", "--scenario", table2_file, "--eps-grid", "0,1,3",
+        "--out", str(out_file)])
+    assert code == EXIT_OK
+    lines = out_file.read_text().splitlines()
+    assert json.loads(lines[0][2:])["realizations"] == 1
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 3
+    assert all(row[2] == "0.0" and row[3] == "1" and row[4] == "1" for row in rows)
+
+
 def test_sweep_grid_validation(capsys):
     base = ["sweep", "--generate", "low", "--users", "2", "--subchannels", "4"]
     code, _, err = run_cli(capsys, base)
@@ -266,6 +282,18 @@ def test_reproduce_table4_fails_honestly(capsys, tmp_path):
     assert report["data"]["robust"]["orthogonality_index"] == pytest.approx(5 / 7)
 
 
+def assert_jobs_invariant(capsys, preset, out_dir, out, names):
+    """Rerun ``preset`` with two workers: same stdout, same files."""
+    parallel = out_dir / "jobs2"
+    code, parallel_out, _ = run_cli(capsys, [
+        "reproduce", preset, "--out-dir", str(parallel), "--realizations", "2",
+        "--jobs", "2"])
+    assert code == EXIT_OK
+    assert parallel_out == out
+    for name in names:
+        assert (parallel / name).read_bytes() == (out_dir / name).read_bytes()
+
+
 def test_reproduce_fig1_smoke(capsys, tmp_path):
     code, out, _ = run_cli(capsys, [
         "reproduce", "fig1", "--out-dir", str(tmp_path), "--realizations", "2"])
@@ -276,14 +304,18 @@ def test_reproduce_fig1_smoke(capsys, tmp_path):
     assert lines[1].startswith("epsilon,")
     assert len(lines) == 2 + 4  # four grid points
     assert (tmp_path / "fig1_report.json").exists()
+    assert_jobs_invariant(capsys, "fig1", tmp_path, out,
+                          ["fig1_data.csv", "fig1_report.json"])
 
 
 def test_reproduce_fig3_smoke(capsys, tmp_path):
     code, out, _ = run_cli(capsys, [
-        "reproduce", "fig3", "--out-dir", str(tmp_path), "--realizations", "1"])
+        "reproduce", "fig3", "--out-dir", str(tmp_path), "--realizations", "2"])
     assert code == EXIT_OK
     assert "delta0=0.5 run identical to nominal run: PASS" in out
     assert (tmp_path / "fig3_data.csv").exists()
+    assert_jobs_invariant(capsys, "fig3", tmp_path, out,
+                          ["fig3_data.csv", "fig3_report.json"])
 
 
 def test_reproduce_creates_out_dir(capsys, tmp_path):
@@ -312,6 +344,21 @@ def test_reproduce_input_errors(capsys, tmp_path):
     ["check", "--generate", "low", "--eps", "-1"],
     ["sweep", "--generate", "low", "--eps-grid", "0", "--jobs", "0"],
     ["reproduce", "table3", "--jobs", "0"],
+    # flags the chosen mode ignores, which the output config would echo
+    ["run", "--generate", "low", "--eps", "0.5", "--delta0", "0.9"],
+    ["run", "--generate", "low", "--mode", "nominal", "--eps", "0.5"],
+    ["check", "--generate", "low", "--mode", "worstcase", "--eps", "0.5",
+     "--delta0", "0.9"],
+    ["check", "--generate", "low", "--mode", "nominal", "--eps", "0.5"],
+    ["sweep", "--generate", "low", "--eps-grid", "0,1", "--eps", "0.5"],
+    ["sweep", "--generate", "low", "--eps-grid", "0,1", "--delta0", "0.9"],
+    ["sweep", "--generate", "low", "--delta0-grid", "0,1", "--eps", "0.8",
+     "--delta0", "0.5"],
+    ["sweep", "--generate", "low", "--delta0-grid", "0,1", "--eps", "0.8",
+     "--mode", "worstcase"],
+    # a scenario file is one realization
+    ["sweep", "--scenario", BUNDLED_SCENARIO, "--eps-grid", "0",
+     "--realizations", "3"],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,8 @@
 """Best-response iteration tests: schedules, convergence, reports, CSV export."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riwfa import (
     ChannelRealization,
@@ -9,6 +11,7 @@ from riwfa import (
     Scenario,
     Schedule,
     UncertaintySpec,
+    best_response,
     check_rne_uniqueness,
     fixed_point_residual,
     generate_schedule,
@@ -114,6 +117,8 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(kind="sequential", updates=np.ones((2, 2), dtype=bool),
                  snapshots=np.zeros((2, 2), dtype=int))
+    with pytest.raises(ValueError):
+        Schedule(kind="simultaneous", max_staleness=2)
     # snapshots newer than allowed staleness
     with pytest.raises(ValueError):
         Schedule(kind="asynchronous", updates=np.ones((3, 1), dtype=bool),
@@ -130,6 +135,86 @@ def test_async_with_zero_staleness_equals_simultaneous():
     assert len(sync.trajectory) == len(async_.trajectory)
     for a, b in zip(sync.trajectory, async_.trajectory):
         assert np.array_equal(a, b)
+
+
+def reference_run(sc, schedule, config):
+    """Per-kind best-response loops written out plainly: (profile,
+    iterations, converged, step_residuals)."""
+    profile = zero_profile(sc.num_users, sc.num_subchannels)
+    step_residuals = []
+
+    def reply(i, seen):
+        return best_response(i, sc.channel, seen, sc.constraints, sc.uncertainty).p
+
+    if schedule.kind == "asynchronous":
+        recent = {0: profile.copy()}
+        quiet = 0
+        for t in range(min(config.max_iter, len(schedule))):
+            nxt = profile.copy()
+            delta = 0.0
+            for i in range(sc.num_users):
+                if schedule.updates[t, i]:
+                    p = reply(i, recent[int(schedule.snapshots[t, i])])
+                    delta = max(delta, float(np.abs(p - profile[i]).max()))
+                    nxt[i] = p
+            profile = nxt
+            recent[t + 1] = profile.copy()
+            step_residuals.append(delta)
+            quiet = quiet + 1 if delta <= config.tol else 0
+            if quiet > schedule.max_staleness:
+                return profile, t + 1, True, step_residuals
+        return profile, len(step_residuals), False, step_residuals
+
+    for t in range(config.max_iter):
+        delta = 0.0
+        if schedule.kind == "sequential":
+            for i in range(sc.num_users):
+                p = reply(i, profile)
+                delta = max(delta, float(np.abs(p - profile[i]).max()))
+                profile[i] = p
+        else:
+            nxt = profile.copy()
+            for i in range(sc.num_users):
+                p = reply(i, profile)
+                delta = max(delta, float(np.abs(p - profile[i]).max()))
+                nxt[i] = p
+            profile = nxt
+        step_residuals.append(delta)
+        if delta <= config.tol:
+            return profile, t + 1, True, step_residuals
+    return profile, config.max_iter, False, step_residuals
+
+
+@st.composite
+def run_instances(draw):
+    m, k = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)),
+                         cross_range=(0.0, draw(st.sampled_from([0.002, 0.05, 0.5]))),
+                         noise_range=(0.001, 0.01))
+    eps = draw(st.sampled_from([0.0, 0.5]))
+    sc = sc.with_uncertainty(UncertaintySpec.uniform(m, k, eps))
+    config = RunConfig(tol=draw(st.sampled_from([1e-2, 1e-4, 1e-8])),
+                       max_iter=draw(st.integers(1, 25)))
+    kind = draw(st.sampled_from(["sequential", "simultaneous", "asynchronous"]))
+    schedule = generate_schedule(
+        kind, m, draw(st.integers(1, 25)),
+        update_probability=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        max_staleness=draw(st.integers(0, 3)), seed=draw(st.integers(0, 10_000)))
+    return sc, schedule, config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run_instances())
+def test_run_matches_per_kind_reference_loops(instance):
+    # a single tick loop must reproduce the sequential, simultaneous and
+    # stale-snapshot asynchronous loops bitwise, stop rule included
+    sc, schedule, config = instance
+    report = run(sc, schedule, config)
+    profile, iterations, converged, step_residuals = reference_run(sc, schedule, config)
+    assert np.array_equal(report.profile, profile)
+    assert report.iterations == iterations
+    assert report.converged == converged
+    assert report.step_residuals == step_residuals
 
 
 def test_run_deterministic():
