@@ -102,12 +102,12 @@ def _add_dynamics_flags(parser):
     group = parser.add_argument_group("dynamics")
     group.add_argument("--schedule", default="sequential",
                        choices=("sequential", "simultaneous", "asynchronous"))
-    group.add_argument("--update-prob", type=float, default=1.0,
-                       help="per-tick update probability (asynchronous)")
-    group.add_argument("--max-staleness", type=int, default=0,
-                       help="oldest usable snapshot age (asynchronous)")
-    group.add_argument("--schedule-seed", type=int, default=0,
-                       help="seed for asynchronous schedule draws")
+    group.add_argument("--update-prob", type=float,
+                       help="per-tick update probability (asynchronous run; default 1)")
+    group.add_argument("--max-staleness", type=int,
+                       help="oldest usable snapshot age (asynchronous run; default 0)")
+    group.add_argument("--schedule-seed", type=int,
+                       help="seed for asynchronous schedule draws (default 0)")
     group.add_argument("--init", default="zero", choices=("zero", "uniform"))
     group.add_argument("--tol", type=float, default=1e-8)
     group.add_argument("--max-iter", type=int, default=10_000)
@@ -229,6 +229,15 @@ def _resolve_scenario(args, source) -> Scenario:
     return scenario.with_uncertainty(spec)
 
 
+def _resolve_async_flags(args) -> None:
+    """Only an asynchronous run reads these flags; absent, they take their defaults."""
+    for name, default in (("update_prob", 1.0), ("max_staleness", 0), ("schedule_seed", 0)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.command == "sweep" or args.schedule != "asynchronous":
+            raise CliError(f"--{name.replace('_', '-')} applies only to run --schedule asynchronous")
+
+
 def _support_sets(profile: np.ndarray, scenario: Scenario) -> list[list[int]]:
     threshold = _support_threshold(scenario)
     return [sorted(int(k) for k in np.flatnonzero(row > threshold))
@@ -251,15 +260,6 @@ def _emit(text: str, out: str | None) -> None:
 # run / sweep / check
 # ---------------------------------------------------------------------------
 
-def _build_schedule(args, num_users: int) -> Schedule:
-    if args.schedule != "asynchronous":
-        return Schedule(kind=args.schedule)
-    return generate_schedule("asynchronous", num_users, args.max_iter,
-                             update_probability=args.update_prob,
-                             max_staleness=args.max_staleness,
-                             seed=args.schedule_seed)
-
-
 def _report_dict(report, scenario: Scenario) -> dict:
     return {
         "converged": report.converged,
@@ -276,11 +276,14 @@ def _report_dict(report, scenario: Scenario) -> dict:
 
 def cmd_run(args) -> int:
     source, source_desc = _resolve_source(args)
+    _resolve_async_flags(args)
     with _input_errors():
         scenario = _resolve_scenario(args, source)
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
                            record_trajectory=args.trajectory is not None)
-        schedule = _build_schedule(args, scenario.num_users)
+        schedule = generate_schedule(args.schedule, scenario.num_users, args.max_iter,
+                                     update_probability=args.update_prob,
+                                     max_staleness=args.max_staleness, seed=args.schedule_seed)
     report = run(scenario, schedule, config)
 
     resolved = {"command": "run", **source_desc,
@@ -309,6 +312,9 @@ def cmd_sweep(args) -> int:
         raise CliError("--realizations must be >= 1")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
+    if args.schedule == "asynchronous":
+        raise CliError("sweeps play sequential or simultaneous schedules")
+    _resolve_async_flags(args)
     with _input_errors():
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)
 
@@ -318,6 +324,8 @@ def cmd_sweep(args) -> int:
         grid = _parse_grid(args.eps_grid, "--eps-grid")
         mode = args.mode or "worstcase"
         _reject_ignored_flags(args, mode)
+        if mode == "nominal":
+            raise CliError("--eps-grid does not apply to --mode nominal")
         if mode == "probabilistic" and args.delta0 is None:
             raise CliError("probabilistic eps sweeps need --delta0")
         with _input_errors():

@@ -6,10 +6,11 @@ profile it replies to depends on the schedule: the live profile
 (sequential, a Gauss-Seidel sweep), the copy taken at the start of the
 tick (simultaneous, a Jacobi round), or, for a user the asynchronous
 schedule picks, the start-of-tick copy from ``snapshots[t, i]``, at most
-max_staleness ticks old.  Iteration stops once the largest power change of
-a tick stays at or below ``tol`` for max_staleness + 1 consecutive ticks:
-one tick for sequential and simultaneous play, and for asynchronous play
-enough ticks that the schedule generator guarantees every user updated.
+max_staleness ticks old; a generated schedule draws each tick only when the
+loop reaches it.  Iteration stops once the largest power change of a tick
+stays at or below ``tol`` for max_staleness + 1 consecutive ticks: one tick
+for sequential and simultaneous play, and for asynchronous play enough
+ticks that the schedule generator guarantees every user updated.
 """
 from __future__ import annotations
 
@@ -36,53 +37,86 @@ SCHEDULE_KINDS = ("sequential", "simultaneous", "asynchronous")
 SUPPORT_THRESHOLD_FRACTION = 1e-3
 
 
-@dataclass(frozen=True)
 class Schedule:
     """Update order for the iteration.
 
     For ``asynchronous`` schedules, ``updates[t, i]`` says whether user i
     updates at tick t and ``snapshots[t, i]`` is the (virtual) time of the
-    profile it reacts to, with  0 <= t - snapshots[t, i] <= max_staleness.
+    profile it reacts to, with  0 <= t - snapshots[t, i] <= max_staleness;
+    ``tick(t)`` returns those two rows.  Explicit arrays are validated here
+    and count as drawn to their end.  A schedule from ``generate_schedule``
+    draws each tick from its random stream when the tick is first read, so
+    reading ``updates`` or ``snapshots`` draws all of them.
     Sequential and simultaneous schedules carry no arrays and no staleness.
     """
 
-    kind: str
-    updates: np.ndarray | None = None
-    snapshots: np.ndarray | None = None
-    max_staleness: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if self.kind == "asynchronous":
-            if self.updates is None or self.snapshots is None:
+    def __init__(self, kind: str, updates: np.ndarray | None = None,
+                 snapshots: np.ndarray | None = None, max_staleness: int = 0):
+        if kind not in SCHEDULE_KINDS:
+            raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
+        if kind == "asynchronous":
+            if updates is None or snapshots is None:
                 raise ValueError("asynchronous schedules need updates and snapshots arrays")
-            updates = np.asarray(self.updates, dtype=bool)
-            snapshots = np.asarray(self.snapshots, dtype=int)
+            updates = np.asarray(updates, dtype=bool)
+            snapshots = np.asarray(snapshots, dtype=int)
             if updates.ndim != 2 or updates.shape != snapshots.shape:
                 raise ValueError("updates and snapshots must both have shape (T, M)")
-            ticks = np.arange(updates.shape[0])[:, None]
-            staleness = ticks - snapshots
-            if np.any(staleness < 0) or np.any(staleness > self.max_staleness):
+            staleness = np.arange(updates.shape[0])[:, None] - snapshots
+            if np.any(staleness < 0) or np.any(staleness > max_staleness):
                 raise ValueError("snapshots violate the staleness bound")
-            object.__setattr__(self, "updates", updates)
-            object.__setattr__(self, "snapshots", snapshots)
-        elif self.updates is not None or self.snapshots is not None or self.max_staleness:
-            raise ValueError(f"{self.kind} schedules take no update arrays or staleness")
+        elif updates is not None or snapshots is not None or max_staleness:
+            raise ValueError(f"{kind} schedules take no update arrays or staleness")
+        self.kind, self.max_staleness = kind, max_staleness
+        self.num_users = None if updates is None else updates.shape[1]
+        self._updates, self._snapshots = updates, snapshots
+        self._drawn = len(self)  # ticks whose rows are final
+        self._stream = None  # (rng, update_probability, last update per user)
 
     def __len__(self) -> int:
-        return 0 if self.updates is None else self.updates.shape[0]
+        return 0 if self._updates is None else self._updates.shape[0]
+
+    @property
+    def updates(self) -> np.ndarray | None:
+        self._draw_to(len(self))
+        return self._updates
+
+    @property
+    def snapshots(self) -> np.ndarray | None:
+        self._draw_to(len(self))
+        return self._snapshots
+
+    def tick(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``(updates[t], snapshots[t])``, drawing the ticks up to t first."""
+        self._draw_to(t + 1)
+        return self._updates[t], self._snapshots[t]
+
+    def _draw_to(self, end: int) -> None:
+        # Per tick, per user: one random() unless the update is forced, then
+        # one integers() if the staleness window holds more than tick t.
+        for t in range(self._drawn, end):
+            rng, probability, last_update = self._stream
+            self._snapshots[t] = t
+            for i in range(len(last_update)):
+                if t - last_update[i] >= self.max_staleness or rng.random() < probability:
+                    self._updates[t, i] = True
+                    last_update[i] = t
+                    low = max(0, t - self.max_staleness)
+                    if low < t:
+                        self._snapshots[t, i] = rng.integers(low, t + 1)
+        self._drawn = max(self._drawn, end)
 
 
 def generate_schedule(kind: str, num_users: int, max_iter: int,
                       update_probability: float = 1.0, max_staleness: int = 0,
                       seed: int | None = None) -> Schedule:
-    """Build a schedule; asynchronous ones are drawn from ``seed``.
+    """Build a schedule; asynchronous ones are drawn from ``seed`` on demand.
 
     Each user updates with probability ``update_probability`` per tick and is
     forced to update once its last update is ``max_staleness`` ticks old, so
     no user ever goes more than max_staleness ticks without updating.
     Snapshot times are drawn uniformly from the allowed staleness window.
+    Each of the ``max_iter`` ticks is drawn when first read, so a run that
+    stops early never pays for the rest; the draws do not depend on the order.
     """
     if kind not in SCHEDULE_KINDS:
         raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
@@ -95,22 +129,15 @@ def generate_schedule(kind: str, num_users: int, max_iter: int,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    rng = np.random.default_rng(seed)
-    updates = np.zeros((max_iter, num_users), dtype=bool)
-    snapshots = np.zeros((max_iter, num_users), dtype=int)
-    last_update = np.full(num_users, -1)
-    for t in range(max_iter):
-        for i in range(num_users):
-            forced = (t - last_update[i]) >= max_staleness
-            if forced or rng.random() < update_probability:
-                updates[t, i] = True
-                last_update[i] = t
-                low = max(0, t - max_staleness)
-                snapshots[t, i] = rng.integers(low, t + 1) if low < t else t
-            else:
-                snapshots[t, i] = t
-    return Schedule(kind="asynchronous", updates=updates, snapshots=snapshots,
-                    max_staleness=max_staleness)
+    # Built past the constructor's check: a drawn row is valid by construction,
+    # and zeroed pages cost no memory until a tick is drawn into them.
+    schedule = Schedule.__new__(Schedule)
+    schedule.kind, schedule.max_staleness, schedule.num_users = kind, max_staleness, num_users
+    schedule._updates = np.zeros((max_iter, num_users), dtype=bool)
+    schedule._snapshots = np.zeros((max_iter, num_users), dtype=int)
+    schedule._drawn = 0
+    schedule._stream = (np.random.default_rng(seed), update_probability, [-1] * num_users)
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -194,20 +221,24 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     step_residuals: list[float] = []
     converged = False
     asynchronous = schedule.kind == "asynchronous"
+    if asynchronous and schedule.num_users != scenario.num_users:
+        raise ValueError(f"schedule has {schedule.num_users} users, scenario {scenario.num_users}")
     ticks = min(config.max_iter, len(schedule)) if asynchronous else config.max_iter
     window = schedule.max_staleness + 1
     history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
     quiet = 0
     for t in range(ticks):
         history.append(profile.copy())
+        if asynchronous:
+            updates, snapshots = schedule.tick(t)
         delta = 0.0
         for i in range(scenario.num_users):
             if schedule.kind == "sequential":
                 seen = profile
             elif not asynchronous:
                 seen = history[-1]
-            elif schedule.updates[t, i]:
-                seen = history[schedule.snapshots[t, i] - t - 1]
+            elif updates[i]:
+                seen = history[snapshots[i] - t - 1]
             else:
                 continue
             reply = best_response(i, scenario.channel, seen,

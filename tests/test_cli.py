@@ -88,6 +88,18 @@ def test_run_nonconvergence_exits_two_but_writes(capsys, tmp_path):
     assert not json.loads(out_file.read_text())["report"]["converged"]
 
 
+def test_async_run_does_not_depend_on_max_iter_past_the_stop(capsys):
+    # the schedule's first ticks are the same whatever its length, so a run
+    # that stops before the shorter cap reports the same equilibrium
+    argv = ["run", "--generate", "low", "--users", "3", "--subchannels", "8",
+            "--eps", "0.5", "--schedule", "asynchronous", "--update-prob", "0.5",
+            "--max-staleness", "3", "--schedule-seed", "7"]
+    code_long, out_long, _ = run_cli(capsys, argv + ["--max-iter", "10000"])
+    code_short, out_short, _ = run_cli(capsys, argv + ["--max-iter", "200"])
+    assert code_long == code_short == EXIT_OK
+    assert json.loads(out_long)["report"] == json.loads(out_short)["report"]
+
+
 def test_run_requires_exactly_one_source(capsys, table2_file):
     code, _, err = run_cli(capsys, ["run"])
     assert code == EXIT_INPUT and "exactly one" in err
@@ -359,6 +371,18 @@ def test_reproduce_input_errors(capsys, tmp_path):
     # a scenario file is one realization
     ["sweep", "--scenario", BUNDLED_SCENARIO, "--eps-grid", "0",
      "--realizations", "3"],
+    # eps has no effect in nominal mode, so a nominal eps grid sweeps nothing
+    ["sweep", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--mode", "nominal", "--eps-grid", "0,1,3", "--realizations", "2"],
+    # asynchronous-only flags with another schedule, or given to sweep
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--eps", "0.5", "--max-staleness", "3"],
+    ["run", "--generate", "low", "--schedule", "simultaneous", "--update-prob", "0.3"],
+    ["run", "--generate", "low", "--schedule-seed", "4"],
+    ["sweep", "--generate", "low", "--eps-grid", "0,1", "--update-prob", "0.3"],
+    ["sweep", "--generate", "low", "--eps-grid", "0,1", "--max-staleness", "2"],
+    ["sweep", "--generate", "low", "--eps-grid", "0,1", "--schedule-seed", "4"],
+    ["sweep", "--generate", "low", "--eps-grid", "0,1", "--schedule", "asynchronous"],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

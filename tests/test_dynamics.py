@@ -98,6 +98,19 @@ def test_generate_schedule_deterministic():
     assert np.array_equal(a.snapshots, b.snapshots)
 
 
+def test_generate_schedule_stream_is_pinned():
+    # per tick, per user: one random() unless forced, then one integers()
+    # when the staleness window holds earlier ticks; another order moves these
+    sched = generate_schedule("asynchronous", 3, 12, update_probability=0.5,
+                              max_staleness=2, seed=7)
+    updates = [[0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 0, 1],
+               [1, 1, 0], [0, 1, 1], [1, 1, 1], [1, 0, 0], [0, 1, 1], [1, 1, 1]]
+    snapshots = [[0, 0, 0], [1, 0, 0], [2, 0, 2], [1, 3, 3], [2, 4, 4], [5, 5, 4],
+                 [6, 6, 6], [7, 7, 5], [8, 7, 6], [8, 9, 9], [10, 8, 9], [10, 9, 11]]
+    assert np.array_equal(sched.updates, np.array(updates, dtype=bool))
+    assert np.array_equal(sched.snapshots, np.array(snapshots))
+
+
 def test_generate_schedule_validation():
     with pytest.raises(ValueError):
         generate_schedule("asynchronous", 2, 10, update_probability=0.0)
@@ -215,6 +228,62 @@ def test_run_matches_per_kind_reference_loops(instance):
     assert report.iterations == iterations
     assert report.converged == converged
     assert report.step_residuals == step_residuals
+
+
+@st.composite
+def drawn_schedules(draw):
+    m = draw(st.integers(1, 8))
+    sc = random_scenario(m, 3, seed=draw(st.integers(0, 10_000)),
+                         cross_range=(0.0, draw(st.sampled_from([0.002, 0.05]))),
+                         noise_range=(0.001, 0.01))
+    probability = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return sc, m, draw(st.integers(1, 300)), probability, draw(st.integers(0, 5)), \
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 299))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drawn_schedules())
+def test_run_reads_the_prefix_of_the_full_draw(instance):
+    # ticks drawn as run() reaches them, after a peek at a later tick, are
+    # the rows drawn in one go, and playing either gives the same run bitwise
+    sc, m, max_iter, probability, staleness, seed, peek = instance
+    full = generate_schedule("asynchronous", m, max_iter, update_probability=probability,
+                             max_staleness=staleness, seed=seed)
+    updates, snapshots = full.updates, full.snapshots
+    drawn = generate_schedule("asynchronous", m, max_iter, update_probability=probability,
+                              max_staleness=staleness, seed=seed)
+    drawn.tick(min(peek, max_iter - 1))
+    read, tick = [], drawn.tick
+
+    def recording_tick(t):
+        rows = tick(t)
+        read.append((t, rows[0].copy(), rows[1].copy()))
+        return rows
+
+    drawn.tick = recording_tick
+    lazy = run(sc, drawn, RunConfig(max_iter=300))
+    assert [t for t, _, _ in read] == list(range(lazy.iterations))
+    for t, row_updates, row_snapshots in read:
+        assert np.array_equal(row_updates, updates[t])
+        assert np.array_equal(row_snapshots, snapshots[t])
+    explicit = run(sc, Schedule(kind="asynchronous", updates=updates,
+                                snapshots=snapshots, max_staleness=staleness),
+                   RunConfig(max_iter=300))
+    assert np.array_equal(drawn.updates, updates)
+    assert np.array_equal(drawn.snapshots, snapshots)
+    assert np.array_equal(lazy.profile, explicit.profile)
+    assert lazy.iterations == explicit.iterations
+    assert lazy.converged == explicit.converged
+    assert lazy.step_residuals == explicit.step_residuals
+
+
+def test_run_rejects_schedule_of_other_width():
+    sc = random_scenario(4, 6, seed=11, noise_range=(0.001, 0.01))
+    for width in (3, 6):
+        sched = generate_schedule("asynchronous", width, 50, update_probability=0.5,
+                                  max_staleness=2, seed=0)
+        with pytest.raises(ValueError, match="users"):
+            run(sc, sched)
 
 
 def test_run_deterministic():
