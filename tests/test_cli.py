@@ -256,6 +256,27 @@ def test_sweep_grid_validation(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("with_fixed", [False, True])
+@pytest.mark.parametrize("mode", [None, "nominal", "worstcase", "probabilistic"])
+@pytest.mark.parametrize("grid_flag", ["--eps-grid", "--delta0-grid"])
+def test_sweep_grid_obeys_the_rules_of_its_flag(capsys, grid_flag, mode, with_fixed):
+    # a grid stands for --eps (or --delta0) at each of its points: the sweep
+    # is an input error exactly when some point's check would be one
+    base = ["--generate", "low", "--users", "2", "--subchannels", "3"]
+    if grid_flag == "--eps-grid":
+        grid, point_flag, fixed = ["0.2", "0.6"], "--eps", ["--delta0", "0.5"]
+        check_mode = mode
+    else:
+        grid, point_flag, fixed = ["0.25", "1"], "--delta0", ["--eps", "0.8"]
+        check_mode = mode or "probabilistic"
+    flags = (["--mode", mode] if mode else []) + (fixed if with_fixed else [])
+    check_flags = (["--mode", check_mode] if check_mode else []) + (fixed if with_fixed else [])
+    point_errors = [run_cli(capsys, ["check", *base, *check_flags, point_flag, g])[0] == EXIT_INPUT
+                    for g in grid]
+    code, _, _ = run_cli(capsys, ["sweep", *base, *flags, grid_flag, ",".join(grid)])
+    assert code == (EXIT_INPUT if any(point_errors) else EXIT_OK)
+
+
 def test_sweep_parallel_jobs_byte_identical(capsys, tmp_path):
     common = ["sweep", "--generate", "low", "--users", "2", "--subchannels",
               "8", "--eps-grid", "0,1", "--realizations", "2", "--seed", "42"]
