@@ -1,0 +1,38 @@
+#!/bin/sh
+# Run every `riwfa reproduce` preset from this checkout's sources and keep
+# everything each one leaves: its data CSV and report JSON, its stdout, its
+# stderr and its exit code.
+#
+#   scripts/reproduce_all.sh OUT_DIR
+#
+# All six presets run at --jobs 1; fig1 and fig3 run once more at
+# --realizations 2 --jobs 2. Running the script in two checkouts and then
+# `diff -r OUT_A OUT_B` shows every output byte the change between them moved.
+# fig2 and fig4 take about a minute together.
+set -u
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT_DIR" >&2
+    exit 1
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1" || exit 1
+out=$(cd "$1" && pwd)
+
+reproduce() {
+    name=$1
+    shift
+    dir="$out/$name"
+    mkdir -p "$dir"
+    PYTHONPATH="$root/src" python3 -m riwfa reproduce "$@" --out-dir "$dir" \
+        >"$dir/stdout.txt" 2>"$dir/stderr.txt"
+    echo $? >"$dir/exit_code.txt"
+    echo "$name: exit $(cat "$dir/exit_code.txt")"
+}
+
+for preset in table3 table4 fig1 fig2 fig3 fig4; do
+    reproduce "$preset" "$preset" --jobs 1
+done
+for preset in fig1 fig3; do
+    reproduce "$preset-r2-jobs2" "$preset" --realizations 2 --jobs 2
+done

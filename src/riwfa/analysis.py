@@ -78,11 +78,6 @@ def operator_norm_2(w) -> float | np.ndarray:
     return np.linalg.svd(_square(w), compute_uv=False).max(axis=-1)
 
 
-def frobenius_norm(w) -> float | np.ndarray:
-    w = _square(w)
-    return np.sqrt((w * w).sum(axis=(-2, -1)))
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------

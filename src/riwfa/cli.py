@@ -6,6 +6,10 @@ run fails to converge or a required reproduction check fails (outputs are
 still written), 1 on input errors.  Identical commands with identical seeds
 produce byte-identical output files; every output embeds its resolved
 configuration.
+
+`sweep` and every `reproduce` preset play their games through one engine,
+`analysis.sweep_reports`; a preset is a declaration of its source, seeds,
+specs and checks, and `cmd_reproduce` writes its files and verdict.
 """
 from __future__ import annotations
 
@@ -21,13 +25,11 @@ from .analysis import (
     SweepResult,
     check_async_convergence,
     check_rne_uniqueness,
-    delta0_sweep,
-    epsilon_sweep,
     interference_upper_bounds,
     sweep_reports,
     write_sweep_csv,
 )
-from .dynamics import RunConfig, Schedule, generate_schedule, run, write_trajectory_csv
+from .dynamics import RunConfig, generate_schedule, run, write_trajectory_csv
 from .dynamics import _support_threshold
 from .model import (
     MODES,
@@ -79,11 +81,11 @@ def _add_source_flags(parser):
                        help="JSON scenario file to load")
     group.add_argument("--generate", choices=("low", "high"),
                        help="draw a random scenario from the named ensemble")
-    group.add_argument("--users", type=int, default=8,
+    group.add_argument("--users", type=int,
                        help="users for --generate (default 8)")
-    group.add_argument("--subchannels", type=int, default=64,
+    group.add_argument("--subchannels", type=int,
                        help="sub-channels for --generate (default 64)")
-    group.add_argument("--seed", type=int, default=0,
+    group.add_argument("--seed", type=int,
                        help="channel seed for --generate (default 0)")
 
 
@@ -185,6 +187,11 @@ def _resolve_source(args):
     """Return (Scenario | ScenarioTemplate, source description dict)."""
     if (args.scenario is None) == (args.generate is None):
         raise CliError("exactly one of --scenario or --generate is required")
+    for name, default in (("users", 8), ("subchannels", 64), ("seed", 0)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.scenario is not None:
+            raise CliError(f"--{name} applies only to --generate")
     if args.scenario is not None:
         try:
             scenario = load_scenario(args.scenario)
@@ -197,36 +204,30 @@ def _resolve_source(args):
                              "subchannels": args.subchannels, "seed": args.seed}
 
 
-def _reject_ignored_flags(args, mode: str) -> None:
-    """A flag the mode ignores would still be echoed into the output config."""
-    if args.delta0 is not None and mode != "probabilistic":
+def _uncertainty(mode: str, eps, delta0, m: int, k: int) -> UncertaintySpec:
+    """The spec that --mode/--eps/--delta0 name.  A flag the mode ignores
+    would still be echoed into the output config, so it is an input error."""
+    if delta0 is not None and mode != "probabilistic":
         raise CliError("--delta0 applies only to --mode probabilistic")
-    if args.eps is not None and mode == "nominal":
-        raise CliError("--eps does not apply to --mode nominal")
+    if mode == "nominal":
+        if eps is not None:
+            raise CliError("--eps does not apply to --mode nominal")
+        return UncertaintySpec.nominal(m, k)
+    if eps is None:
+        raise CliError(f"--mode {mode} requires --eps")
+    if mode == "probabilistic" and delta0 is None:
+        raise CliError("--mode probabilistic requires --delta0")
+    return UncertaintySpec.uniform(m, k, eps, mode=mode, delta0=delta0)
 
 
 def _resolve_scenario(args, source) -> Scenario:
     """Realize a template at --seed, then apply --mode/--eps/--delta0."""
     scenario = source if isinstance(source, Scenario) else source.realize(args.seed)
-    mode, eps, delta0 = args.mode, args.eps, args.delta0
-    if mode is None and eps is None and delta0 is None:
+    if args.mode is None and args.eps is None and args.delta0 is None:
         return scenario
-    mode = mode or "worstcase"
-    _reject_ignored_flags(args, mode)
-    if mode == "nominal":
-        spec = UncertaintySpec.nominal(scenario.num_users, scenario.num_subchannels)
-    elif mode == "worstcase":
-        if eps is None:
-            raise CliError("--mode worstcase requires --eps")
-        spec = UncertaintySpec.uniform(scenario.num_users,
-                                       scenario.num_subchannels, eps)
-    else:
-        if eps is None or delta0 is None:
-            raise CliError("--mode probabilistic requires --eps and --delta0")
-        spec = UncertaintySpec.uniform(scenario.num_users,
-                                       scenario.num_subchannels, eps,
-                                       mode="probabilistic", delta0=delta0)
-    return scenario.with_uncertainty(spec)
+    return scenario.with_uncertainty(_uncertainty(
+        args.mode or "worstcase", args.eps, args.delta0,
+        scenario.num_users, scenario.num_subchannels))
 
 
 def _resolve_async_flags(args) -> None:
@@ -310,53 +311,34 @@ def cmd_sweep(args) -> int:
         realizations = 1 if isinstance(source, Scenario) else 20
     if realizations < 1:
         raise CliError("--realizations must be >= 1")
+    if isinstance(source, Scenario) and realizations != 1:
+        raise CliError("a --scenario file is one realization: --realizations must be 1")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
     if args.schedule == "asynchronous":
         raise CliError("sweeps play sequential or simultaneous schedules")
     _resolve_async_flags(args)
+
+    # each grid point stands for --eps (or --delta0) and obeys its rules
+    flag, parameter, mode = (("eps", "epsilon", args.mode or "worstcase")
+                             if args.eps_grid is not None
+                             else ("delta0", "delta0", args.mode or "probabilistic"))
+    if getattr(args, flag) is not None:
+        raise CliError(f"--{flag}-grid replaces --{flag}")
+    grid = _parse_grid(getattr(args, f"{flag}_grid"), f"--{flag}-grid")
+    seeds = [None] if isinstance(source, Scenario) else range(args.seed, args.seed + realizations)
     with _input_errors():
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)
-
-    if args.eps_grid is not None:
-        if args.eps is not None:
-            raise CliError("--eps-grid replaces --eps")
-        grid = _parse_grid(args.eps_grid, "--eps-grid")
-        mode = args.mode or "worstcase"
-        _reject_ignored_flags(args, mode)
-        if mode == "nominal":
-            raise CliError("--eps-grid does not apply to --mode nominal")
-        if mode == "probabilistic" and args.delta0 is None:
-            raise CliError("probabilistic eps sweeps need --delta0")
-        with _input_errors():
-            result = epsilon_sweep(source, grid, num_realizations=realizations,
-                                   seed=args.seed, mode=mode, delta0=args.delta0,
-                                   schedule_kind=args.schedule, config=config,
-                                   jobs=args.jobs)
-        resolved = {"command": "sweep", **source_desc, "parameter": "epsilon",
-                    "grid": [float(v) for v in grid], "mode": mode,
-                    "delta0": args.delta0, "realizations": realizations,
-                    "schedule": args.schedule, "init": args.init,
-                    "tol": args.tol, "max_iter": args.max_iter}
-    else:
-        if args.eps is None:
-            raise CliError("--delta0-grid requires --eps")
-        if args.delta0 is not None:
-            raise CliError("--delta0-grid replaces --delta0")
-        if args.mode not in (None, "probabilistic"):
-            raise CliError("--delta0-grid sweeps --mode probabilistic only")
-        grid = _parse_grid(args.delta0_grid, "--delta0-grid")
-        with _input_errors():
-            result = delta0_sweep(source, args.eps, grid,
-                                  num_realizations=realizations,
-                                  seed=args.seed, schedule_kind=args.schedule,
-                                  config=config, jobs=args.jobs)
-        resolved = {"command": "sweep", **source_desc, "parameter": "delta0",
-                    "grid": [float(v) for v in grid], "eps": args.eps,
-                    "realizations": realizations,
-                    "schedule": args.schedule, "init": args.init,
-                    "tol": args.tol, "max_iter": args.max_iter}
-
+        specs = [_uncertainty(mode, **{"eps": args.eps, "delta0": args.delta0, flag: value},
+                              m=source.num_users, k=source.num_subchannels)
+                 for value in grid]
+        reports = sweep_reports(source, seeds, specs, args.schedule, config, args.jobs)
+    result = SweepResult.from_reports(parameter, grid, reports)
+    fixed = {"mode": mode, "delta0": args.delta0} if flag == "eps" else {"eps": args.eps}
+    resolved = {"command": "sweep", **source_desc, "parameter": parameter,
+                "grid": [float(v) for v in grid], **fixed, "realizations": realizations,
+                "schedule": args.schedule, "init": args.init,
+                "tol": args.tol, "max_iter": args.max_iter}
     write_sweep_csv(result, sys.stdout if args.out is None else args.out,
                     preamble=json.dumps(resolved, sort_keys=True))
     all_converged = bool(np.all(result.num_converged == result.num_total))
@@ -402,17 +384,13 @@ class Checks:
                    if item["tier"] == "must")
 
 
-def _write_preset_report(out_dir: str, preset: str, resolved: dict,
-                         checks: Checks, data: dict) -> None:
-    payload = {"config": resolved, "checks": checks.items, "data": data}
-    _emit(_json_text(payload), f"{out_dir}/{preset}_report.json")
+# A preset declares its source, seeds, specs and iteration cap, plays them
+# through _play and returns (config entries, Checks, report data, SweepResult
+# or None); cmd_reproduce writes the files and the verdict.
 
-
-def _bundled_run(mode_spec, init="zero"):
-    scenario = load_bundled_scenario().with_uncertainty(mode_spec)
-    report = run(scenario, Schedule(kind="sequential"),
-                 RunConfig(init=init, tol=1e-8, max_iter=10_000))
-    return scenario, report
+def _play(args, source, seeds, specs, max_iter: int = 10_000):
+    return sweep_reports(source, seeds, specs,
+                         config=RunConfig(tol=1e-8, max_iter=max_iter), jobs=args.jobs)
 
 
 def _check_table_run(checks: Checks, label: str, scenario, report) -> None:
@@ -440,26 +418,23 @@ def _should_match_table(checks: Checks, label: str, report, scenario,
                f"published={[sorted(s) for s in supports]}")
 
 
-def _preset_table3(args) -> int:
-    nominal = UncertaintySpec.nominal(3, 6)
-    scenario, report = _bundled_run(nominal)
+def _preset_table3(args):
+    scenario = load_bundled_scenario()
+    [[report]] = _play(args, scenario, [None], [UncertaintySpec.nominal(3, 6)])
     checks = Checks()
     _check_table_run(checks, "nominal run", scenario, report)
     _should_match_table(checks, "nominal run", report, scenario,
                         TABLE3_UTILITIES, TABLE3_SUPPORTS)
-    resolved = {"command": "reproduce", "preset": "table3"}
-    _write_preset_report(args.out_dir, "table3", resolved, checks,
-                         {"report": _report_dict(report, scenario)})
-    return EXIT_OK if checks.must_ok() else EXIT_FAILED
+    return {}, checks, {"report": _report_dict(report, scenario)}, None
 
 
-def _preset_table4(args) -> int:
-    robust_spec = UncertaintySpec.uniform(3, 6, 3.0)
-    scenario, robust = _bundled_run(robust_spec)
-    nominal_scenario, nominal = _bundled_run(UncertaintySpec.nominal(3, 6))
+def _preset_table4(args):
+    scenario = load_bundled_scenario()
+    [[robust], [nominal]] = _play(args, scenario, [None], [UncertaintySpec.uniform(3, 6, 3.0),
+                                                          UncertaintySpec.nominal(3, 6)])
     checks = Checks()
     _check_table_run(checks, "robust run", scenario, robust)
-    _check_table_run(checks, "nominal run", nominal_scenario, nominal)
+    _check_table_run(checks, "nominal run", scenario, nominal)
     checks.add("must", "robust equilibrium has disjoint supports",
                robust.orthogonality_index == 1.0,
                f"orthogonality_index={robust.orthogonality_index:.6f}")
@@ -469,11 +444,8 @@ def _preset_table4(args) -> int:
                f"nominal={nominal.social_utility:.4f}")
     _should_match_table(checks, "robust run", robust, scenario,
                         TABLE4_UTILITIES, TABLE4_SUPPORTS)
-    resolved = {"command": "reproduce", "preset": "table4"}
-    _write_preset_report(args.out_dir, "table4", resolved, checks,
-                         {"robust": _report_dict(robust, scenario),
-                          "nominal": _report_dict(nominal, nominal_scenario)})
-    return EXIT_OK if checks.must_ok() else EXIT_FAILED
+    return {}, checks, {"robust": _report_dict(robust, scenario),
+                        "nominal": _report_dict(nominal, scenario)}, None
 
 
 def _certified_seeds(template: ScenarioTemplate, count: int, base_seed: int,
@@ -492,21 +464,14 @@ def _certified_seeds(template: ScenarioTemplate, count: int, base_seed: int,
     return seeds
 
 
-def _preset_fig1(args) -> int:
+def _preset_fig1(args):
     count = args.realizations or 20
     template = ScenarioTemplate.low_interference()
     seeds = _certified_seeds(template, count, base_seed=100)
-    specs = [UncertaintySpec.uniform(8, 64, eps) for eps in FIG_EPS_GRID]
-    reports = sweep_reports(template, seeds, specs,
-                            config=RunConfig(tol=1e-8, max_iter=10_000), jobs=args.jobs)
+    reports = _play(args, template, seeds,
+                    [UncertaintySpec.uniform(8, 64, eps) for eps in FIG_EPS_GRID])
     result = SweepResult.from_reports("epsilon", FIG_EPS_GRID, reports)
     utilities = result.utilities
-    resolved = {"command": "reproduce", "preset": "fig1",
-                "realizations": count, "eps_grid": list(FIG_EPS_GRID),
-                "accepted_seeds": seeds}
-    write_sweep_csv(result, f"{args.out_dir}/fig1_data.csv",
-                    preamble=json.dumps(resolved, sort_keys=True))
-
     checks = Checks()
     checks.add("must", "all runs converged", not np.isnan(utilities).any(),
                f"{int((~np.isnan(utilities)).sum())}/{utilities.size}")
@@ -518,24 +483,17 @@ def _preset_fig1(args) -> int:
     checks.add("must", "mean social utility strictly decreasing",
                bool(np.all(np.diff(means) < 0)),
                f"means={np.round(means, 4).tolist()}")
-    _write_preset_report(args.out_dir, "fig1", resolved, checks,
-                         {"mean_social_utility": means.tolist(),
-                          "utilities": utilities.tolist()})
-    return EXIT_OK if checks.must_ok() else EXIT_FAILED
+    config = {"realizations": count, "eps_grid": list(FIG_EPS_GRID), "accepted_seeds": seeds}
+    data = {"mean_social_utility": means.tolist(), "utilities": utilities.tolist()}
+    return config, checks, data, result
 
 
-def _preset_fig2(args) -> int:
+def _preset_fig2(args):
     count = args.realizations or 20
-    template = ScenarioTemplate.high_interference()
     grid = [0.0, 1.0, 2.0, 3.0]
-    config = RunConfig(tol=1e-8, max_iter=2_000)
-    result = epsilon_sweep(template, grid, num_realizations=count, seed=900,
-                           config=config, jobs=args.jobs)
-    resolved = {"command": "reproduce", "preset": "fig2",
-                "realizations": count, "eps_grid": grid, "seed": 900,
-                "max_iter": 2000}
-    write_sweep_csv(result, f"{args.out_dir}/fig2_data.csv",
-                    preamble=json.dumps(resolved, sort_keys=True))
+    reports = _play(args, ScenarioTemplate.high_interference(), range(900, 900 + count),
+                    [UncertaintySpec.uniform(8, 64, eps) for eps in grid], max_iter=2_000)
+    result = SweepResult.from_reports("epsilon", grid, reports)
     checks = Checks()
     checks.add("must", "sweep completed and data written", True,
                f"num_converged={result.num_converged.tolist()} of {count}")
@@ -544,21 +502,21 @@ def _preset_fig2(args) -> int:
                bool(means[-1] >= means[0]),
                f"means={np.round(means, 4).tolist()} (several equilibria; "
                "no ordering is required in this regime)")
-    _write_preset_report(args.out_dir, "fig2", resolved, checks,
-                         {"mean_social_utility": means.tolist(),
-                          "num_converged": result.num_converged.tolist()})
-    return EXIT_OK if checks.must_ok() else EXIT_FAILED
+    config = {"realizations": count, "eps_grid": grid, "seed": 900, "max_iter": 2000}
+    data = {"mean_social_utility": means.tolist(),
+            "num_converged": result.num_converged.tolist()}
+    return config, checks, data, result
 
 
 def _delta0_comparison(args, preset: str, template: ScenarioTemplate,
-                       base_seed: int, count: int, max_iter: int) -> int:
+                       base_seed: int, max_iter: int):
+    count = args.realizations or 10
     m, k = template.num_users, template.num_subchannels
     grid = FIG_DELTA0_GRID
     specs = [UncertaintySpec.nominal(m, k), UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS)]
     specs += [UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS, mode="probabilistic", delta0=d0)
               for d0 in grid]
-    reports = sweep_reports(template, range(base_seed, base_seed + count), specs,
-                            config=RunConfig(tol=1e-8, max_iter=max_iter), jobs=args.jobs)
+    reports = _play(args, template, range(base_seed, base_seed + count), specs, max_iter)
     nominal, wc, *prob = reports
     result = SweepResult.from_reports("delta0", grid, prob)
     prob_utilities = result.utilities
@@ -568,20 +526,12 @@ def _delta0_comparison(args, preset: str, template: ScenarioTemplate,
                            for a, b in zip(prob[grid.index(0.5)], nominal))
     identity_worstcase = all(np.array_equal(a.profile, b.profile)
                              for a, b in zip(prob[grid.index(1.0)], wc))
-    resolved = {"command": "reproduce", "preset": preset,
-                "realizations": count, "delta0_grid": list(grid),
-                "eps": FIG_DELTA0_EPS, "seed": base_seed, "max_iter": max_iter}
-    write_sweep_csv(result, f"{args.out_dir}/{preset}_data.csv",
-                    preamble=json.dumps(resolved, sort_keys=True))
 
     checks = Checks()
     checks.add("must", "delta0=0.5 run identical to nominal run",
                identity_nominal, "profiles bitwise equal")
     checks.add("must", "delta0=1 run identical to worst-case run",
                identity_worstcase, "profiles bitwise equal")
-    data = {"prob_mean": result.mean_social_utility.tolist(),
-            "wc_mean": float(np.nanmean(wc_utilities)),
-            "num_converged": result.num_converged.tolist()}
     if preset == "fig3":
         checks.add("must", "all runs converged", all_converged,
                    f"{int((~np.isnan(prob_utilities)).sum())}/{prob_utilities.size} "
@@ -602,36 +552,43 @@ def _delta0_comparison(args, preset: str, template: ScenarioTemplate,
     else:
         checks.add("must", "sweep completed and data written", True,
                    f"num_converged={result.num_converged.tolist()} of {count}")
-    _write_preset_report(args.out_dir, preset, resolved, checks, data)
-    return EXIT_OK if checks.must_ok() else EXIT_FAILED
+    config = {"realizations": count, "delta0_grid": list(grid),
+              "eps": FIG_DELTA0_EPS, "seed": base_seed, "max_iter": max_iter}
+    data = {"prob_mean": result.mean_social_utility.tolist(),
+            "wc_mean": float(np.nanmean(wc_utilities)),
+            "num_converged": result.num_converged.tolist()}
+    return config, checks, data, result
 
 
-def _preset_fig3(args) -> int:
-    count = args.realizations or 10
-    return _delta0_comparison(args, "fig3", ScenarioTemplate.low_interference(),
-                              base_seed=600, count=count, max_iter=10_000)
-
-
-def _preset_fig4(args) -> int:
-    count = args.realizations or 10
-    return _delta0_comparison(args, "fig4", ScenarioTemplate.high_interference(),
-                              base_seed=900, count=count, max_iter=2_000)
-
-
-PRESETS = {"table3": _preset_table3, "table4": _preset_table4,
-           "fig1": _preset_fig1, "fig2": _preset_fig2,
-           "fig3": _preset_fig3, "fig4": _preset_fig4}
+PRESETS = {
+    "table3": _preset_table3, "table4": _preset_table4,
+    "fig1": _preset_fig1, "fig2": _preset_fig2,
+    "fig3": lambda args: _delta0_comparison(args, "fig3", ScenarioTemplate.low_interference(),
+                                            base_seed=600, max_iter=10_000),
+    "fig4": lambda args: _delta0_comparison(args, "fig4", ScenarioTemplate.high_interference(),
+                                            base_seed=900, max_iter=2_000),
+}
 
 
 def cmd_reproduce(args) -> int:
-    if args.realizations is not None and args.realizations < 1:
-        raise CliError("--realizations must be >= 1")
+    if args.realizations is not None:
+        if args.preset in ("table3", "table4"):
+            raise CliError(f"--realizations does not apply to {args.preset}: "
+                           "it plays the one bundled channel")
+        if args.realizations < 1:
+            raise CliError("--realizations must be >= 1")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
     os.makedirs(args.out_dir, exist_ok=True)
-    code = PRESETS[args.preset](args)
-    verdict = "OK" if code == EXIT_OK else "FAILED"
-    print(f"preset {args.preset}: {verdict}")
+    entries, checks, data, result = PRESETS[args.preset](args)
+    resolved = {"command": "reproduce", "preset": args.preset, **entries}
+    if result is not None:
+        write_sweep_csv(result, f"{args.out_dir}/{args.preset}_data.csv",
+                        preamble=json.dumps(resolved, sort_keys=True))
+    payload = {"config": resolved, "checks": checks.items, "data": data}
+    _emit(_json_text(payload), f"{args.out_dir}/{args.preset}_report.json")
+    code = EXIT_OK if checks.must_ok() else EXIT_FAILED
+    print(f"preset {args.preset}: {'OK' if code == EXIT_OK else 'FAILED'}")
     return code
 
 
@@ -652,7 +609,8 @@ def main(argv=None) -> int:
                "reproduce": cmd_reproduce}[args.command]
     try:
         return handler(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
+        # an OSError here is an output path the handler could not write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,7 +21,6 @@ from riwfa import (
     check_rne_uniqueness,
     delta0_sweep,
     epsilon_sweep,
-    frobenius_norm,
     interference_ratio_matrix,
     interference_ratio_matrix_max,
     interference_upper_bounds,
@@ -87,17 +86,14 @@ def test_spectral_quantities_on_hand_cases():
     w = np.array([[0.0, alpha], [alpha, 0.0]])
     assert abs(spectral_radius(w) - alpha) < 1e-10
     assert abs(operator_norm_2(w) - alpha) < 1e-10
-    assert abs(frobenius_norm(w) - alpha * np.sqrt(2)) < 1e-12
 
     zero = np.zeros((3, 3))
     assert spectral_radius(zero) == 0.0
     assert operator_norm_2(zero) == 0.0
-    assert frobenius_norm(zero) == 0.0
 
     shear = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert abs(spectral_radius(shear) - 0.5) < 1e-10
     assert abs(operator_norm_2(shear) - 1.0) < 1e-10
-    assert abs(frobenius_norm(shear) - 1.0) < 1e-12
 
 
 def test_operator_norm_cross_checked_against_numpy():
@@ -114,7 +110,7 @@ def test_operator_norm_cross_checked_against_numpy():
         ours = operator_norm_2(w)
         theirs = float(np.linalg.norm(w, 2))
         assert abs(ours - theirs) <= 1e-8 * max(1.0, theirs)
-        assert ours <= frobenius_norm(w) + 1e-12
+        assert ours <= np.linalg.norm(w) + 1e-12
 
 
 def test_spectral_input_validation():
@@ -123,7 +119,7 @@ def test_spectral_input_validation():
     with pytest.raises(ValueError):
         operator_norm_2(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        frobenius_norm(np.ones(4))
+        operator_norm_2(np.ones(4))
 
 
 def test_uniqueness_certificate_decoupled_passes():

@@ -366,6 +366,11 @@ def test_reproduce_input_errors(capsys, tmp_path):
         "reproduce", "table3", "--out-dir", str(tmp_path),
         "--realizations", "0"])
     assert code == EXIT_INPUT
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, _, err = run_cli(capsys, ["reproduce", "table3", "--out-dir", str(not_a_dir)])
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -404,6 +409,22 @@ def test_reproduce_input_errors(capsys, tmp_path):
     ["sweep", "--generate", "low", "--eps-grid", "0,1", "--max-staleness", "2"],
     ["sweep", "--generate", "low", "--eps-grid", "0,1", "--schedule-seed", "4"],
     ["sweep", "--generate", "low", "--eps-grid", "0,1", "--schedule", "asynchronous"],
+    # an output path that cannot be written
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--out", "missing/x.json"],
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--trajectory", "missing/t.csv"],
+    ["sweep", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--eps-grid", "0", "--realizations", "1", "--out", "missing/x.csv"],
+    ["check", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--out", "missing/c.json"],
+    # flags the source or the preset ignores
+    ["run", "--scenario", BUNDLED_SCENARIO, "--users", "3", "--subchannels", "2",
+     "--seed", "5"],
+    ["check", "--scenario", BUNDLED_SCENARIO, "--seed", "5"],
+    ["sweep", "--scenario", BUNDLED_SCENARIO, "--eps-grid", "0", "--subchannels", "2"],
+    ["reproduce", "table3", "--realizations", "5"],
+    ["reproduce", "table4", "--realizations", "1"],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
