@@ -19,7 +19,13 @@ import pathlib
 
 import numpy as np
 
-from riwfa import ScenarioTemplate, delta0_sweep, epsilon_sweep, write_sweep_csv
+from riwfa import (
+    ScenarioTemplate,
+    SweepResult,
+    UncertaintySpec,
+    sweep_reports,
+    write_sweep_csv,
+)
 
 
 def print_sweep(result, parameter: str) -> None:
@@ -38,17 +44,26 @@ def main() -> None:
     parser.add_argument("--out", metavar="DIR",
                         help="also write the sweep CSVs here")
     args = parser.parse_args()
+    if args.realizations < 1:
+        parser.error("--realizations must be >= 1")
 
     template = ScenarioTemplate.low_interference(args.users, args.subchannels)
+    # every grid point replays the same channels, so the curves pair pointwise
+    seeds = range(7, 7 + args.realizations)
 
     print(f"worst-case sweep, {args.realizations} channels per point:")
-    eps_result = epsilon_sweep(template, np.linspace(0.0, 2.0, 6),
-                               num_realizations=args.realizations, seed=7)
+    eps_grid = np.linspace(0.0, 2.0, 6)
+    specs = [UncertaintySpec.uniform(args.users, args.subchannels, eps) for eps in eps_grid]
+    eps_result = SweepResult.from_reports("epsilon", eps_grid,
+                                          sweep_reports(template, seeds, specs))
     print_sweep(eps_result, "eps")
 
     print("probabilistic sweep at eps = 0.8:")
-    d0_result = delta0_sweep(template, 0.8, np.linspace(0.0, 1.0, 5),
-                             num_realizations=args.realizations, seed=7)
+    d0_grid = np.linspace(0.0, 1.0, 5)
+    specs = [UncertaintySpec.uniform(args.users, args.subchannels, 0.8,
+                                     mode="probabilistic", delta0=d0) for d0 in d0_grid]
+    d0_result = SweepResult.from_reports("delta0", d0_grid,
+                                         sweep_reports(template, seeds, specs))
     print_sweep(d0_result, "delta0")
 
     peak = d0_result.grid[int(np.argmax(d0_result.mean_social_utility))]
@@ -58,9 +73,10 @@ def main() -> None:
     if args.out:
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(eps_result, out / "eps_sweep.csv")
-        write_sweep_csv(d0_result, out / "delta0_sweep.csv")
-        print(f"wrote {out / 'eps_sweep.csv'} and {out / 'delta0_sweep.csv'}")
+        paths = [out / f"{label}_sweep.csv" for label in ("eps", "delta0")]
+        for path, result in zip(paths, (eps_result, d0_result)):
+            write_sweep_csv(result, path)
+        print(f"wrote {paths[0]} and {paths[1]}")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
 #!/bin/sh
-# Run every `riwfa reproduce` preset from this checkout's sources and keep
-# everything each one leaves: its data CSV and report JSON, its stdout, its
+# Run every `riwfa reproduce` preset and every demo from this checkout's
+# sources and keep everything each one leaves: its files, its stdout, its
 # stderr and its exit code.
 #
 #   scripts/reproduce_all.sh OUT_DIR
 #
 # All six presets run at --jobs 1; fig1 and fig3 run once more at
-# --realizations 2 --jobs 2. Running the script in two checkouts and then
-# `diff -r OUT_A OUT_B` shows every output byte the change between them moved.
-# fig2 and fig4 take about a minute together.
+# --realizations 2 --jobs 2. Each demo runs inside its own directory, where
+# uncertainty_sweeps.py also writes its CSVs to the relative directory csv/,
+# so no absolute path enters its output. Running the script in two checkouts
+# and then `diff -r OUT_A OUT_B` shows every output byte the change between
+# them moved. fig2 and fig4 take about a minute together.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -35,4 +37,23 @@ for preset in table3 table4 fig1 fig2 fig3 fig4; do
 done
 for preset in fig1 fig3; do
     reproduce "$preset-r2-jobs2" "$preset" --realizations 2 --jobs 2
+done
+
+demo() {
+    name=$1
+    shift
+    dir="$out/demo-$name"
+    mkdir -p "$dir"
+    (cd "$dir" && PYTHONPATH="$root/src" python3 "$root/demos/$name.py" "$@" \
+        >stdout.txt 2>stderr.txt; echo $? >exit_code.txt)
+    echo "demo $name: exit $(cat "$dir/exit_code.txt")"
+}
+
+for path in "$root"/demos/*.py; do
+    name=$(basename "$path" .py)
+    if [ "$name" = uncertainty_sweeps ]; then
+        demo "$name" --out csv
+    else
+        demo "$name"
+    fi
 done

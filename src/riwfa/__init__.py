@@ -13,8 +13,6 @@ from .analysis import (
     SweepResult,
     check_async_convergence,
     check_rne_uniqueness,
-    delta0_sweep,
-    epsilon_sweep,
     interference_ratio_matrix,
     interference_ratio_matrix_max,
     interference_upper_bounds,
@@ -88,10 +86,8 @@ __all__ = [
     "check_async_convergence",
     "check_rne_uniqueness",
     "cluster_profiles",
-    "delta0_sweep",
     "effective_interference",
     "epsilon_from_uniform",
-    "epsilon_sweep",
     "exhaustive_equilibrium_scan",
     "fixed_point_residual",
     "generate_schedule",

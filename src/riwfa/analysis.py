@@ -1,5 +1,9 @@
 """Equilibrium analysis: spectral certificates, orthogonality, utility sweeps.
 
+``sweep_reports`` is the sweep engine: it plays every channel of a source
+under every uncertainty spec of a grid, and ``SweepResult.from_reports``
+turns its reports into social utilities along the grid.
+
 The contraction structure of the game lives in the gain-ratio matrices
 
     W(k)[i, j] = gains[j, i, k] / gains[i, i, k]   (i != j, zero diagonal):
@@ -269,7 +273,15 @@ def sweep_reports(source, seeds, specs, schedule_kind: str = "sequential",
                   config: RunConfig = RunConfig(), jobs: int = 1) -> list[list[EquilibriumReport]]:
     """Run every realization under every uncertainty spec: ``reports[g][r]``
     plays the channel drawn from ``seeds[r]`` (a Scenario source is its own
-    channel) under ``specs[g]``.  The reports do not depend on ``jobs``."""
+    channel) under ``specs[g]``.  The reports do not depend on ``jobs``.
+    A Scenario is one realization, so its seeds must be ``[None]``:
+    replaying its channel would fake a sample of several."""
+    if not isinstance(source, (Scenario, ScenarioTemplate)):
+        raise ValueError("source must be a Scenario or ScenarioTemplate")
+    if isinstance(source, Scenario) and list(seeds) != [None]:
+        raise ValueError("a Scenario is one realization: seeds must be [None]")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = [(source, seed, spec, schedule_kind, config) for spec in specs for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -278,64 +290,6 @@ def sweep_reports(source, seeds, specs, schedule_kind: str = "sequential",
         flat = [_sweep_run(task) for task in tasks]
     n = len(seeds)
     return [flat[g * n:(g + 1) * n] for g in range(len(specs))]
-
-
-def _sweep_seeds(source, num_realizations: int, seed: int | None) -> list:
-    if not isinstance(source, (Scenario, ScenarioTemplate)):
-        raise ValueError("source must be a Scenario or ScenarioTemplate")
-    if num_realizations < 1:
-        raise ValueError("num_realizations must be >= 1")
-    if isinstance(source, Scenario):
-        if num_realizations != 1:
-            raise ValueError("a Scenario is one realization: num_realizations must be 1")
-        return [None]
-    base = 0 if seed is None else int(seed)
-    return [base + r for r in range(num_realizations)]
-
-
-def epsilon_sweep(source, eps_grid, num_realizations: int = 1, seed: int | None = None,
-                  mode: str = "worstcase", delta0: float | None = None,
-                  schedule_kind: str = "sequential", config: RunConfig = RunConfig(),
-                  jobs: int = 1) -> SweepResult:
-    """Converged social utility along a grid of uniform eps values.
-
-    Realization r draws its channel from ``seed + r`` and reuses it at every
-    grid point, so utilities are comparable pointwise along the grid.  A
-    Scenario source is a single realization.  At eps=0 the worst-case
-    multiplier is exactly 1, i.e. the nominal game.
-    """
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.ndim != 1 or eps_grid.size == 0:
-        raise ValueError("eps_grid must be a nonempty 1-d array")
-    if np.any(eps_grid < 0):
-        raise ValueError("eps values must be >= 0")
-    seeds = _sweep_seeds(source, num_realizations, seed)
-    delta0 = delta0 if mode == "probabilistic" else None
-    specs = [UncertaintySpec.uniform(source.num_users, source.num_subchannels, eps,
-                                     mode=mode, delta0=delta0) for eps in eps_grid]
-    reports = sweep_reports(source, seeds, specs, schedule_kind, config, jobs)
-    return SweepResult.from_reports("epsilon", eps_grid, reports)
-
-
-def delta0_sweep(source, eps: float, delta0_grid, num_realizations: int = 1,
-                 seed: int | None = None, schedule_kind: str = "sequential",
-                 config: RunConfig = RunConfig(), jobs: int = 1) -> SweepResult:
-    """Converged social utility along a grid of protection levels delta0,
-    at a fixed uniform eps, in probabilistic mode.  Channel seeds are shared
-    across the grid exactly as in epsilon_sweep."""
-    delta0_grid = np.asarray(delta0_grid, dtype=float)
-    if delta0_grid.ndim != 1 or delta0_grid.size == 0:
-        raise ValueError("delta0_grid must be a nonempty 1-d array")
-    if np.any(delta0_grid < 0) or np.any(delta0_grid > 1):
-        raise ValueError("delta0 values must lie in [0, 1]")
-    if not float(eps) >= 0:
-        raise ValueError("eps must be >= 0")
-    seeds = _sweep_seeds(source, num_realizations, seed)
-    specs = [UncertaintySpec.uniform(source.num_users, source.num_subchannels, eps,
-                                     mode="probabilistic", delta0=float(d0))
-             for d0 in delta0_grid]
-    reports = sweep_reports(source, seeds, specs, schedule_kind, config, jobs)
-    return SweepResult.from_reports("delta0", delta0_grid, reports)
 
 
 def write_sweep_csv(result: SweepResult, path, preamble: str | None = None) -> None:

@@ -249,6 +249,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _check_output_path(path: str | None) -> None:
+    """Reject a path that names a directory or lies in a missing one before
+    anything is written, so that `run` with two outputs leaves neither behind."""
+    if path is not None and (os.path.isdir(path)
+                             or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise CliError(f"cannot write {path}: not a file in an existing directory")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -278,6 +286,8 @@ def _report_dict(report, scenario: Scenario) -> dict:
 def cmd_run(args) -> int:
     source, source_desc = _resolve_source(args)
     _resolve_async_flags(args)
+    _check_output_path(args.out)
+    _check_output_path(args.trajectory)
     with _input_errors():
         scenario = _resolve_scenario(args, source)
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,

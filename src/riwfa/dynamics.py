@@ -23,9 +23,7 @@ import numpy as np
 from .model import (
     Scenario,
     check_profile,
-    normalized_interference,
     uniform_profile,
-    user_utility,
     zero_profile,
 )
 from .waterfill import best_response
@@ -289,6 +287,7 @@ def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
                       preamble: str | None = None) -> None:
     """Per-iteration summary: largest power change and social utility.
     ``preamble`` becomes a leading '#' comment line."""
+    from .analysis import per_user_utilities  # local import, no cycle at module load
     if report.trajectory is None:
         raise ValueError("run was not configured with record_trajectory=True")
     with open(path, "w", newline="") as fh:
@@ -297,9 +296,6 @@ def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
         writer = csv.writer(fh)
         writer.writerow(["iteration", "residual", "social_utility"])
         for t in range(1, len(report.trajectory)):
-            profile = report.trajectory[t]
-            social = sum(
-                user_utility(profile[i], normalized_interference(scenario.channel, profile, i))
-                for i in range(scenario.num_users)
-            )
+            # summed as run() sums it, so the last row equals report.social_utility
+            social = per_user_utilities(report.trajectory[t], scenario.channel).sum()
             writer.writerow([t, repr(report.step_residuals[t - 1]), repr(float(social))])

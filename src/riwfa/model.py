@@ -273,19 +273,18 @@ def uniform_profile(constraints: PowerConstraints) -> np.ndarray:
 
 def profile_feasible(profile: np.ndarray, constraints: PowerConstraints,
                      tol: float = BUDGET_TOL) -> bool:
-    """Nonnegative, under the mask, and within each budget (to tolerance tol)."""
+    """Whether check_profile accepts the profile: nonnegative, under the mask,
+    and within each budget (to tolerance tol)."""
     profile = np.asarray(profile, dtype=float)
-    if profile.shape != constraints.mask.shape:
+    try:
+        check_profile(profile, constraints, tol)
+    except ValueError:
         return False
-    if not np.all(np.isfinite(profile)):
-        return False
-    if np.any(profile < 0) or np.any(profile > constraints.mask + tol):
-        return False
-    return bool(np.all(profile.sum(axis=1) <= constraints.p_max + tol))
+    return True
 
 def check_profile(profile: np.ndarray, constraints: PowerConstraints,
                   tol: float = BUDGET_TOL) -> np.ndarray:
-    """Like profile_feasible but raises ValueError, and returns the array."""
+    """The profile as a float array; ValueError names the first rule it breaks."""
     profile = np.asarray(profile, dtype=float)
     if profile.shape != constraints.mask.shape:
         raise ValueError(

@@ -19,8 +19,6 @@ from riwfa import (
     UncertaintySpec,
     check_async_convergence,
     check_rne_uniqueness,
-    delta0_sweep,
-    epsilon_sweep,
     interference_ratio_matrix,
     interference_ratio_matrix_max,
     interference_upper_bounds,
@@ -32,6 +30,7 @@ from riwfa import (
     run,
     social_utility,
     spectral_radius,
+    sweep_reports,
     write_sweep_csv,
     zero_profile,
 )
@@ -322,72 +321,88 @@ def uniform_profile_of(sc):
     return uniform_profile(sc.constraints)
 
 
-def test_epsilon_sweep_identity_at_zero():
+def _eps_specs(m, k, grid):
+    return [UncertaintySpec.uniform(m, k, eps) for eps in grid]
+
+
+def test_sweep_identity_at_eps_zero():
     sc = random_scenario(2, 6, seed=20, cross_range=(0.0, 0.005),
                          noise_range=(0.001, 0.01))
-    sweep = epsilon_sweep(sc, [0.0], num_realizations=1)
+    reports = sweep_reports(sc, [None], _eps_specs(2, 6, [0.0]))
+    sweep = SweepResult.from_reports("epsilon", [0.0], reports)
     nominal = run(sc.with_uncertainty(UncertaintySpec.nominal(2, 6)),
                   Schedule(kind="sequential"))
     assert sweep.utilities[0, 0] == nominal.social_utility
     assert sweep.num_converged.tolist() == [1]
 
 
-def test_epsilon_sweep_pairs_seeds_across_grid():
+def test_sweep_pairs_seeds_across_grid():
     template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
-    a = epsilon_sweep(template, [0.0, 0.5], num_realizations=3, seed=50)
-    b = epsilon_sweep(template, [0.5], num_realizations=3, seed=50)
-    # the eps=0.5 column of the wider sweep reuses the same channels
-    assert np.array_equal(a.utilities[1], b.utilities[0])
+    a = sweep_reports(template, range(50, 53), _eps_specs(2, 8, [0.0, 0.5]))
+    b = sweep_reports(template, range(50, 53), _eps_specs(2, 8, [0.5]))
+    # the eps=0.5 row of the wider grid plays the same channels
+    assert all(np.array_equal(x.profile, y.profile) for x, y in zip(a[1], b[0]))
+    # and realization r is the channel drawn from seeds[r] at every grid point
+    spec = UncertaintySpec.uniform(2, 8, 0.5)
+    alone = run(template.realize(51, uncertainty=spec), Schedule(kind="sequential"))
+    assert np.array_equal(a[1][1].profile, alone.profile)
 
 
-def test_epsilon_sweep_monotone_on_certified_channel():
+def test_sweep_monotone_in_eps_on_certified_channel():
     sc = random_scenario(3, 8, direct_range=(0.05, 0.1), cross_range=(0.0, 0.0003),
                          noise_range=(0.001, 0.01), seed=33)
     assert check_rne_uniqueness(sc.channel, sc.uncertainty).passed
-    sweep = epsilon_sweep(sc, [0.1, 0.2], num_realizations=1)
+    reports = sweep_reports(sc, [None], _eps_specs(3, 8, [0.1, 0.2]))
+    sweep = SweepResult.from_reports("epsilon", [0.1, 0.2], reports)
     assert sweep.utilities[1, 0] <= sweep.utilities[0, 0]
 
 
-def test_epsilon_sweep_mean_decreases_on_low_interference_ensemble():
+def test_sweep_mean_decreases_in_eps_on_low_interference_ensemble():
     template = ScenarioTemplate.low_interference()
-    sweep = epsilon_sweep(template, [0.0, 0.5, 1.0], num_realizations=5, seed=100)
+    grid = [0.0, 0.5, 1.0]
+    reports = sweep_reports(template, range(100, 105), _eps_specs(8, 64, grid))
+    sweep = SweepResult.from_reports("epsilon", grid, reports)
     assert np.all(sweep.num_converged == 5)
     means = sweep.mean_social_utility
     assert np.all(np.diff(means) < 0)
 
 
-def test_delta0_sweep_endpoint_identities():
+def test_sweep_delta0_endpoint_identities():
     template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
-    prob = delta0_sweep(template, 0.8, [0.0, 0.5, 1.0], num_realizations=3, seed=60)
-    eps = epsilon_sweep(template, [0.0, 0.8], num_realizations=3, seed=60)
+    seeds = range(60, 63)
+    grid = [0.0, 0.5, 1.0]
+    specs = [UncertaintySpec.uniform(2, 8, 0.8, mode="probabilistic", delta0=d0)
+             for d0 in grid]
+    prob = SweepResult.from_reports("delta0", grid, sweep_reports(template, seeds, specs))
+    eps = SweepResult.from_reports("epsilon", [0.0, 0.8], sweep_reports(
+        template, seeds, _eps_specs(2, 8, [0.0, 0.8])))
     assert np.array_equal(prob.utilities[1], eps.utilities[0])  # delta0=0.5
     assert np.array_equal(prob.utilities[2], eps.utilities[1])  # delta0=1
 
 
 def test_sweep_validation():
-    sc = random_scenario(2, 3, seed=1)
-    with pytest.raises(ValueError):
-        epsilon_sweep(sc, [])
-    with pytest.raises(ValueError):
-        epsilon_sweep(sc, [-0.1])
-    with pytest.raises(ValueError):
-        epsilon_sweep(sc, [0.1], num_realizations=0)
-    with pytest.raises(ValueError):
-        delta0_sweep(sc, 0.5, [1.5])
-    with pytest.raises(ValueError):
-        epsilon_sweep("not a scenario", [0.1])
+    specs = _eps_specs(3, 6, [0.1])
+    with pytest.raises(ValueError, match="Scenario or ScenarioTemplate"):
+        sweep_reports("not a scenario", [0], specs)
     # a Scenario is one channel: replaying it would fake a sample of several
-    with pytest.raises(ValueError):
-        epsilon_sweep(sc, [0.1], num_realizations=2)
-    with pytest.raises(ValueError):
-        delta0_sweep(sc, 0.5, [0.5], num_realizations=3)
+    for seeds in ([1, 2, 3], [None, None], [0], []):
+        with pytest.raises(ValueError, match="one realization"):
+            sweep_reports(load_bundled_scenario(), seeds, specs)
+    template = ScenarioTemplate.low_interference(num_users=3, num_subchannels=6)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_reports(template, [0], specs, jobs=jobs)
 
 
 def test_sweep_jobs_deterministic():
     template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
-    serial = epsilon_sweep(template, [0.0, 0.5], num_realizations=4, seed=70, jobs=1)
-    parallel = epsilon_sweep(template, [0.0, 0.5], num_realizations=4, seed=70, jobs=2)
-    assert np.array_equal(serial.utilities, parallel.utilities)
+    specs = _eps_specs(2, 8, [0.0, 0.5])
+    serial = sweep_reports(template, range(70, 74), specs, jobs=1)
+    parallel = sweep_reports(template, range(70, 74), specs, jobs=2)
+    for row_s, row_p in zip(serial, parallel):
+        for a, b in zip(row_s, row_p):
+            assert np.array_equal(a.profile, b.profile)
+            assert a.social_utility == b.social_utility
 
 
 def test_sweep_result_stats_ignore_unconverged():

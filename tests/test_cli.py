@@ -425,6 +425,11 @@ def test_reproduce_input_errors(capsys, tmp_path):
     ["sweep", "--scenario", BUNDLED_SCENARIO, "--eps-grid", "0", "--subchannels", "2"],
     ["reproduce", "table3", "--realizations", "5"],
     ["reproduce", "table4", "--realizations", "1"],
+    # one good and one bad output path: neither file is written
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--out", "ok.json", "--trajectory", "missing/t.csv"],
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--out", "ok.json", "--trajectory", "."],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

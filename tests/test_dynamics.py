@@ -9,6 +9,7 @@ from riwfa import (
     PowerConstraints,
     RunConfig,
     Scenario,
+    ScenarioTemplate,
     Schedule,
     UncertaintySpec,
     best_response,
@@ -413,6 +414,15 @@ def test_summary_csv_schema(tmp_path):
     assert len(lines) == 1 + (len(report.trajectory) - 1)
     # residual column reproduces the recorded step residuals exactly
     assert float(lines[1].split(",")[1]) == report.step_residuals[0]
+
+    # with 8 users numpy sums pairwise, so the last row must be summed as the
+    # report is to match it bitwise
+    sc = ScenarioTemplate.low_interference().realize(
+        0, uncertainty=UncertaintySpec.uniform(8, 64, 0.5))
+    report = run(sc, Schedule(kind="sequential"), RunConfig(record_trajectory=True))
+    write_summary_csv(report, sc, path)
+    last = path.read_text().splitlines()[-1].split(",")
+    assert float(last[2]) == report.social_utility
 
 
 def test_csv_writers_require_trajectory(tmp_path):
