@@ -1,14 +1,16 @@
 #!/bin/sh
-# Run every `riwfa reproduce` preset and every demo from this checkout's
-# sources and keep everything each one leaves: its files, its stdout, its
-# stderr and its exit code.
+# Run every `riwfa reproduce` preset, every demo and a fixed set of `run`,
+# `check` and `sweep` commands from this checkout's sources and keep
+# everything each one leaves: its files, its stdout, its stderr and its exit
+# code.
 #
 #   scripts/reproduce_all.sh OUT_DIR
 #
 # All six presets run at --jobs 1; fig1 and fig3 run once more at
 # --realizations 2 --jobs 2. Each demo runs inside its own directory, where
 # uncertainty_sweeps.py also writes its CSVs to the relative directory csv/,
-# so no absolute path enters its output. Running the script in two checkouts
+# so no absolute path enters its output. The fixed commands run the same way,
+# each in OUT_DIR/cli-<name>. Running the script in two checkouts
 # and then `diff -r OUT_A OUT_B` shows every output byte the change between
 # them moved. fig2 and fig4 take about a minute together.
 set -u
@@ -57,3 +59,32 @@ for path in "$root"/demos/*.py; do
         demo "$name"
     fi
 done
+
+cli() {
+    name=$1
+    shift
+    dir="$out/cli-$name"
+    mkdir -p "$dir"
+    (cd "$dir" && PYTHONPATH="$root/src" python3 -m riwfa "$@" \
+        >stdout.txt 2>stderr.txt; echo $? >exit_code.txt)
+    echo "cli $name: exit $(cat "$dir/exit_code.txt")"
+}
+
+small="--users 4 --subchannels 16 --seed 3"
+for ensemble in low high; do
+    for schedule in sequential simultaneous; do
+        cli "run-$ensemble-$schedule" run --generate $ensemble $small --eps 0.5 \
+            --schedule $schedule --max-iter 300 --out report.json --trajectory trajectory.csv
+    done
+    cli "run-$ensemble-asynchronous" run --generate $ensemble $small --eps 0.5 \
+        --schedule asynchronous --update-prob 0.5 --max-staleness 2 --schedule-seed 1 \
+        --max-iter 300 --out report.json --trajectory trajectory.csv
+done
+cli check-nominal check --generate high --seed 5 --mode nominal --out check.json
+cli check-worstcase check --generate high --seed 5 --eps 0.5 --out check.json
+cli check-probabilistic check --generate low --seed 5 --mode probabilistic --eps 0.5 \
+    --delta0 0.8 --out check.json
+cli sweep-eps sweep --generate low $small --eps-grid 0,0.5,1 --realizations 3 --out sweep.csv
+cli sweep-delta0 sweep --generate high $small --delta0-grid 0,0.5,1 --eps 0.8 \
+    --realizations 3 --max-iter 300 --out sweep.csv
+cli run-high-k1 run --generate high --users 9 --subchannels 1 --seed 1 --out report.json
