@@ -19,7 +19,6 @@ from .analysis import (
     operator_norm_2,
     orthogonality_index,
     per_user_utilities,
-    social_utility,
     spectral_radius,
     sweep_reports,
     write_sweep_csv,
@@ -106,7 +105,6 @@ __all__ = [
     "save_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
-    "social_utility",
     "spectral_radius",
     "sweep_reports",
     "uniform_profile",

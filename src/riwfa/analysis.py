@@ -39,10 +39,7 @@ from .model import (
 
 def _ratio_matrices(channel: ChannelRealization) -> np.ndarray:
     """All W(k) as one (K, M, M) array."""
-    w = channel.gains.transpose(2, 1, 0) / np.diagonal(channel.gains)[:, :, None]
-    users = np.arange(channel.num_users)
-    w[:, users, users] = 0.0
-    return w
+    return (channel.cross_gains / channel.direct_gains[:, None, :]).transpose(2, 0, 1)
 
 
 def interference_ratio_matrix(channel: ChannelRealization, k: int) -> np.ndarray:
@@ -142,9 +139,7 @@ def interference_upper_bounds(channel: ChannelRealization,
                               constraints: PowerConstraints) -> np.ndarray:
     """Normalized interference each user would see if everyone transmitted at
     the full mask: an upper bound over all feasible profiles."""
-    full = constraints.mask.copy()
-    return np.stack([normalized_interference(channel, full, i)
-                     for i in range(channel.num_users)])
+    return normalized_interference(channel, constraints.mask)
 
 
 def check_async_convergence(channel: ChannelRealization, s_bar_max: np.ndarray,
@@ -184,14 +179,7 @@ def check_async_convergence(channel: ChannelRealization, s_bar_max: np.ndarray,
 def per_user_utilities(profile: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     """Utility of each user at the nominal interference the profile induces."""
     profile = np.asarray(profile, dtype=float)
-    return np.array([
-        user_utility(profile[i], normalized_interference(channel, profile, i))
-        for i in range(channel.num_users)
-    ])
-
-
-def social_utility(profile: np.ndarray, channel: ChannelRealization) -> float:
-    return float(per_user_utilities(profile, channel).sum())
+    return user_utility(profile, normalized_interference(channel, profile))
 
 
 def orthogonality_index(profile: np.ndarray, threshold: float) -> float:

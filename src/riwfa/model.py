@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -66,10 +66,17 @@ class ChannelRealization:
         gains and must be strictly positive.
     noise : ndarray, shape (M, K)
         ``noise[i, k]`` is the noise power at receiver i on sub-channel k.
+
+    Construction also builds, read-only, ``cross_gains`` of shape (M, M, K)
+    with ``cross_gains[i, j, k] = gains[j, i, k]`` for j != i and 0 for
+    j == i (row i is what reaches receiver i), and ``direct_gains`` of shape
+    (M, K) with ``direct_gains[i, k] = gains[i, i, k]``.
     """
 
     gains: np.ndarray
     noise: np.ndarray
+    cross_gains: np.ndarray = field(init=False, repr=False, compare=False)
+    direct_gains: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gains = _readonly_array(self.gains)
@@ -86,10 +93,17 @@ class ChannelRealization:
             raise ValueError("gains must be finite and nonnegative")
         if not np.all(np.isfinite(noise)) or np.any(noise < 0):
             raise ValueError("noise must be finite and nonnegative")
-        if np.any(np.einsum("iik->ik", gains) <= 0):
+        users = np.arange(num_users)
+        cross = gains.transpose(1, 0, 2).copy()
+        direct = _readonly_array(cross[users, users])
+        if np.any(direct <= 0):
             raise ValueError("direct gains gains[i, i, k] must be strictly positive")
+        cross[users, users] = 0.0
+        cross.setflags(write=False)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "cross_gains", cross)
+        object.__setattr__(self, "direct_gains", direct)
 
     @property
     def num_users(self) -> int:
@@ -98,10 +112,6 @@ class ChannelRealization:
     @property
     def num_subchannels(self) -> int:
         return self.gains.shape[2]
-
-    def direct_gains(self) -> np.ndarray:
-        """The (M, K) array of direct gains gains[i, i, :]."""
-        return np.einsum("iik->ik", self.gains)
 
 
 @dataclass(frozen=True)
@@ -306,16 +316,18 @@ def check_profile(profile: np.ndarray, constraints: PowerConstraints,
 # ---------------------------------------------------------------------------
 
 def normalized_interference(channel: ChannelRealization, profile: np.ndarray,
-                            user: int) -> np.ndarray:
+                            user: int | None = None) -> np.ndarray:
     """Interference-plus-noise at user's receiver, normalized by direct gain.
 
     Returns the length-K vector
     s[k] = (sum_{j != user} profile[j, k] * gains[j, user, k] + noise[user, k])
            / gains[user, user, k].
-    The user's own row of ``profile`` does not enter.
+    The user's own row of ``profile`` does not enter.  With ``user`` None it
+    returns all M rows as one (M, K) array; row i equals the call for user i
+    bitwise, since both sum the same terms in the same order.
     """
     num_users = channel.num_users
-    if not 0 <= user < num_users:
+    if user is not None and not 0 <= user < num_users:
         raise ValueError(f"user index {user} out of range for M={num_users}")
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (num_users, channel.num_subchannels):
@@ -323,15 +335,18 @@ def normalized_interference(channel: ChannelRealization, profile: np.ndarray,
             f"profile must have shape ({num_users}, {channel.num_subchannels}),"
             f" got {profile.shape}"
         )
-    others = np.arange(num_users) != user
-    received = (profile[others] * channel.gains[others, user, :]).sum(axis=0)
-    return (received + channel.noise[user]) / channel.gains[user, user, :]
+    if user is None:
+        received = (channel.cross_gains * profile).sum(axis=1)
+        return (received + channel.noise) / channel.direct_gains
+    received = (channel.cross_gains[user] * profile).sum(axis=0)
+    return (received + channel.noise[user]) / channel.direct_gains[user]
 
 
-def user_utility(p: np.ndarray, s: np.ndarray) -> float:
+def user_utility(p: np.ndarray, s: np.ndarray) -> float | np.ndarray:
     """Shannon rate sum_k log(1 + p[k]/s[k]) in nats.
 
-    Requires strictly positive s and nonnegative p.
+    Length-K vectors give a float; (M, K) rows give the (M,) rates of each
+    row.  Requires strictly positive s and nonnegative p.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -343,7 +358,8 @@ def user_utility(p: np.ndarray, s: np.ndarray) -> float:
         raise ValueError("interference s must be strictly positive")
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative")
-    return float(np.log1p(p / s).sum())
+    rates = np.log1p(p / s).sum(axis=-1)
+    return float(rates) if p.ndim == 1 else rates
 
 
 def effective_interference(s_nominal: np.ndarray, uncertainty: UncertaintySpec,

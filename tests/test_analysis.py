@@ -28,7 +28,6 @@ from riwfa import (
     per_user_utilities,
     random_scenario,
     run,
-    social_utility,
     spectral_radius,
     sweep_reports,
     write_sweep_csv,
@@ -304,16 +303,15 @@ def test_orthogonality_index_invariances():
 
 def test_social_utility_basics():
     sc = random_scenario(3, 4, seed=19, noise_range=(0.001, 0.01))
-    assert social_utility(zero_profile(3, 4), sc.channel) == 0.0
+    assert per_user_utilities(zero_profile(3, 4), sc.channel).sum() == 0.0
     # single user transmitting exactly the interference level on each channel
     gains = np.ones((1, 1, 6))
     noise = np.full((1, 6), 0.1)
     channel = ChannelRealization(gains=gains, noise=noise)
-    assert abs(social_utility(np.full((1, 6), 0.1), channel) - 6 * np.log(2)) < 1e-12
+    utility = per_user_utilities(np.full((1, 6), 0.1), channel).sum()
+    assert abs(utility - 6 * np.log(2)) < 1e-12
     utilities = per_user_utilities(uniform_profile_of(sc), sc.channel)
     assert utilities.shape == (3,)
-    assert social_utility(uniform_profile_of(sc), sc.channel) == pytest.approx(
-        float(utilities.sum()))
 
 
 def uniform_profile_of(sc):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riwfa import (
     ChannelRealization,
@@ -16,6 +18,7 @@ from riwfa import (
     load_bundled_scenario,
     load_scenario,
     normalized_interference,
+    per_user_utilities,
     profile_feasible,
     random_scenario,
     save_scenario,
@@ -25,6 +28,7 @@ from riwfa import (
     user_utility,
     zero_profile,
 )
+from riwfa.analysis import _ratio_matrices
 
 
 def single_user_channel(gain: float, noise: float, num_subchannels: int = 1):
@@ -100,6 +104,55 @@ def test_normalized_interference_input_errors():
         normalized_interference(channel, np.zeros((1, 1)), 1)
     with pytest.raises(ValueError):
         normalized_interference(channel, np.zeros((2, 1)), 0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _masked_copy_row(channel, profile, user):
+    # one user's row as a masked copy of the other users, the construction
+    # the all-users kernel replaced
+    others = np.arange(channel.num_users) != user
+    received = (profile[others] * channel.gains[others, user, :]).sum(axis=0)
+    return (received + channel.noise[user]) / channel.gains[user, user, :]
+
+
+def _diagonal_zeroed_ratios(channel):
+    # W(k) built from the raw gains, then its diagonal assigned
+    w = channel.gains.transpose(2, 1, 0) / np.diagonal(channel.gains)[:, :, None]
+    users = np.arange(channel.num_users)
+    w[:, users, users] = 0.0
+    return w
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(num_users=st.integers(1, 12), num_subchannels=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+@example(num_users=9, num_subchannels=1, seed=0)
+@example(num_users=12, num_subchannels=2, seed=1)
+def test_interference_kernel_rows_are_bitwise(num_users, num_subchannels, seed):
+    rng = np.random.default_rng(seed)
+    shape = (num_users, num_subchannels)
+    # gains spanning five decades, so a change of summation order shows
+    gains = 10.0 ** rng.uniform(-4.0, 1.0, size=(num_users, *shape))
+    channel = ChannelRealization(gains=gains, noise=rng.uniform(0.0, 0.01, size=shape))
+    profile = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) < 0.8)
+    rows = normalized_interference(channel, profile)
+    assert rows.shape == shape
+    for i in range(num_users):
+        row = normalized_interference(channel, profile, i)
+        assert _same_bits(rows[i], row)
+        if num_subchannels >= 2:
+            # at K = 1 numpy sums the M terms pairwise, so only the last bit
+            # is free to move against the masked copy of M - 1 terms
+            assert _same_bits(row, _masked_copy_row(channel, profile, i))
+        else:
+            assert np.allclose(row, _masked_copy_row(channel, profile, i), rtol=1e-14)
+    assert _same_bits(per_user_utilities(profile, channel),
+                      [user_utility(profile[i], rows[i]) for i in range(num_users)])
+    assert _same_bits(_ratio_matrices(channel), _diagonal_zeroed_ratios(channel))
 
 
 def test_user_utility_zero_power():
@@ -207,7 +260,7 @@ def test_random_scenario_deterministic_by_seed():
 def test_random_scenario_respects_ranges():
     sc = random_scenario(6, 16, direct_range=(0.0, 0.1), cross_range=(0.0, 0.01),
                          noise_range=(0.0, 0.01), seed=7)
-    direct = sc.channel.direct_gains()
+    direct = sc.channel.direct_gains
     assert np.all(direct > 0) and np.all(direct <= 0.1)
     off = sc.channel.gains.copy()
     idx = np.arange(6)
