@@ -10,7 +10,6 @@ uniqueness/convergence certificates, brute-force oracles, and a small CLI.
 
 from .analysis import (
     CertificateResult,
-    SweepResult,
     check_async_convergence,
     check_rne_uniqueness,
     interference_ratio_matrix,
@@ -20,17 +19,18 @@ from .analysis import (
     orthogonality_index,
     per_user_utilities,
     spectral_radius,
-    sweep_reports,
-    write_sweep_csv,
 )
 from .dynamics import (
     EquilibriumReport,
     RunConfig,
     Schedule,
+    SweepResult,
     fixed_point_residual,
     generate_schedule,
     run,
+    sweep_reports,
     write_summary_csv,
+    write_sweep_csv,
     write_trajectory_csv,
 )
 from .model import (

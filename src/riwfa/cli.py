@@ -8,7 +8,7 @@ produce byte-identical output files; every output embeds its resolved
 configuration.
 
 `sweep` and every `reproduce` preset play their games through one engine,
-`analysis.sweep_reports`; a preset is a declaration of its source, seeds,
+`dynamics.sweep_reports`; a preset is a declaration of its source, seeds,
 specs and checks, and `cmd_reproduce` writes its files and verdict.
 """
 from __future__ import annotations
@@ -21,16 +21,17 @@ import sys
 
 import numpy as np
 
-from .analysis import (
+from .analysis import check_async_convergence, check_rne_uniqueness, interference_upper_bounds
+from .dynamics import (
+    RunConfig,
     SweepResult,
-    check_async_convergence,
-    check_rne_uniqueness,
-    interference_upper_bounds,
+    _support_threshold,
+    generate_schedule,
+    run,
     sweep_reports,
     write_sweep_csv,
+    write_trajectory_csv,
 )
-from .dynamics import RunConfig, generate_schedule, run, write_trajectory_csv
-from .dynamics import _support_threshold
 from .model import (
     MODES,
     Scenario,

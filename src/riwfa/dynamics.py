@@ -11,17 +11,25 @@ loop reaches it.  Iteration stops once the largest power change of a tick
 stays at or below ``tol`` for max_staleness + 1 consecutive ticks: one tick
 for sequential and simultaneous play, and for asynchronous play enough
 ticks that the schedule generator guarantees every user updated.
+
+``sweep_reports`` is the sweep engine: it plays every channel of a source
+under every uncertainty spec of a grid, and ``SweepResult.from_reports``
+turns its reports into social utilities along the grid.
 """
 from __future__ import annotations
 
 import csv
+import warnings
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import orthogonality_index, per_user_utilities
 from .model import (
     Scenario,
+    ScenarioTemplate,
     check_profile,
     uniform_profile,
     zero_profile,
@@ -212,8 +220,6 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     reports.  Every intermediate profile is feasible because water-filling
     respects budgets and masks.
     """
-    from .analysis import orthogonality_index, per_user_utilities  # local import, no cycle at module load
-
     profile = _initial_profile(scenario, config)
     trajectory = [profile.copy()] if config.record_trajectory else None
     step_residuals: list[float] = []
@@ -287,7 +293,6 @@ def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
                       preamble: str | None = None) -> None:
     """Per-iteration summary: largest power change and social utility.
     ``preamble`` becomes a leading '#' comment line."""
-    from .analysis import per_user_utilities  # local import, no cycle at module load
     if report.trajectory is None:
         raise ValueError("run was not configured with record_trajectory=True")
     with open(path, "w", newline="") as fh:
@@ -299,3 +304,105 @@ def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
             # summed as run() sums it, so the last row equals report.social_utility
             social = per_user_utilities(report.trajectory[t], scenario.channel).sum()
             writer.writerow([t, repr(report.step_residuals[t - 1]), repr(float(social))])
+
+
+# ---------------------------------------------------------------------------
+# Uncertainty sweeps
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SweepResult:
+    """Converged social utility versus a swept uncertainty parameter.
+
+    ``utilities[g, r]`` is realization r's social utility at grid point g
+    (NaN where the run did not converge).  Non-converged runs are excluded
+    from means and are visible in ``num_converged``.
+    """
+
+    parameter: str
+    grid: np.ndarray
+    utilities: np.ndarray
+    num_total: int
+
+    @classmethod
+    def from_reports(cls, parameter: str, grid, reports) -> "SweepResult":
+        """From ``reports[g][r]`` as returned by sweep_reports."""
+        utilities = np.array([[rep.social_utility if rep.converged else np.nan for rep in row]
+                              for row in reports], dtype=float)
+        return cls(parameter=parameter, grid=np.asarray(grid, dtype=float),
+                   utilities=utilities, num_total=utilities.shape[1])
+
+    @property
+    def num_converged(self) -> np.ndarray:
+        return (~np.isnan(self.utilities)).sum(axis=1)
+
+    @property
+    def mean_social_utility(self) -> np.ndarray:
+        # grid points where nothing converged are all-NaN slices; the NaN
+        # mean is the documented representation, not a warning condition
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return np.nanmean(self.utilities, axis=1)
+
+    @property
+    def std_social_utility(self) -> np.ndarray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return np.nanstd(self.utilities, axis=1)
+
+
+def _sweep_run(task) -> EquilibriumReport:
+    source, seed, spec, schedule_kind, config = task
+    scenario = (source.with_uncertainty(spec) if isinstance(source, Scenario)
+                else source.realize(seed, uncertainty=spec))
+    return run(scenario, Schedule(kind=schedule_kind), config)
+
+
+def sweep_reports(source, seeds, specs, schedule_kind: str = "sequential",
+                  config: RunConfig = RunConfig(), jobs: int = 1) -> list[list[EquilibriumReport]]:
+    """Run every realization under every uncertainty spec: ``reports[g][r]``
+    plays the channel drawn from ``seeds[r]`` (a Scenario source is its own
+    channel) under ``specs[g]``.  The reports do not depend on ``jobs``.
+    A Scenario is one realization, so its seeds must be ``[None]``:
+    replaying its channel would fake a sample of several."""
+    if not isinstance(source, (Scenario, ScenarioTemplate)):
+        raise ValueError("source must be a Scenario or ScenarioTemplate")
+    if isinstance(source, Scenario) and list(seeds) != [None]:
+        raise ValueError("a Scenario is one realization: seeds must be [None]")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    tasks = [(source, seed, spec, schedule_kind, config) for spec in specs for seed in seeds]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            flat = list(pool.map(_sweep_run, tasks))
+    else:
+        flat = [_sweep_run(task) for task in tasks]
+    n = len(seeds)
+    return [flat[g * n:(g + 1) * n] for g in range(len(specs))]
+
+
+def write_sweep_csv(result: SweepResult, path, preamble: str | None = None) -> None:
+    """One row per grid point: parameter value, mean/std social utility over
+    converged runs, and the convergence counts.  ``preamble`` becomes a
+    leading '#' comment line (callers embed their configuration there)."""
+    means = result.mean_social_utility
+    stds = result.std_social_utility
+    counts = result.num_converged
+
+    def _write(fh):
+        if preamble is not None:
+            fh.write(f"# {preamble}\n")
+        writer = csv.writer(fh)
+        writer.writerow([result.parameter, "mean_social_utility", "std",
+                         "num_converged", "num_total"])
+        for g in range(result.grid.size):
+            mean = "" if np.isnan(means[g]) else repr(float(means[g]))
+            std = "" if np.isnan(stds[g]) else repr(float(stds[g]))
+            writer.writerow([repr(float(result.grid[g])), mean, std,
+                             int(counts[g]), result.num_total])
+
+    if hasattr(path, "write"):
+        _write(path)
+    else:
+        with open(path, "w", newline="") as fh:
+            _write(fh)

@@ -1,4 +1,4 @@
-"""Certificate, metric, and sweep tests for the analysis layer."""
+"""Certificate and metric tests for the analysis layer, and sweep-engine tests."""
 import io
 import warnings
 
