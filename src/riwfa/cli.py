@@ -252,7 +252,8 @@ def _json_text(obj) -> str:
 
 def _check_output_path(path: str | None) -> None:
     """Reject a path that names a directory or lies in a missing one before
-    anything is written, so that `run` with two outputs leaves neither behind."""
+    any game is played or file written, so that `run` with two outputs
+    leaves neither behind and `sweep` does not play its grid in vain."""
     if path is not None and (os.path.isdir(path)
                              or not os.path.isdir(os.path.dirname(path) or ".")):
         raise CliError(f"cannot write {path}: not a file in an existing directory")
@@ -329,6 +330,7 @@ def cmd_sweep(args) -> int:
     if args.schedule == "asynchronous":
         raise CliError("sweeps play sequential or simultaneous schedules")
     _resolve_async_flags(args)
+    _check_output_path(args.out)
 
     # each grid point stands for --eps (or --delta0) and obeys its rules
     flag, parameter, mode = (("eps", "epsilon", args.mode or "worstcase")
@@ -358,6 +360,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     source, source_desc = _resolve_source(args)
+    _check_output_path(args.out)
     with _input_errors():
         scenario = _resolve_scenario(args, source)
     uniqueness = check_rne_uniqueness(scenario.channel, scenario.uncertainty)

@@ -13,6 +13,7 @@ from riwfa import (
     load_bundled_scenario,
     save_scenario,
 )
+from riwfa import cli
 from riwfa.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
 
 BUNDLED_SCENARIO = str(resources.files("riwfa") / "data" / "table2.json")
@@ -430,6 +431,10 @@ def test_reproduce_input_errors(capsys, tmp_path):
      "--out", "ok.json", "--trajectory", "missing/t.csv"],
     ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
      "--out", "ok.json", "--trajectory", "."],
+    # an output path that names a directory
+    ["sweep", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--eps-grid", "0", "--realizations", "1", "--out", "."],
+    ["check", "--generate", "low", "--users", "2", "--subchannels", "4", "--out", "."],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -438,6 +443,24 @@ def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--generate", "high", "--seed", "900", "--eps-grid", "0",
+     "--realizations", "4", "--out", "missing/x.csv"],
+    ["check", "--generate", "low", "--out", "missing/c.json"],
+])
+def test_unwritable_out_is_rejected_before_any_game(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a game was played before --out was checked")
+
+    for name in ("sweep_reports", "check_rne_uniqueness"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, _, err = run_cli(capsys, argv)
+    assert code == EXIT_INPUT
+    assert err == f"error: cannot write {argv[-1]}: not a file in an existing directory\n"
 
 
 def test_unknown_command_is_input_error(capsys):
