@@ -93,6 +93,8 @@ class Schedule:
 
     def tick(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``(updates[t], snapshots[t])``, drawing the ticks up to t first."""
+        if not 0 <= t < len(self):
+            raise IndexError(f"tick {t} is outside this schedule's {len(self)} ticks")
         self._draw_to(t + 1)
         return self._updates[t], self._snapshots[t]
 

@@ -139,6 +139,19 @@ def test_schedule_validation():
                  snapshots=np.zeros((3, 1), dtype=int), max_staleness=1)
 
 
+@pytest.mark.parametrize("schedule", [
+    Schedule(kind="asynchronous", updates=np.ones((3, 2), dtype=bool),
+             snapshots=np.tile(np.arange(3)[:, None], (1, 2))),
+    generate_schedule("asynchronous", 2, 3, update_probability=0.5, seed=1),
+], ids=["explicit", "generated"])
+def test_schedule_tick_past_the_end_is_index_error(schedule):
+    updates, snapshots = schedule.tick(2)
+    assert updates.shape == snapshots.shape == (2,)
+    for t in (3, 4, -1):
+        with pytest.raises(IndexError, match="3 ticks"):
+            schedule.tick(t)
+
+
 def test_async_with_zero_staleness_equals_simultaneous():
     sc = certified_scenario()
     sched = generate_schedule("asynchronous", 3, 500, update_probability=1.0,
