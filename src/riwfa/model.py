@@ -200,14 +200,6 @@ class UncertaintySpec:
         return cls(eps=np.zeros((num_users, num_subchannels)), mode="nominal")
 
     @classmethod
-    def worst_case(cls, eps) -> "UncertaintySpec":
-        return cls(eps=np.asarray(eps, dtype=float), mode="worstcase")
-
-    @classmethod
-    def probabilistic(cls, eps, delta0: float) -> "UncertaintySpec":
-        return cls(eps=np.asarray(eps, dtype=float), mode="probabilistic", delta0=delta0)
-
-    @classmethod
     def uniform(cls, num_users: int, num_subchannels: int, eps: float, mode: str = "worstcase",
                 delta0: float | None = None):
         """Same eps on every user and sub-channel."""
@@ -407,15 +399,12 @@ def _check_range(name: str, rng_pair) -> tuple[float, float]:
 
 def random_scenario(num_users: int, num_subchannels: int,
                     direct_range=(0.0, 0.1), cross_range=(0.0, 0.01),
-                    noise_range=(0.0, 0.01), fading: bool = False,
-                    seed: int | None = None, p_max=1.0, mask=None,
+                    noise_range=(0.0, 0.01), seed: int | None = None, p_max=1.0, mask=None,
                     uncertainty: UncertaintySpec | None = None) -> Scenario:
     """Draw a scenario with uniform gains/noise from the given ranges.
 
     Direct gains are redrawn while below DIRECT_GAIN_FLOOR_FRACTION times the
-    range upper bound, keeping normalization well-posed.  With ``fading=True``
-    every gain is additionally multiplied by a unit-mean exponential fade,
-    drawn per transmitter-receiver pair per sub-channel.  All draws come from
+    range upper bound, keeping normalization well-posed.  All draws come from
     ``numpy.random.default_rng(seed)`` in a fixed order, so equal seeds give
     bitwise-equal scenarios.
     """
@@ -439,8 +428,6 @@ def random_scenario(num_users: int, num_subchannels: int,
     idx = np.arange(num_users)
     gains[idx, idx, :] = direct
     noise = rng.uniform(n_lo, n_hi, size=(num_users, num_subchannels))
-    if fading:
-        gains = gains * rng.exponential(1.0, size=gains.shape)
 
     p_max_arr = np.broadcast_to(np.asarray(p_max, dtype=float), (num_users,)).copy()
     if mask is None:
@@ -472,7 +459,6 @@ class ScenarioTemplate:
     direct_range: tuple[float, float] = (0.0, 0.1)
     cross_range: tuple[float, float] = (0.0, 0.01)
     noise_range: tuple[float, float] = (0.0, 0.01)
-    fading: bool = False
     p_max: float = 1.0
     mask: float | None = None
 
@@ -481,13 +467,13 @@ class ScenarioTemplate:
         return random_scenario(
             self.num_users, self.num_subchannels,
             direct_range=self.direct_range, cross_range=self.cross_range,
-            noise_range=self.noise_range, fading=self.fading, seed=seed,
+            noise_range=self.noise_range, seed=seed,
             p_max=self.p_max, mask=self.mask, uncertainty=uncertainty,
         )
 
     @classmethod
-    def low_interference(cls, num_users: int = 8, num_subchannels: int = 64,
-                         fading: bool = False) -> "ScenarioTemplate":
+    def low_interference(cls, num_users: int = 8,
+                         num_subchannels: int = 64) -> "ScenarioTemplate":
         """Weakly coupled ensemble on which the uniqueness certificate holds.
 
         Cross gains are capped two orders of magnitude below the direct
@@ -496,20 +482,18 @@ class ScenarioTemplate:
         robustness dominates the interference it removes.
         """
         return cls(num_users, num_subchannels, direct_range=(0.05, 0.1),
-                   cross_range=(0.0, 3e-4), noise_range=(1e-3, 1e-2),
-                   fading=fading)
+                   cross_range=(0.0, 3e-4), noise_range=(1e-3, 1e-2))
 
     @classmethod
-    def high_interference(cls, num_users: int = 8, num_subchannels: int = 64,
-                          fading: bool = False) -> "ScenarioTemplate":
+    def high_interference(cls, num_users: int = 8,
+                          num_subchannels: int = 64) -> "ScenarioTemplate":
         """Strongly coupled ensemble with several equilibria per draw.
 
         Cross gains run up to ten times the direct gains, so the uniqueness
         certificate fails and iterations may orbit instead of converging.
         """
         return cls(num_users, num_subchannels, direct_range=(0.0, 0.1),
-                   cross_range=(0.0, 1.0), noise_range=(0.0, 0.01),
-                   fading=fading)
+                   cross_range=(0.0, 1.0), noise_range=(0.0, 0.01))
 
 
 # ---------------------------------------------------------------------------
