@@ -95,15 +95,14 @@ class ChannelRealization:
             raise ValueError("noise must be finite and nonnegative")
         users = np.arange(num_users)
         cross = gains.transpose(1, 0, 2).copy()
-        direct = _readonly_array(cross[users, users])
+        direct = cross[users, users]
         if np.any(direct <= 0):
             raise ValueError("direct gains gains[i, i, k] must be strictly positive")
         cross[users, users] = 0.0
-        cross.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "cross_gains", cross)
-        object.__setattr__(self, "direct_gains", direct)
+        for name, value in (("gains", gains), ("noise", noise),
+                            ("cross_gains", cross), ("direct_gains", direct)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def num_users(self) -> int:
