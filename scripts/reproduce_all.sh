@@ -12,7 +12,7 @@
 # so no absolute path enters its output. The fixed commands run the same way,
 # each in OUT_DIR/cli-<name>. Running the script in two checkouts
 # and then `diff -r OUT_A OUT_B` shows every output byte the change between
-# them moved. fig2 and fig4 take about a minute together.
+# them moved. fig2 and fig4 take about 25 s together.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -88,3 +88,7 @@ cli sweep-eps sweep --generate low $small --eps-grid 0,0.5,1 --realizations 3 --
 cli sweep-delta0 sweep --generate high $small --delta0-grid 0,0.5,1 --eps 0.8 \
     --realizations 3 --max-iter 300 --out sweep.csv
 cli run-high-k1 run --generate high --users 9 --subchannels 1 --seed 1 --out report.json
+# sequential play that falls into a cycle of period 5 at tick 13 and is
+# fast-forwarded to the cap: its files are those of all 300 ticks
+cli run-high-cycle run --generate high --users 6 --subchannels 8 --seed 35 --max-iter 300 \
+    --out report.json --trajectory trajectory.csv --summary summary.csv

@@ -23,12 +23,14 @@ import numpy as np
 
 from .analysis import check_async_convergence, check_rne_uniqueness, interference_upper_bounds
 from .dynamics import (
+    STOP_REASONS,
     RunConfig,
     SweepResult,
     _support_threshold,
     generate_schedule,
     run,
     sweep_reports,
+    write_summary_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
@@ -131,6 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report JSON path (default: stdout)")
     p_run.add_argument("--trajectory", metavar="FILE",
                        help="also write the full trajectory CSV here")
+    p_run.add_argument("--summary", metavar="FILE",
+                       help="also write the per-iteration residual and social "
+                            "utility CSV here")
 
     p_sweep = sub.add_parser("sweep", help="social utility along an eps or "
                                            "delta0 grid")
@@ -280,6 +285,9 @@ def _report_dict(report, scenario: Scenario) -> dict:
         "social_utility": report.social_utility,
         "orthogonality_index": report.orthogonality_index,
         "degenerate_uncertainty": report.degenerate_uncertainty,
+        "stop_reason": report.stop_reason,
+        "cycle_period": report.cycle_period,
+        "best_responses": report.best_responses,
         "supports": _support_sets(report.profile, scenario),
         "profile": report.profile.tolist(),
     }
@@ -288,12 +296,13 @@ def _report_dict(report, scenario: Scenario) -> dict:
 def cmd_run(args) -> int:
     source, source_desc = _resolve_source(args)
     _resolve_async_flags(args)
-    _check_output_path(args.out)
-    _check_output_path(args.trajectory)
+    for path in (args.out, args.trajectory, args.summary):
+        _check_output_path(path)
     with _input_errors():
         scenario = _resolve_scenario(args, source)
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
-                           record_trajectory=args.trajectory is not None)
+                           record_trajectory=args.trajectory is not None
+                           or args.summary is not None)
         schedule = generate_schedule(args.schedule, scenario.num_users, args.max_iter,
                                      update_probability=args.update_prob,
                                      max_staleness=args.max_staleness, seed=args.schedule_seed)
@@ -308,9 +317,11 @@ def cmd_run(args) -> int:
                 "init": args.init, "tol": args.tol, "max_iter": args.max_iter}
     payload = {"config": resolved, "report": _report_dict(report, scenario)}
     _emit(_json_text(payload), args.out)
+    preamble = json.dumps(resolved, sort_keys=True)
     if args.trajectory is not None:
-        write_trajectory_csv(report, args.trajectory,
-                             preamble=json.dumps(resolved, sort_keys=True))
+        write_trajectory_csv(report, args.trajectory, preamble=preamble)
+    if args.summary is not None:
+        write_summary_csv(report, scenario, args.summary, preamble=preamble)
     return EXIT_OK if report.converged else EXIT_FAILED
 
 
@@ -407,6 +418,12 @@ def _play(args, source, seeds, specs, max_iter: int = 10_000):
                          config=RunConfig(tol=1e-8, max_iter=max_iter), jobs=args.jobs)
 
 
+def _stop_counts(reports) -> dict:
+    """How many of ``reports`` stopped for each reason."""
+    return {reason: sum(rep.stop_reason == reason for rep in reports)
+            for reason in STOP_REASONS}
+
+
 def _check_table_run(checks: Checks, label: str, scenario, report) -> None:
     checks.add("must", f"{label} converged", report.converged
                and report.residual <= 1e-6,
@@ -498,7 +515,8 @@ def _preset_fig1(args):
                bool(np.all(np.diff(means) < 0)),
                f"means={np.round(means, 4).tolist()}")
     config = {"realizations": count, "eps_grid": list(FIG_EPS_GRID), "accepted_seeds": seeds}
-    data = {"mean_social_utility": means.tolist(), "utilities": utilities.tolist()}
+    data = {"mean_social_utility": means.tolist(), "utilities": utilities.tolist(),
+            "stop_reasons": [_stop_counts(row) for row in reports]}
     return config, checks, data, result
 
 
@@ -518,7 +536,8 @@ def _preset_fig2(args):
                "no ordering is required in this regime)")
     config = {"realizations": count, "eps_grid": grid, "seed": 900, "max_iter": 2000}
     data = {"mean_social_utility": means.tolist(),
-            "num_converged": result.num_converged.tolist()}
+            "num_converged": result.num_converged.tolist(),
+            "stop_reasons": [_stop_counts(row) for row in reports]}
     return config, checks, data, result
 
 
@@ -570,7 +589,9 @@ def _delta0_comparison(args, preset: str, template: ScenarioTemplate,
               "eps": FIG_DELTA0_EPS, "seed": base_seed, "max_iter": max_iter}
     data = {"prob_mean": result.mean_social_utility.tolist(),
             "wc_mean": float(np.nanmean(wc_utilities)),
-            "num_converged": result.num_converged.tolist()}
+            "num_converged": result.num_converged.tolist(),
+            "stop_reasons": [_stop_counts(row) for row in prob],
+            "wc_stop_reasons": _stop_counts(wc)}
     return config, checks, data, result
 
 

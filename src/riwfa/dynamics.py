@@ -12,6 +12,17 @@ stays at or below ``tol`` for max_staleness + 1 consecutive ticks: one tick
 for sequential and simultaneous play, and for asynchronous play enough
 ticks that the schedule generator guarantees every user updated.
 
+Sequential and simultaneous ticks are a fixed map of the tick-start
+profile, so once a tick-start profile repeats exactly the run cycles
+forever: every tick of the cycle moved more than ``tol``, or it would have
+stopped there.  ``run`` looks for such a repeat with Brent's algorithm (one
+anchor copy, moved to ticks 1, 2, 4, ...), then plays only the ticks that
+bring it to the cap's place in the cycle and repeats the cycle's step
+residuals (and trajectory) up to the cap.  Its report is bitwise the one
+that playing all ``max_iter`` ticks gives, and says why the run stopped:
+``"converged"``, ``"cycle"`` (with the cycle's period) or ``"max_iter"``.
+Asynchronous schedules are not periodic and are never checked.
+
 ``sweep_reports`` is the sweep engine: it plays every channel of a source
 under every uncertainty spec of a grid, and ``SweepResult.from_reports``
 turns its reports into social utilities along the grid.
@@ -37,6 +48,7 @@ from .model import (
 from .waterfill import best_response
 
 SCHEDULE_KINDS = ("sequential", "simultaneous", "asynchronous")
+STOP_REASONS = ("converged", "cycle", "max_iter")
 
 # Support threshold for the orthogonality index reported with each run,
 # as a fraction of the smallest power budget.
@@ -177,6 +189,10 @@ class EquilibriumReport:
     users of the sup-norm gap to their exact best response).  Utilities are
     evaluated at the nominal interference the profile actually induces.
     ``step_residuals[t]`` is the largest power change during iteration t+1.
+    ``stop_reason`` is one of STOP_REASONS; ``cycle_period`` is the period
+    of the exact limit cycle the run fell into, else None.
+    ``best_responses`` counts the replies the tick loop evaluated; the
+    ticks a cycle's fast-forward fills in evaluate none.
     """
 
     profile: np.ndarray
@@ -186,6 +202,9 @@ class EquilibriumReport:
     per_user_utility: np.ndarray
     social_utility: float
     orthogonality_index: float
+    stop_reason: str
+    best_responses: int
+    cycle_period: int | None = None
     degenerate_uncertainty: bool = False
     trajectory: list[np.ndarray] | None = None
     step_residuals: list[float] | None = field(default=None, repr=False)
@@ -220,7 +239,9 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
 
     Deterministic: equal scenarios, schedules and configs give bitwise-equal
     reports.  Every intermediate profile is feasible because water-filling
-    respects budgets and masks.
+    respects budgets and masks.  A sequential or simultaneous run that falls
+    into an exact cycle plays only what fixes its state at ``max_iter`` and
+    repeats the cycle for the rest (see the module docstring).
     """
     profile = _initial_profile(scenario, config)
     trajectory = [profile.copy()] if config.record_trajectory else None
@@ -232,8 +253,19 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     ticks = min(config.max_iter, len(schedule)) if asynchronous else config.max_iter
     window = schedule.max_staleness + 1
     history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
-    quiet = 0
+    quiet = best_responses = 0
+    stop, anchor, cycle_period = ticks, None, None  # play ticks [0, stop)
     for t in range(ticks):
+        # Brent's search: each tick-start profile against the one at the
+        # last power of two; the first match gives the least period
+        if not asynchronous and cycle_period is None and t:
+            if anchor is not None and np.array_equal(profile, anchor):
+                cycle_period = t - anchor_tick
+                stop = t + (ticks - t) % cycle_period
+            elif t & (t - 1) == 0:
+                anchor, anchor_tick = profile.copy(), t
+        if t == stop:
+            break
         history.append(profile.copy())
         if asynchronous:
             updates, snapshots = schedule.tick(t)
@@ -249,6 +281,7 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
                 continue
             reply = best_response(i, scenario.channel, seen,
                                   scenario.constraints, scenario.uncertainty).p
+            best_responses += 1
             delta = max(delta, float(np.abs(reply - profile[i]).max()))
             profile[i] = reply
         step_residuals.append(delta)
@@ -258,6 +291,12 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
         if quiet >= window:
             converged = True
             break
+    if cycle_period is not None:
+        # the ticks left are whole periods that repeat the last one exactly
+        laps = (ticks - len(step_residuals)) // cycle_period
+        step_residuals += step_residuals[-cycle_period:] * laps
+        if config.record_trajectory:
+            trajectory += [x.copy() for x in trajectory[-cycle_period:] * laps]
 
     utilities = per_user_utilities(profile, scenario.channel)
     return EquilibriumReport(
@@ -269,6 +308,9 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
         social_utility=float(utilities.sum()),
         orthogonality_index=orthogonality_index(profile, _support_threshold(scenario)),
         degenerate_uncertainty=scenario.uncertainty.is_degenerate(),
+        stop_reason="converged" if converged else "cycle" if cycle_period else "max_iter",
+        cycle_period=cycle_period,
+        best_responses=best_responses,
         trajectory=trajectory,
         step_residuals=step_residuals,
     )

@@ -89,6 +89,41 @@ def test_run_nonconvergence_exits_two_but_writes(capsys, tmp_path):
     assert not json.loads(out_file.read_text())["report"]["converged"]
 
 
+def test_run_summary_of_a_cycling_run(capsys, tmp_path):
+    # sequential play on this draw repeats a tick-start profile with period 5
+    # and is fast-forwarded to the cap; its logs still cover all 60 ticks
+    out, traj, summary = (tmp_path / name for name in ("r.json", "t.csv", "s.csv"))
+    code, _, _ = run_cli(capsys, [
+        "run", "--generate", "high", "--users", "6", "--subchannels", "8", "--seed", "35",
+        "--max-iter", "60", "--out", str(out), "--trajectory", str(traj),
+        "--summary", str(summary)])
+    assert code == EXIT_FAILED
+    report = json.loads(out.read_text())["report"]
+    assert not report["converged"] and report["iterations"] == 60
+    assert report["stop_reason"] == "cycle" and report["cycle_period"] == 5
+    assert report["best_responses"] == 15 * 6
+    traj_lines, lines = traj.read_text().splitlines(), summary.read_text().splitlines()
+    assert lines[0] == traj_lines[0]  # the same embedded config
+    assert lines[1] == "iteration,residual,social_utility"
+    assert [int(line.split(",")[0]) for line in lines[2:]] == list(range(1, 61))
+    powers = np.array([float(row.split(",")[3]) for row in traj_lines[2:]]).reshape(61, 6, 8)
+    steps = np.abs(np.diff(powers, axis=0)).max(axis=(1, 2))
+    assert [float(line.split(",")[1]) for line in lines[2:]] == steps.tolist()
+    assert float(lines[-1].split(",")[2]) == report["social_utility"]
+
+
+def test_run_reports_stop_reason_of_a_converging_run(capsys, tmp_path):
+    summary = tmp_path / "s.csv"
+    code, out, _ = run_cli(capsys, [
+        "run", "--generate", "low", "--users", "3", "--subchannels", "8",
+        "--summary", str(summary)])
+    assert code == EXIT_OK
+    report = json.loads(out)["report"]
+    assert report["stop_reason"] == "converged" and report["cycle_period"] is None
+    assert report["best_responses"] == 3 * report["iterations"]
+    assert len(summary.read_text().splitlines()) == 2 + report["iterations"]
+
+
 def test_async_run_does_not_depend_on_max_iter_past_the_stop(capsys):
     # the schedule's first ticks are the same whatever its length, so a run
     # that stops before the shorter cap reports the same equilibrium
@@ -352,6 +387,16 @@ def test_reproduce_fig3_smoke(capsys, tmp_path):
                           ["fig3_data.csv", "fig3_report.json"])
 
 
+def test_reproduce_fig2_counts_runs_by_stop_reason(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, [
+        "reproduce", "fig2", "--out-dir", str(tmp_path), "--realizations", "3"])
+    assert code == EXIT_OK
+    data = json.loads((tmp_path / "fig2_report.json").read_text())["data"]
+    assert data["num_converged"] == [2, 2, 3, 3]
+    assert data["stop_reasons"] == [{"converged": 2, "cycle": 1, "max_iter": 0}] * 2 \
+        + [{"converged": 3, "cycle": 0, "max_iter": 0}] * 2
+
+
 def test_reproduce_creates_out_dir(capsys, tmp_path):
     target = tmp_path / "nested" / "dir"
     code, _, _ = run_cli(capsys, [
@@ -435,6 +480,11 @@ def test_reproduce_input_errors(capsys, tmp_path):
     ["sweep", "--generate", "low", "--users", "2", "--subchannels", "4",
      "--eps-grid", "0", "--realizations", "1", "--out", "."],
     ["check", "--generate", "low", "--users", "2", "--subchannels", "4", "--out", "."],
+    # the per-iteration summary is checked like the other outputs
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--summary", "missing/s.csv"],
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
+     "--out", "ok.json", "--trajectory", "t.csv", "--summary", "."],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -1,7 +1,7 @@
 """Best-response iteration tests: schedules, convergence, reports, CSV export."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riwfa import (
@@ -165,10 +165,11 @@ def test_async_with_zero_staleness_equals_simultaneous():
 
 
 def reference_run(sc, schedule, config):
-    """Per-kind best-response loops written out plainly: (profile,
-    iterations, converged, step_residuals)."""
+    """Per-kind best-response loops written out plainly, with no cycle
+    check: (profile, iterations, converged, step_residuals, trajectory)."""
     profile = zero_profile(sc.num_users, sc.num_subchannels)
     step_residuals = []
+    trajectory = [profile.copy()]
 
     def reply(i, seen):
         return best_response(i, sc.channel, seen, sc.constraints, sc.uncertainty).p
@@ -187,10 +188,11 @@ def reference_run(sc, schedule, config):
             profile = nxt
             recent[t + 1] = profile.copy()
             step_residuals.append(delta)
+            trajectory.append(profile.copy())
             quiet = quiet + 1 if delta <= config.tol else 0
             if quiet > schedule.max_staleness:
-                return profile, t + 1, True, step_residuals
-        return profile, len(step_residuals), False, step_residuals
+                return profile, t + 1, True, step_residuals, trajectory
+        return profile, len(step_residuals), False, step_residuals, trajectory
 
     for t in range(config.max_iter):
         delta = 0.0
@@ -207,9 +209,10 @@ def reference_run(sc, schedule, config):
                 nxt[i] = p
             profile = nxt
         step_residuals.append(delta)
+        trajectory.append(profile.copy())
         if delta <= config.tol:
-            return profile, t + 1, True, step_residuals
-    return profile, config.max_iter, False, step_residuals
+            return profile, t + 1, True, step_residuals, trajectory
+    return profile, config.max_iter, False, step_residuals, trajectory
 
 
 @st.composite
@@ -237,11 +240,94 @@ def test_run_matches_per_kind_reference_loops(instance):
     # stale-snapshot asynchronous loops bitwise, stop rule included
     sc, schedule, config = instance
     report = run(sc, schedule, config)
-    profile, iterations, converged, step_residuals = reference_run(sc, schedule, config)
+    profile, iterations, converged, step_residuals, _ = reference_run(sc, schedule, config)
     assert np.array_equal(report.profile, profile)
     assert report.iterations == iterations
     assert report.converged == converged
     assert report.step_residuals == step_residuals
+
+
+def first_repeat(trajectory):
+    """(tick, period) of the first profile equal to an earlier one, else None."""
+    seen = {}
+    for t, profile in enumerate(trajectory):
+        earlier = seen.setdefault(profile.tobytes(), t)
+        if earlier != t:
+            return t, t - earlier
+    return None
+
+
+# high-interference draws (M, K, seed) on which sequential play cycles; on
+# small random draws it almost always converges
+SEQUENTIAL_CYCLES = [(5, 6, 14), (6, 4, 14), (6, 4, 32), (6, 4, 42), (6, 8, 35), (6, 8, 47)]
+
+
+@st.composite
+def cycling_instances(draw):
+    # cross gains up to 5-10x the direct ones: most draws have several
+    # equilibria, and many simultaneous runs cycle exactly
+    if draw(st.booleans()):
+        m, k, seed = draw(st.sampled_from(SEQUENTIAL_CYCLES))
+        sc = ScenarioTemplate.high_interference(m, k).realize(seed)
+    else:
+        m, k = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+        sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)),
+                             cross_range=(0.0, draw(st.sampled_from([0.5, 1.0]))),
+                             noise_range=(0.0, 0.01))
+        sc = sc.with_uncertainty(UncertaintySpec.uniform(m, k, draw(st.sampled_from([0.0, 1.0]))))
+    return sc, draw(st.sampled_from(["sequential", "simultaneous"])), draw(st.integers(1, 200))
+
+
+# sequential play on this draw repeats its tick-start profile with period 5
+KNOWN_CYCLE = (ScenarioTemplate.high_interference(6, 8).realize(35), "sequential", 200)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(KNOWN_CYCLE)
+@given(cycling_instances())
+def test_cycle_fast_forward_matches_playing_every_tick(instance):
+    # a run stopped at an exact repeat and extended periodically to the cap
+    # must equal, bitwise, the run that plays every tick
+    sc, kind, max_iter = instance
+    report = run(sc, Schedule(kind=kind), RunConfig(max_iter=max_iter, record_trajectory=True))
+    profile, iterations, converged, step_residuals, trajectory = reference_run(
+        sc, Schedule(kind=kind), RunConfig(max_iter=max_iter))
+    assert np.array_equal(report.profile, profile)
+    assert report.iterations == iterations
+    assert report.converged == converged
+    assert report.step_residuals == step_residuals
+    assert len(report.trajectory) == len(trajectory)
+    for ours, theirs in zip(report.trajectory, trajectory):
+        assert np.array_equal(ours, theirs)
+    repeat = first_repeat(trajectory)
+    if report.stop_reason == "cycle":
+        assert repeat is not None and report.cycle_period == repeat[1]
+        assert report.best_responses <= iterations * sc.num_users
+    else:
+        assert report.cycle_period is None
+        assert report.stop_reason == ("converged" if converged else "max_iter")
+        assert report.best_responses == iterations * sc.num_users
+    if instance is KNOWN_CYCLE:
+        assert report.stop_reason == "cycle" and report.cycle_period == 5
+        assert report.best_responses == 15 * 6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_asynchronous_runs_never_report_a_cycle(seed):
+    # the degenerate asynchronous schedule plays simultaneous rounds, which
+    # cycle on these draws, but asynchronous ticks are never checked
+    sc = ScenarioTemplate.high_interference(4, 16).realize(
+        seed, uncertainty=UncertaintySpec.uniform(4, 16, 0.5))
+    config = RunConfig(max_iter=120, record_trajectory=True)
+    sync = run(sc, Schedule(kind="simultaneous"), config)
+    async_ = run(sc, generate_schedule("asynchronous", 4, 120, seed=seed), config)
+    assert sync.stop_reason == "cycle" and sync.cycle_period == 2
+    assert async_.stop_reason == "max_iter" and async_.cycle_period is None
+    assert async_.best_responses == 120 * 4
+    assert np.array_equal(sync.profile, async_.profile)
+    assert sync.step_residuals == async_.step_residuals
+    for a, b in zip(sync.trajectory, async_.trajectory, strict=True):
+        assert np.array_equal(a, b)
 
 
 @st.composite
