@@ -49,13 +49,13 @@ def main() -> None:
 
     template = ScenarioTemplate.low_interference(args.users, args.subchannels)
     # every grid point replays the same channels, so the curves pair pointwise
-    seeds = range(7, 7 + args.realizations)
+    channels = [template.realize(seed) for seed in range(7, 7 + args.realizations)]
 
     print(f"worst-case sweep, {args.realizations} channels per point:")
     eps_grid = np.linspace(0.0, 2.0, 6)
     specs = [UncertaintySpec.uniform(args.users, args.subchannels, eps) for eps in eps_grid]
     eps_result = SweepResult.from_reports("epsilon", eps_grid,
-                                          sweep_reports(template, seeds, specs))
+                                          sweep_reports(channels, specs))
     print_sweep(eps_result, "eps")
 
     print("probabilistic sweep at eps = 0.8:")
@@ -63,7 +63,7 @@ def main() -> None:
     specs = [UncertaintySpec.uniform(args.users, args.subchannels, 0.8,
                                      mode="probabilistic", delta0=d0) for d0 in d0_grid]
     d0_result = SweepResult.from_reports("delta0", d0_grid,
-                                         sweep_reports(template, seeds, specs))
+                                         sweep_reports(channels, specs))
     print_sweep(d0_result, "delta0")
 
     peak = d0_result.grid[int(np.argmax(d0_result.mean_social_utility))]

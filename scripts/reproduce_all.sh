@@ -7,7 +7,9 @@
 #   scripts/reproduce_all.sh OUT_DIR
 #
 # All six presets run at --jobs 1; fig1 and fig3 run once more at
-# --realizations 2 --jobs 2. Each demo runs inside its own directory, where
+# --realizations 2 --jobs 2, and table3 at --jobs 4, which plays its one run
+# without a worker process. `sweep-eps-jobs2` is `sweep-eps` at --jobs 2, so
+# its files must equal those of its --jobs 1 twin byte for byte. Each demo runs inside its own directory, where
 # uncertainty_sweeps.py also writes its CSVs to the relative directory csv/,
 # so no absolute path enters its output. The fixed commands run the same way,
 # each in OUT_DIR/cli-<name>. Running the script in two checkouts
@@ -40,6 +42,7 @@ done
 for preset in fig1 fig3; do
     reproduce "$preset-r2-jobs2" "$preset" --realizations 2 --jobs 2
 done
+reproduce table3-jobs4 table3 --jobs 4
 
 demo() {
     name=$1
@@ -85,6 +88,8 @@ cli check-worstcase check --generate high --seed 5 --eps 0.5 --out check.json
 cli check-probabilistic check --generate low --seed 5 --mode probabilistic --eps 0.5 \
     --delta0 0.8 --out check.json
 cli sweep-eps sweep --generate low $small --eps-grid 0,0.5,1 --realizations 3 --out sweep.csv
+cli sweep-eps-jobs2 sweep --generate low $small --eps-grid 0,0.5,1 --realizations 3 --jobs 2 \
+    --out sweep.csv
 cli sweep-delta0 sweep --generate high $small --delta0-grid 0,0.5,1 --eps 0.8 \
     --realizations 3 --max-iter 300 --out sweep.csv
 cli run-high-k1 run --generate high --users 9 --subchannels 1 --seed 1 --out report.json

@@ -42,7 +42,6 @@ from .model import (
     ScenarioTemplate,
     UncertaintySpec,
     effective_interference,
-    epsilon_from_uniform,
     load_bundled_scenario,
     load_scenario,
     normalized_interference,
@@ -86,7 +85,6 @@ __all__ = [
     "check_rne_uniqueness",
     "cluster_profiles",
     "effective_interference",
-    "epsilon_from_uniform",
     "exhaustive_equilibrium_scan",
     "fixed_point_residual",
     "generate_schedule",

@@ -8,8 +8,10 @@ produce byte-identical output files; every output embeds its resolved
 configuration.
 
 `sweep` and every `reproduce` preset play their games through one engine,
-`dynamics.sweep_reports`; a preset is a declaration of its source, seeds,
-specs and checks, and `cmd_reproduce` writes its files and verdict.
+`dynamics.sweep_reports`, which plays a list of realized scenarios: the CLI
+alone decides which channels those are (`_resolve_source` for `--scenario`
+or `--generate`).  A preset is a declaration of its channels, specs and
+checks, and `cmd_reproduce` writes its files and verdict.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .dynamics import (
     STOP_REASONS,
     RunConfig,
     SweepResult,
-    _support_threshold,
     generate_schedule,
     run,
     sweep_reports,
@@ -183,14 +184,10 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         raise CliError(f"{flag}: {exc}") from None
 
 
-def _template(args) -> ScenarioTemplate:
-    maker = (ScenarioTemplate.low_interference if args.generate == "low"
-             else ScenarioTemplate.high_interference)
-    return maker(args.users, args.subchannels)
-
-
-def _resolve_source(args):
-    """Return (Scenario | ScenarioTemplate, source description dict)."""
+def _resolve_source(args, count: int = 1) -> tuple[list[Scenario], dict]:
+    """Return (scenarios, source description dict): the --scenario file, or
+    the `count` channels --generate draws at seeds --seed, --seed + 1, ...
+    A --scenario file is one channel, so `count` must be 1 for it."""
     if (args.scenario is None) == (args.generate is None):
         raise CliError("exactly one of --scenario or --generate is required")
     for name, default in (("users", 8), ("subchannels", 64), ("seed", 0)):
@@ -205,9 +202,16 @@ def _resolve_source(args):
             raise CliError(f"cannot read scenario file: {exc}") from None
         except (ValueError, KeyError) as exc:
             raise CliError(f"malformed scenario file: {exc}") from None
-        return scenario, {"scenario": args.scenario}
-    return _template(args), {"generate": args.generate, "users": args.users,
-                             "subchannels": args.subchannels, "seed": args.seed}
+        if count != 1:
+            raise CliError("a --scenario file is one realization: --realizations must be 1")
+        return [scenario], {"scenario": args.scenario}
+    maker = (ScenarioTemplate.low_interference if args.generate == "low"
+             else ScenarioTemplate.high_interference)
+    with _input_errors():
+        template = maker(args.users, args.subchannels)
+        scenarios = [template.realize(seed) for seed in range(args.seed, args.seed + count)]
+    return scenarios, {"generate": args.generate, "users": args.users,
+                       "subchannels": args.subchannels, "seed": args.seed}
 
 
 def _uncertainty(mode: str, eps, delta0, m: int, k: int) -> UncertaintySpec:
@@ -226,9 +230,8 @@ def _uncertainty(mode: str, eps, delta0, m: int, k: int) -> UncertaintySpec:
     return UncertaintySpec.uniform(m, k, eps, mode=mode, delta0=delta0)
 
 
-def _resolve_scenario(args, source) -> Scenario:
-    """Realize a template at --seed, then apply --mode/--eps/--delta0."""
-    scenario = source if isinstance(source, Scenario) else source.realize(args.seed)
+def _resolve_scenario(args, scenario: Scenario) -> Scenario:
+    """Apply --mode/--eps/--delta0 to the scenario."""
     if args.mode is None and args.eps is None and args.delta0 is None:
         return scenario
     return scenario.with_uncertainty(_uncertainty(
@@ -243,12 +246,6 @@ def _resolve_async_flags(args) -> None:
             setattr(args, name, default)
         elif args.command == "sweep" or args.schedule != "asynchronous":
             raise CliError(f"--{name.replace('_', '-')} applies only to run --schedule asynchronous")
-
-
-def _support_sets(profile: np.ndarray, scenario: Scenario) -> list[list[int]]:
-    threshold = _support_threshold(scenario)
-    return [sorted(int(k) for k in np.flatnonzero(row > threshold))
-            for row in profile]
 
 
 def _json_text(obj) -> str:
@@ -276,7 +273,7 @@ def _emit(text: str, out: str | None) -> None:
 # run / sweep / check
 # ---------------------------------------------------------------------------
 
-def _report_dict(report, scenario: Scenario) -> dict:
+def _report_dict(report) -> dict:
     return {
         "converged": report.converged,
         "iterations": report.iterations,
@@ -288,18 +285,18 @@ def _report_dict(report, scenario: Scenario) -> dict:
         "stop_reason": report.stop_reason,
         "cycle_period": report.cycle_period,
         "best_responses": report.best_responses,
-        "supports": _support_sets(report.profile, scenario),
+        "supports": report.supports,
         "profile": report.profile.tolist(),
     }
 
 
 def cmd_run(args) -> int:
-    source, source_desc = _resolve_source(args)
+    [scenario], source_desc = _resolve_source(args)
     _resolve_async_flags(args)
     for path in (args.out, args.trajectory, args.summary):
         _check_output_path(path)
     with _input_errors():
-        scenario = _resolve_scenario(args, source)
+        scenario = _resolve_scenario(args, scenario)
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
                            record_trajectory=args.trajectory is not None
                            or args.summary is not None)
@@ -315,7 +312,7 @@ def cmd_run(args) -> int:
                 "max_staleness": args.max_staleness,
                 "schedule_seed": args.schedule_seed,
                 "init": args.init, "tol": args.tol, "max_iter": args.max_iter}
-    payload = {"config": resolved, "report": _report_dict(report, scenario)}
+    payload = {"config": resolved, "report": _report_dict(report)}
     _emit(_json_text(payload), args.out)
     preamble = json.dumps(resolved, sort_keys=True)
     if args.trajectory is not None:
@@ -326,16 +323,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    source, source_desc = _resolve_source(args)
     if (args.eps_grid is None) == (args.delta0_grid is None):
         raise CliError("exactly one of --eps-grid or --delta0-grid is required")
-    realizations = args.realizations
-    if realizations is None:
-        realizations = 1 if isinstance(source, Scenario) else 20
-    if realizations < 1:
+    if args.realizations is not None and args.realizations < 1:
         raise CliError("--realizations must be >= 1")
-    if isinstance(source, Scenario) and realizations != 1:
-        raise CliError("a --scenario file is one realization: --realizations must be 1")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
     if args.schedule == "asynchronous":
@@ -350,13 +341,14 @@ def cmd_sweep(args) -> int:
     if getattr(args, flag) is not None:
         raise CliError(f"--{flag}-grid replaces --{flag}")
     grid = _parse_grid(getattr(args, f"{flag}_grid"), f"--{flag}-grid")
-    seeds = [None] if isinstance(source, Scenario) else range(args.seed, args.seed + realizations)
+    realizations = args.realizations or (1 if args.scenario is not None else 20)
+    scenarios, source_desc = _resolve_source(args, realizations)
     with _input_errors():
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)
         specs = [_uncertainty(mode, **{"eps": args.eps, "delta0": args.delta0, flag: value},
-                              m=source.num_users, k=source.num_subchannels)
+                              m=scenarios[0].num_users, k=scenarios[0].num_subchannels)
                  for value in grid]
-        reports = sweep_reports(source, seeds, specs, args.schedule, config, args.jobs)
+        reports = sweep_reports(scenarios, specs, args.schedule, config, args.jobs)
     result = SweepResult.from_reports(parameter, grid, reports)
     fixed = {"mode": mode, "delta0": args.delta0} if flag == "eps" else {"eps": args.eps}
     resolved = {"command": "sweep", **source_desc, "parameter": parameter,
@@ -370,10 +362,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    source, source_desc = _resolve_source(args)
+    [scenario], source_desc = _resolve_source(args)
     _check_output_path(args.out)
     with _input_errors():
-        scenario = _resolve_scenario(args, source)
+        scenario = _resolve_scenario(args, scenario)
     uniqueness = check_rne_uniqueness(scenario.channel, scenario.uncertainty)
     s_bar_max = interference_upper_bounds(scenario.channel, scenario.constraints)
     asynchronous = check_async_convergence(scenario.channel, s_bar_max,
@@ -409,12 +401,13 @@ class Checks:
                    if item["tier"] == "must")
 
 
-# A preset declares its source, seeds, specs and iteration cap, plays them
-# through _play and returns (config entries, Checks, report data, SweepResult
-# or None); cmd_reproduce writes the files and the verdict.
+# A preset declares its channels, specs and iteration cap, plays them through
+# _play and returns (config entries, Checks, report data, SweepResult or
+# None); cmd_reproduce writes the files and the verdict.  Each channel is
+# drawn once and played at every grid point.
 
-def _play(args, source, seeds, specs, max_iter: int = 10_000):
-    return sweep_reports(source, seeds, specs,
+def _play(args, scenarios, specs, max_iter: int = 10_000):
+    return sweep_reports(scenarios, specs,
                          config=RunConfig(tol=1e-8, max_iter=max_iter), jobs=args.jobs)
 
 
@@ -433,8 +426,7 @@ def _check_table_run(checks: Checks, label: str, scenario, report) -> None:
                "budget and mask limits hold")
 
 
-def _should_match_table(checks: Checks, label: str, report, scenario,
-                        utilities, supports) -> None:
+def _should_match_table(checks: Checks, label: str, report, utilities, supports) -> None:
     measured = report.per_user_utility
     util_ok = bool(np.all(np.abs(measured - np.array(utilities))
                           <= UTILITY_TOLERANCE))
@@ -443,7 +435,7 @@ def _should_match_table(checks: Checks, label: str, report, scenario,
                util_ok,
                f"measured={np.round(measured, 4).tolist()} "
                f"published={list(utilities)}")
-    found = [set(s) for s in _support_sets(report.profile, scenario)]
+    found = [set(s) for s in report.supports]
     checks.add("should", f"{label} support sets match", found == list(supports),
                f"measured={[sorted(s) for s in found]} "
                f"published={[sorted(s) for s in supports]}")
@@ -451,18 +443,17 @@ def _should_match_table(checks: Checks, label: str, report, scenario,
 
 def _preset_table3(args):
     scenario = load_bundled_scenario()
-    [[report]] = _play(args, scenario, [None], [UncertaintySpec.nominal(3, 6)])
+    [[report]] = _play(args, [scenario], [UncertaintySpec.nominal(3, 6)])
     checks = Checks()
     _check_table_run(checks, "nominal run", scenario, report)
-    _should_match_table(checks, "nominal run", report, scenario,
-                        TABLE3_UTILITIES, TABLE3_SUPPORTS)
-    return {}, checks, {"report": _report_dict(report, scenario)}, None
+    _should_match_table(checks, "nominal run", report, TABLE3_UTILITIES, TABLE3_SUPPORTS)
+    return {}, checks, {"report": _report_dict(report)}, None
 
 
 def _preset_table4(args):
     scenario = load_bundled_scenario()
-    [[robust], [nominal]] = _play(args, scenario, [None], [UncertaintySpec.uniform(3, 6, 3.0),
-                                                          UncertaintySpec.nominal(3, 6)])
+    [[robust], [nominal]] = _play(args, [scenario], [UncertaintySpec.uniform(3, 6, 3.0),
+                                                     UncertaintySpec.nominal(3, 6)])
     checks = Checks()
     _check_table_run(checks, "robust run", scenario, robust)
     _check_table_run(checks, "nominal run", scenario, nominal)
@@ -473,33 +464,30 @@ def _preset_table4(args):
                robust.social_utility >= nominal.social_utility,
                f"robust={robust.social_utility:.4f} "
                f"nominal={nominal.social_utility:.4f}")
-    _should_match_table(checks, "robust run", robust, scenario,
-                        TABLE4_UTILITIES, TABLE4_SUPPORTS)
-    return {}, checks, {"robust": _report_dict(robust, scenario),
-                        "nominal": _report_dict(nominal, scenario)}, None
+    _should_match_table(checks, "robust run", robust, TABLE4_UTILITIES, TABLE4_SUPPORTS)
+    return {}, checks, {"robust": _report_dict(robust), "nominal": _report_dict(nominal)}, None
 
 
-def _certified_seeds(template: ScenarioTemplate, count: int, base_seed: int,
-                     max_attempts: int = 10_000) -> list[int]:
-    """The first `count` seeds from `base_seed` on whose channels pass the
+def _certified_scenarios(template: ScenarioTemplate, count: int, base_seed: int,
+                         max_attempts: int = 10_000) -> list[Scenario]:
+    """The first `count` channels drawn from `base_seed` on that pass the
     uniqueness certificate at eps=0."""
-    seeds, seed = [], base_seed
-    while len(seeds) < count:
+    scenarios, seed = [], base_seed
+    while len(scenarios) < count:
         if seed - base_seed >= max_attempts:
             raise CliError(f"could not find {count} certificate-passing "
                            f"channels in {max_attempts} draws")
         sc = template.realize(seed)
         if check_rne_uniqueness(sc.channel, sc.uncertainty).passed:
-            seeds.append(seed)
+            scenarios.append(sc)
         seed += 1
-    return seeds
+    return scenarios
 
 
 def _preset_fig1(args):
     count = args.realizations or 20
-    template = ScenarioTemplate.low_interference()
-    seeds = _certified_seeds(template, count, base_seed=100)
-    reports = _play(args, template, seeds,
+    scenarios = _certified_scenarios(ScenarioTemplate.low_interference(), count, base_seed=100)
+    reports = _play(args, scenarios,
                     [UncertaintySpec.uniform(8, 64, eps) for eps in FIG_EPS_GRID])
     result = SweepResult.from_reports("epsilon", FIG_EPS_GRID, reports)
     utilities = result.utilities
@@ -514,7 +502,8 @@ def _preset_fig1(args):
     checks.add("must", "mean social utility strictly decreasing",
                bool(np.all(np.diff(means) < 0)),
                f"means={np.round(means, 4).tolist()}")
-    config = {"realizations": count, "eps_grid": list(FIG_EPS_GRID), "accepted_seeds": seeds}
+    config = {"realizations": count, "eps_grid": list(FIG_EPS_GRID),
+              "accepted_seeds": [sc.seed for sc in scenarios]}
     data = {"mean_social_utility": means.tolist(), "utilities": utilities.tolist(),
             "stop_reasons": [_stop_counts(row) for row in reports]}
     return config, checks, data, result
@@ -523,7 +512,8 @@ def _preset_fig1(args):
 def _preset_fig2(args):
     count = args.realizations or 20
     grid = [0.0, 1.0, 2.0, 3.0]
-    reports = _play(args, ScenarioTemplate.high_interference(), range(900, 900 + count),
+    template = ScenarioTemplate.high_interference()
+    reports = _play(args, [template.realize(seed) for seed in range(900, 900 + count)],
                     [UncertaintySpec.uniform(8, 64, eps) for eps in grid], max_iter=2_000)
     result = SweepResult.from_reports("epsilon", grid, reports)
     checks = Checks()
@@ -549,7 +539,8 @@ def _delta0_comparison(args, preset: str, template: ScenarioTemplate,
     specs = [UncertaintySpec.nominal(m, k), UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS)]
     specs += [UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS, mode="probabilistic", delta0=d0)
               for d0 in grid]
-    reports = _play(args, template, range(base_seed, base_seed + count), specs, max_iter)
+    scenarios = [template.realize(seed) for seed in range(base_seed, base_seed + count)]
+    reports = _play(args, scenarios, specs, max_iter)
     nominal, wc, *prob = reports
     result = SweepResult.from_reports("delta0", grid, prob)
     prob_utilities = result.utilities

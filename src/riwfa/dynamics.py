@@ -23,9 +23,11 @@ that playing all ``max_iter`` ticks gives, and says why the run stopped:
 ``"converged"``, ``"cycle"`` (with the cycle's period) or ``"max_iter"``.
 Asynchronous schedules are not periodic and are never checked.
 
-``sweep_reports`` is the sweep engine: it plays every channel of a source
-under every uncertainty spec of a grid, and ``SweepResult.from_reports``
-turns its reports into social utilities along the grid.
+``sweep_reports`` is the sweep engine: it plays a list of realized
+scenarios under every uncertainty spec of a grid, so every grid point sees
+the same channels, and ``SweepResult.from_reports`` turns its reports into
+social utilities along the grid.  Which channels a sweep plays is the
+caller's choice alone.
 """
 from __future__ import annotations
 
@@ -38,20 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import orthogonality_index, per_user_utilities
-from .model import (
-    Scenario,
-    ScenarioTemplate,
-    check_profile,
-    uniform_profile,
-    zero_profile,
-)
+from .model import Scenario, check_profile, uniform_profile, zero_profile
 from .waterfill import best_response
 
 SCHEDULE_KINDS = ("sequential", "simultaneous", "asynchronous")
 STOP_REASONS = ("converged", "cycle", "max_iter")
 
-# Support threshold for the orthogonality index reported with each run,
-# as a fraction of the smallest power budget.
+# Support threshold for the supports and orthogonality index reported with
+# each run, as a fraction of the smallest power budget.
 SUPPORT_THRESHOLD_FRACTION = 1e-3
 
 
@@ -192,7 +188,9 @@ class EquilibriumReport:
     ``stop_reason`` is one of STOP_REASONS; ``cycle_period`` is the period
     of the exact limit cycle the run fell into, else None.
     ``best_responses`` counts the replies the tick loop evaluated; the
-    ticks a cycle's fast-forward fills in evaluate none.
+    ticks a cycle's fast-forward fills in evaluate none.  ``supports[i]``
+    lists, in order, the sub-channels where user i's power exceeds the
+    threshold that ``orthogonality_index`` uses.
     """
 
     profile: np.ndarray
@@ -202,6 +200,7 @@ class EquilibriumReport:
     per_user_utility: np.ndarray
     social_utility: float
     orthogonality_index: float
+    supports: list[list[int]]
     stop_reason: str
     best_responses: int
     cycle_period: int | None = None
@@ -228,10 +227,6 @@ def _initial_profile(scenario: Scenario, config: RunConfig) -> np.ndarray:
             return zero_profile(scenario.num_users, scenario.num_subchannels)
         return uniform_profile(scenario.constraints)
     return check_profile(config.init, scenario.constraints).copy()
-
-
-def _support_threshold(scenario: Scenario) -> float:
-    return SUPPORT_THRESHOLD_FRACTION * float(scenario.constraints.p_max.min())
 
 
 def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig()) -> EquilibriumReport:
@@ -299,6 +294,7 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
             trajectory += [x.copy() for x in trajectory[-cycle_period:] * laps]
 
     utilities = per_user_utilities(profile, scenario.channel)
+    threshold = SUPPORT_THRESHOLD_FRACTION * float(scenario.constraints.p_max.min())
     return EquilibriumReport(
         profile=profile,
         converged=converged,
@@ -306,7 +302,8 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
         residual=fixed_point_residual(profile, scenario),
         per_user_utility=utilities,
         social_utility=float(utilities.sum()),
-        orthogonality_index=orthogonality_index(profile, _support_threshold(scenario)),
+        orthogonality_index=orthogonality_index(profile, threshold),
+        supports=[row.nonzero()[0].tolist() for row in profile > threshold],
         degenerate_uncertainty=scenario.uncertainty.is_degenerate(),
         stop_reason="converged" if converged else "cycle" if cycle_period else "max_iter",
         cycle_period=cycle_period,
@@ -396,32 +393,29 @@ class SweepResult:
 
 
 def _sweep_run(task) -> EquilibriumReport:
-    source, seed, spec, schedule_kind, config = task
-    scenario = (source.with_uncertainty(spec) if isinstance(source, Scenario)
-                else source.realize(seed, uncertainty=spec))
-    return run(scenario, Schedule(kind=schedule_kind), config)
+    scenario, spec, schedule_kind, config = task
+    return run(scenario.with_uncertainty(spec), Schedule(kind=schedule_kind), config)
 
 
-def sweep_reports(source, seeds, specs, schedule_kind: str = "sequential",
+def sweep_reports(scenarios, specs, schedule_kind: str = "sequential",
                   config: RunConfig = RunConfig(), jobs: int = 1) -> list[list[EquilibriumReport]]:
-    """Run every realization under every uncertainty spec: ``reports[g][r]``
-    plays the channel drawn from ``seeds[r]`` (a Scenario source is its own
-    channel) under ``specs[g]``.  The reports do not depend on ``jobs``.
-    A Scenario is one realization, so its seeds must be ``[None]``:
-    replaying its channel would fake a sample of several."""
-    if not isinstance(source, (Scenario, ScenarioTemplate)):
-        raise ValueError("source must be a Scenario or ScenarioTemplate")
-    if isinstance(source, Scenario) and list(seeds) != [None]:
-        raise ValueError("a Scenario is one realization: seeds must be [None]")
+    """Play every scenario under every uncertainty spec: ``reports[g][r]`` is
+    ``run(scenarios[r].with_uncertainty(specs[g]))``.  The runs are spread
+    over at most ``jobs`` worker processes, never more than there are runs,
+    and the reports do not depend on ``jobs``."""
+    scenarios = list(scenarios)
+    if not all(isinstance(scenario, Scenario) for scenario in scenarios):
+        raise ValueError("scenarios must be realized Scenario objects")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tasks = [(source, seed, spec, schedule_kind, config) for spec in specs for seed in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    tasks = [(scenario, spec, schedule_kind, config) for spec in specs for scenario in scenarios]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(_sweep_run, tasks))
     else:
         flat = [_sweep_run(task) for task in tasks]
-    n = len(seeds)
+    n = len(scenarios)
     return [flat[g * n:(g + 1) * n] for g in range(len(specs))]
 
 

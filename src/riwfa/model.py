@@ -373,18 +373,6 @@ def effective_interference(s_nominal: np.ndarray, uncertainty: UncertaintySpec,
     return np.maximum(s_nominal * mult, EFFECTIVE_INTERFERENCE_FLOOR)
 
 
-def epsilon_from_uniform(half_width: float, coverage: float) -> float:
-    """Error bound eps such that a uniform error on [-a, a] lies within
-    [-eps, eps] with probability ``coverage``:  eps = coverage * a."""
-    half_width = float(half_width)
-    coverage = float(coverage)
-    if not np.isfinite(half_width) or half_width < 0:
-        raise ValueError("half_width must be finite and >= 0")
-    if not 0.0 <= coverage <= 1.0:
-        raise ValueError("coverage must lie in [0, 1]")
-    return coverage * half_width
-
-
 # ---------------------------------------------------------------------------
 # Random scenarios
 # ---------------------------------------------------------------------------

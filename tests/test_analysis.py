@@ -33,6 +33,7 @@ from riwfa import (
     write_sweep_csv,
     zero_profile,
 )
+from riwfa import dynamics
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -323,10 +324,14 @@ def _eps_specs(m, k, grid):
     return [UncertaintySpec.uniform(m, k, eps) for eps in grid]
 
 
+def _draw(template, seeds):
+    return [template.realize(seed) for seed in seeds]
+
+
 def test_sweep_identity_at_eps_zero():
     sc = random_scenario(2, 6, seed=20, cross_range=(0.0, 0.005),
                          noise_range=(0.001, 0.01))
-    reports = sweep_reports(sc, [None], _eps_specs(2, 6, [0.0]))
+    reports = sweep_reports([sc], _eps_specs(2, 6, [0.0]))
     sweep = SweepResult.from_reports("epsilon", [0.0], reports)
     nominal = run(sc.with_uncertainty(UncertaintySpec.nominal(2, 6)),
                   Schedule(kind="sequential"))
@@ -336,11 +341,12 @@ def test_sweep_identity_at_eps_zero():
 
 def test_sweep_pairs_seeds_across_grid():
     template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
-    a = sweep_reports(template, range(50, 53), _eps_specs(2, 8, [0.0, 0.5]))
-    b = sweep_reports(template, range(50, 53), _eps_specs(2, 8, [0.5]))
+    scenarios = _draw(template, range(50, 53))
+    a = sweep_reports(scenarios, _eps_specs(2, 8, [0.0, 0.5]))
+    b = sweep_reports(scenarios, _eps_specs(2, 8, [0.5]))
     # the eps=0.5 row of the wider grid plays the same channels
     assert all(np.array_equal(x.profile, y.profile) for x, y in zip(a[1], b[0]))
-    # and realization r is the channel drawn from seeds[r] at every grid point
+    # and realization r is scenarios[r], the channel drawn from seed 50 + r
     spec = UncertaintySpec.uniform(2, 8, 0.5)
     alone = run(template.realize(51, uncertainty=spec), Schedule(kind="sequential"))
     assert np.array_equal(a[1][1].profile, alone.profile)
@@ -350,7 +356,7 @@ def test_sweep_monotone_in_eps_on_certified_channel():
     sc = random_scenario(3, 8, direct_range=(0.05, 0.1), cross_range=(0.0, 0.0003),
                          noise_range=(0.001, 0.01), seed=33)
     assert check_rne_uniqueness(sc.channel, sc.uncertainty).passed
-    reports = sweep_reports(sc, [None], _eps_specs(3, 8, [0.1, 0.2]))
+    reports = sweep_reports([sc], _eps_specs(3, 8, [0.1, 0.2]))
     sweep = SweepResult.from_reports("epsilon", [0.1, 0.2], reports)
     assert sweep.utilities[1, 0] <= sweep.utilities[0, 0]
 
@@ -358,7 +364,7 @@ def test_sweep_monotone_in_eps_on_certified_channel():
 def test_sweep_mean_decreases_in_eps_on_low_interference_ensemble():
     template = ScenarioTemplate.low_interference()
     grid = [0.0, 0.5, 1.0]
-    reports = sweep_reports(template, range(100, 105), _eps_specs(8, 64, grid))
+    reports = sweep_reports(_draw(template, range(100, 105)), _eps_specs(8, 64, grid))
     sweep = SweepResult.from_reports("epsilon", grid, reports)
     assert np.all(sweep.num_converged == 5)
     means = sweep.mean_social_utility
@@ -367,40 +373,112 @@ def test_sweep_mean_decreases_in_eps_on_low_interference_ensemble():
 
 def test_sweep_delta0_endpoint_identities():
     template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
-    seeds = range(60, 63)
+    scenarios = _draw(template, range(60, 63))
     grid = [0.0, 0.5, 1.0]
     specs = [UncertaintySpec.uniform(2, 8, 0.8, mode="probabilistic", delta0=d0)
              for d0 in grid]
-    prob = SweepResult.from_reports("delta0", grid, sweep_reports(template, seeds, specs))
+    prob = SweepResult.from_reports("delta0", grid, sweep_reports(scenarios, specs))
     eps = SweepResult.from_reports("epsilon", [0.0, 0.8], sweep_reports(
-        template, seeds, _eps_specs(2, 8, [0.0, 0.8])))
+        scenarios, _eps_specs(2, 8, [0.0, 0.8])))
     assert np.array_equal(prob.utilities[1], eps.utilities[0])  # delta0=0.5
     assert np.array_equal(prob.utilities[2], eps.utilities[1])  # delta0=1
 
 
 def test_sweep_validation():
     specs = _eps_specs(3, 6, [0.1])
-    with pytest.raises(ValueError, match="Scenario or ScenarioTemplate"):
-        sweep_reports("not a scenario", [0], specs)
-    # a Scenario is one channel: replaying it would fake a sample of several
-    for seeds in ([1, 2, 3], [None, None], [0], []):
-        with pytest.raises(ValueError, match="one realization"):
-            sweep_reports(load_bundled_scenario(), seeds, specs)
     template = ScenarioTemplate.low_interference(num_users=3, num_subchannels=6)
+    # the engine plays realized channels only
+    for scenarios in (["not a scenario"], [template]):
+        with pytest.raises(ValueError, match="realized Scenario"):
+            sweep_reports(scenarios, specs)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
-            sweep_reports(template, [0], specs, jobs=jobs)
+            sweep_reports([load_bundled_scenario()], specs, jobs=jobs)
 
 
 def test_sweep_jobs_deterministic():
     template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
     specs = _eps_specs(2, 8, [0.0, 0.5])
-    serial = sweep_reports(template, range(70, 74), specs, jobs=1)
-    parallel = sweep_reports(template, range(70, 74), specs, jobs=2)
+    scenarios = _draw(template, range(70, 74))
+    serial = sweep_reports(scenarios, specs, jobs=1)
+    parallel = sweep_reports(scenarios, specs, jobs=2)
     for row_s, row_p in zip(serial, parallel):
         for a, b in zip(row_s, row_p):
             assert np.array_equal(a.profile, b.profile)
             assert a.social_utility == b.social_utility
+
+
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, plays in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", RecordingPool)
+    scenarios = _draw(ScenarioTemplate.low_interference(2, 6), [5])
+    sweep_reports(scenarios, _eps_specs(2, 6, [0.5]), jobs=64)
+    assert sizes == []  # one run plays in this process
+    specs = _eps_specs(2, 6, [0.0, 0.5, 1.0])
+    pooled = sweep_reports(scenarios, specs, jobs=64)
+    assert sizes == [3]
+    serial = sweep_reports(scenarios, specs)
+    assert sizes == [3]
+    for [a], [b] in zip(pooled, serial):
+        assert np.array_equal(a.profile, b.profile)
+
+
+def same_run(a, b) -> bool:
+    """Bitwise-equal reports of two runs."""
+    return (np.array_equal(a.profile, b.profile) and a.step_residuals == b.step_residuals
+            and np.array_equal(a.per_user_utility, b.per_user_utility)
+            and (a.iterations, a.stop_reason, a.cycle_period, a.best_responses)
+            == (b.iterations, b.stop_reason, b.cycle_period, b.best_responses))
+
+
+@st.composite
+def sweep_instances(draw):
+    """One to three channels of a random shape, each with a random mask."""
+    m, k = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    cross = draw(st.sampled_from([0.002, 0.05, 0.5]))
+    scenarios = [random_scenario(m, k, cross_range=(0.0, cross), noise_range=(0.001, 0.01),
+                                 seed=draw(st.integers(0, 10_000)),
+                                 mask=draw(arrays(float, (m, k), elements=st.floats(0.05, 1.0))))
+                 for _ in range(draw(st.integers(1, 3)))]
+    config = RunConfig(max_iter=draw(st.integers(1, 25)))
+    kind = draw(st.sampled_from(["sequential", "simultaneous"]))
+    entry = draw(st.integers(0, 4)), draw(st.integers(0, len(scenarios) - 1))
+    return scenarios, draw(st.sampled_from([0.3, 0.8, 2.0])), kind, config, entry
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(sweep_instances())
+def test_sweep_identities_on_random_shapes(instance):
+    # eps = 0 plays nominal, delta0 = 0.5 and 1 play nominal and worst case,
+    # and an entry drawn at random is the run of its scenario under its spec
+    scenarios, eps, kind, config, (g, r) = instance
+    m, k = scenarios[0].num_users, scenarios[0].num_subchannels
+    specs = [UncertaintySpec.nominal(m, k), UncertaintySpec.uniform(m, k, 0.0),
+             UncertaintySpec.uniform(m, k, eps),
+             UncertaintySpec.uniform(m, k, eps, mode="probabilistic", delta0=0.5),
+             UncertaintySpec.uniform(m, k, eps, mode="probabilistic", delta0=1.0)]
+    nominal, eps_zero, worstcase, half, one = sweep_reports(scenarios, specs, kind, config)
+    assert all(same_run(a, b) for a, b in zip(eps_zero, nominal))
+    assert all(same_run(a, b) for a, b in zip(half, nominal))
+    assert all(same_run(a, b) for a, b in zip(one, worstcase))
+    alone = run(scenarios[r].with_uncertainty(specs[g]), Schedule(kind=kind), config)
+    assert same_run([nominal, eps_zero, worstcase, half, one][g][r], alone)
 
 
 def test_sweep_result_stats_ignore_unconverged():

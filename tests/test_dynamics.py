@@ -17,6 +17,7 @@ from riwfa import (
     fixed_point_residual,
     generate_schedule,
     load_bundled_scenario,
+    profile_feasible,
     random_scenario,
     run,
     waterfill,
@@ -405,6 +406,33 @@ def test_every_iterate_feasible():
         assert np.all(profile >= 0)
         assert np.all(profile <= 0.4 + 1e-12)
         assert np.all(profile.sum(axis=1) <= 1.0 + 1e-9)
+
+
+@st.composite
+def feasibility_instances(draw):
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    p_max = draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
+    mask = draw(st.lists(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k),
+                         min_size=m, max_size=m))
+    eps = draw(st.sampled_from([0.0, 0.5]))
+    sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)), p_max=p_max, mask=mask,
+                         cross_range=(0.0, draw(st.sampled_from([0.002, 0.05, 1.0]))),
+                         uncertainty=UncertaintySpec.uniform(m, k, eps))
+    kind = draw(st.sampled_from(["sequential", "simultaneous", "asynchronous"]))
+    staleness = draw(st.integers(0, 3)) if kind == "asynchronous" else 0
+    max_iter = draw(st.integers(1, 30))
+    schedule = generate_schedule(kind, m, max_iter,
+                                 update_probability=draw(st.sampled_from([0.3, 1.0])),
+                                 max_staleness=staleness, seed=draw(st.integers(0, 10_000)))
+    return sc, schedule, RunConfig(max_iter=max_iter, record_trajectory=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(feasibility_instances())
+def test_every_iterate_feasible_on_random_shapes(instance):
+    sc, schedule, config = instance
+    report = run(sc, schedule, config)
+    assert all(profile_feasible(profile, sc.constraints) for profile in report.trajectory)
 
 
 def test_converged_residual_consistent_with_tolerance():

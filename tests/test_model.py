@@ -14,7 +14,6 @@ from riwfa import (
     Scenario,
     UncertaintySpec,
     effective_interference,
-    epsilon_from_uniform,
     load_bundled_scenario,
     load_scenario,
     normalized_interference,
@@ -235,16 +234,6 @@ def test_uncertainty_spec_validation():
         UncertaintySpec(eps=np.zeros((2, 2)), mode="worstcase", delta0=0.5)
     with pytest.raises(ValueError):
         UncertaintySpec(eps=np.zeros(4), mode="nominal")
-
-
-def test_epsilon_from_uniform():
-    assert epsilon_from_uniform(0.7, 1.0) == 0.7
-    assert epsilon_from_uniform(0.7, 0.0) == 0.0
-    assert abs(epsilon_from_uniform(0.2, 0.9) - 0.18) < 1e-15
-    with pytest.raises(ValueError):
-        epsilon_from_uniform(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        epsilon_from_uniform(0.1, 1.5)
 
 
 def test_random_scenario_deterministic_by_seed():
