@@ -17,7 +17,6 @@ from riwfa import (
     RunConfig,
     Schedule,
     UncertaintySpec,
-    generate_schedule,
     random_scenario,
     run,
 )
@@ -46,9 +45,8 @@ def main() -> None:
     print(f"random schedules, update probability {args.prob}, "
           f"staleness up to {args.staleness}:")
     for seed in range(args.schedules):
-        schedule = generate_schedule("asynchronous", 3, config.max_iter,
-                                     update_probability=args.prob,
-                                     max_staleness=args.staleness, seed=seed)
+        schedule = Schedule("asynchronous", update_probability=args.prob,
+                            max_staleness=args.staleness, seed=seed)
         report = run(sc, schedule, config)
         gap = float(np.abs(report.profile - baseline.profile).max())
         print(f"  seed {seed}: {report.iterations:>3} ticks, "
@@ -56,8 +54,7 @@ def main() -> None:
               f"distance to baseline equilibrium = {gap:.1e}")
     print()
 
-    dull = generate_schedule("asynchronous", 3, config.max_iter,
-                             update_probability=1.0, max_staleness=0, seed=0)
+    dull = Schedule("asynchronous", update_probability=1.0, max_staleness=0, seed=0)
     traj_config = RunConfig(tol=1e-8, record_trajectory=True)
     a = run(sc, dull, traj_config)
     b = run(sc, Schedule(kind="simultaneous"), traj_config)

@@ -26,7 +26,6 @@ from .dynamics import (
     Schedule,
     SweepResult,
     fixed_point_residual,
-    generate_schedule,
     run,
     sweep_reports,
     write_summary_csv,
@@ -87,7 +86,6 @@ __all__ = [
     "effective_interference",
     "exhaustive_equilibrium_scan",
     "fixed_point_residual",
-    "generate_schedule",
     "interference_ratio_matrix",
     "interference_ratio_matrix_max",
     "interference_upper_bounds",

@@ -27,8 +27,8 @@ from .analysis import check_async_convergence, check_rne_uniqueness, interferenc
 from .dynamics import (
     STOP_REASONS,
     RunConfig,
+    Schedule,
     SweepResult,
-    generate_schedule,
     run,
     sweep_reports,
     write_summary_csv,
@@ -300,9 +300,9 @@ def cmd_run(args) -> int:
         config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
                            record_trajectory=args.trajectory is not None
                            or args.summary is not None)
-        schedule = generate_schedule(args.schedule, scenario.num_users, args.max_iter,
-                                     update_probability=args.update_prob,
-                                     max_staleness=args.max_staleness, seed=args.schedule_seed)
+        schedule = (Schedule(args.schedule, args.update_prob, args.max_staleness,
+                             args.schedule_seed)
+                    if args.schedule == "asynchronous" else Schedule(args.schedule))
     report = run(scenario, schedule, config)
 
     resolved = {"command": "run", **source_desc,

@@ -5,12 +5,12 @@ order; a user's reply overwrites its row of the profile at once, and the
 profile it replies to depends on the schedule: the live profile
 (sequential, a Gauss-Seidel sweep), the copy taken at the start of the
 tick (simultaneous, a Jacobi round), or, for a user the asynchronous
-schedule picks, the start-of-tick copy from ``snapshots[t, i]``, at most
-max_staleness ticks old; a generated schedule draws each tick only when the
+schedule picks, the start-of-tick copy of the tick it names, at most
+max_staleness ticks old; ``Schedule.ticks`` draws each tick only when the
 loop reaches it.  Iteration stops once the largest power change of a tick
 stays at or below ``tol`` for max_staleness + 1 consecutive ticks: one tick
 for sequential and simultaneous play, and for asynchronous play enough
-ticks that the schedule generator guarantees every user updated.
+ticks that the schedule guarantees every user updated.
 
 Sequential and simultaneous ticks are a fixed map of the tick-start
 profile, so once a tick-start profile repeats exactly the run cycles
@@ -32,6 +32,7 @@ caller's choice alone.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -51,109 +52,60 @@ STOP_REASONS = ("converged", "cycle", "max_iter")
 SUPPORT_THRESHOLD_FRACTION = 1e-3
 
 
+@dataclass(frozen=True)
 class Schedule:
-    """Update order for the iteration.
+    """Update rule for the iteration: who updates at each tick, and from how
+    old a profile.
 
-    For ``asynchronous`` schedules, ``updates[t, i]`` says whether user i
-    updates at tick t and ``snapshots[t, i]`` is the (virtual) time of the
-    profile it reacts to, with  0 <= t - snapshots[t, i] <= max_staleness;
-    ``tick(t)`` returns those two rows.  Explicit arrays are validated here
-    and count as drawn to their end.  A schedule from ``generate_schedule``
-    draws each tick from its random stream when the tick is first read, so
-    reading ``updates`` or ``snapshots`` draws all of them.
-    Sequential and simultaneous schedules carry no arrays and no staleness.
+    Sequential and simultaneous schedules are fixed orders and take no other
+    value.  An asynchronous one is drawn from ``seed``: each tick, each user
+    updates with probability ``update_probability``, and is forced to once
+    its last update is ``max_staleness`` ticks old, so every user updates at
+    least once in any max_staleness + 1 ticks.  An updating user reacts to
+    the profile of a tick drawn uniformly from the staleness window.
     """
 
-    def __init__(self, kind: str, updates: np.ndarray | None = None,
-                 snapshots: np.ndarray | None = None, max_staleness: int = 0):
-        if kind not in SCHEDULE_KINDS:
-            raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
-        if kind == "asynchronous":
-            if updates is None or snapshots is None:
-                raise ValueError("asynchronous schedules need updates and snapshots arrays")
-            updates = np.asarray(updates, dtype=bool)
-            snapshots = np.asarray(snapshots, dtype=int)
-            if updates.ndim != 2 or updates.shape != snapshots.shape:
-                raise ValueError("updates and snapshots must both have shape (T, M)")
-            staleness = np.arange(updates.shape[0])[:, None] - snapshots
-            if np.any(staleness < 0) or np.any(staleness > max_staleness):
-                raise ValueError("snapshots violate the staleness bound")
-        elif updates is not None or snapshots is not None or max_staleness:
-            raise ValueError(f"{kind} schedules take no update arrays or staleness")
-        self.kind, self.max_staleness = kind, max_staleness
-        self.num_users = None if updates is None else updates.shape[1]
-        self._updates, self._snapshots = updates, snapshots
-        self._drawn = len(self)  # ticks whose rows are final
-        self._stream = None  # (rng, update_probability, last update per user)
+    kind: str
+    update_probability: float = 1.0
+    max_staleness: int = 0
+    seed: int | None = None
 
-    def __len__(self) -> int:
-        return 0 if self._updates is None else self._updates.shape[0]
+    def __post_init__(self):
+        if self.kind not in SCHEDULE_KINDS:
+            raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        if self.kind != "asynchronous":
+            if (self.update_probability, self.max_staleness, self.seed) != (1.0, 0, None):
+                raise ValueError(f"{self.kind} schedules take no update probability, "
+                                 "staleness or seed")
+            return
+        if not 0.0 < self.update_probability <= 1.0:
+            raise ValueError("update_probability must lie in (0, 1]")
+        if self.max_staleness < 0:
+            raise ValueError("max_staleness must be >= 0")
+        np.random.SeedSequence(self.seed)  # a bad seed fails here, not at a tick
 
-    @property
-    def updates(self) -> np.ndarray | None:
-        self._draw_to(len(self))
-        return self._updates
+    def ticks(self, num_users: int):
+        """Yield ``(updates, snapshots)`` for ticks 0, 1, 2, ... without end.
 
-    @property
-    def snapshots(self) -> np.ndarray | None:
-        self._draw_to(len(self))
-        return self._snapshots
-
-    def tick(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``(updates[t], snapshots[t])``, drawing the ticks up to t first."""
-        if not 0 <= t < len(self):
-            raise IndexError(f"tick {t} is outside this schedule's {len(self)} ticks")
-        self._draw_to(t + 1)
-        return self._updates[t], self._snapshots[t]
-
-    def _draw_to(self, end: int) -> None:
-        # Per tick, per user: one random() unless the update is forced, then
-        # one integers() if the staleness window holds more than tick t.
-        for t in range(self._drawn, end):
-            rng, probability, last_update = self._stream
-            self._snapshots[t] = t
-            for i in range(len(last_update)):
-                if t - last_update[i] >= self.max_staleness or rng.random() < probability:
-                    self._updates[t, i] = True
-                    last_update[i] = t
-                    low = max(0, t - self.max_staleness)
+        At tick t, ``updates[i]`` says whether user i updates and
+        ``snapshots[i]`` is the tick whose start profile it reacts to, with
+        t - max_staleness <= snapshots[i] <= t.  Each call replays the same
+        draws; ``run`` reads them for asynchronous schedules only.
+        """
+        rng = np.random.default_rng(self.seed)
+        last_update = [-1] * num_users
+        for t in itertools.count():
+            updates = np.zeros(num_users, dtype=bool)
+            snapshots = np.full(num_users, t)
+            low = max(0, t - self.max_staleness)
+            for i in range(num_users):
+                # one random() unless the update is forced, then one
+                # integers() if the staleness window holds more than tick t
+                if t - last_update[i] >= self.max_staleness or rng.random() < self.update_probability:
+                    updates[i], last_update[i] = True, t
                     if low < t:
-                        self._snapshots[t, i] = rng.integers(low, t + 1)
-        self._drawn = max(self._drawn, end)
-
-
-def generate_schedule(kind: str, num_users: int, max_iter: int,
-                      update_probability: float = 1.0, max_staleness: int = 0,
-                      seed: int | None = None) -> Schedule:
-    """Build a schedule; asynchronous ones are drawn from ``seed`` on demand.
-
-    Each user updates with probability ``update_probability`` per tick and is
-    forced to update once its last update is ``max_staleness`` ticks old, so
-    no user ever goes more than max_staleness ticks without updating.
-    Snapshot times are drawn uniformly from the allowed staleness window.
-    Each of the ``max_iter`` ticks is drawn when first read, so a run that
-    stops early never pays for the rest; the draws do not depend on the order.
-    """
-    if kind not in SCHEDULE_KINDS:
-        raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
-    if kind != "asynchronous":
-        return Schedule(kind=kind)
-    if not 0.0 < update_probability <= 1.0:
-        raise ValueError("update_probability must lie in (0, 1]")
-    if max_staleness < 0:
-        raise ValueError("max_staleness must be >= 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-
-    # Built past the constructor's check: a drawn row is valid by construction,
-    # and zeroed pages cost no memory until a tick is drawn into them.
-    schedule = Schedule.__new__(Schedule)
-    schedule.kind, schedule.max_staleness, schedule.num_users = kind, max_staleness, num_users
-    schedule._updates = np.zeros((max_iter, num_users), dtype=bool)
-    schedule._snapshots = np.zeros((max_iter, num_users), dtype=int)
-    schedule._drawn = 0
-    schedule._stream = (np.random.default_rng(seed), update_probability, [-1] * num_users)
-    return schedule
+                        snapshots[i] = rng.integers(low, t + 1)
+            yield updates, snapshots
 
 
 @dataclass(frozen=True)
@@ -243,27 +195,25 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     step_residuals: list[float] = []
     converged = False
     asynchronous = schedule.kind == "asynchronous"
-    if asynchronous and schedule.num_users != scenario.num_users:
-        raise ValueError(f"schedule has {schedule.num_users} users, scenario {scenario.num_users}")
-    ticks = min(config.max_iter, len(schedule)) if asynchronous else config.max_iter
+    rows = schedule.ticks(scenario.num_users)
     window = schedule.max_staleness + 1
     history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
     quiet = best_responses = 0
-    stop, anchor, cycle_period = ticks, None, None  # play ticks [0, stop)
-    for t in range(ticks):
+    stop, anchor, cycle_period = config.max_iter, None, None  # play ticks [0, stop)
+    for t in range(config.max_iter):
         # Brent's search: each tick-start profile against the one at the
         # last power of two; the first match gives the least period
         if not asynchronous and cycle_period is None and t:
             if anchor is not None and np.array_equal(profile, anchor):
                 cycle_period = t - anchor_tick
-                stop = t + (ticks - t) % cycle_period
+                stop = t + (config.max_iter - t) % cycle_period
             elif t & (t - 1) == 0:
                 anchor, anchor_tick = profile.copy(), t
         if t == stop:
             break
         history.append(profile.copy())
         if asynchronous:
-            updates, snapshots = schedule.tick(t)
+            updates, snapshots = next(rows)
         delta = 0.0
         for i in range(scenario.num_users):
             if schedule.kind == "sequential":
@@ -288,7 +238,7 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
             break
     if cycle_period is not None:
         # the ticks left are whole periods that repeat the last one exactly
-        laps = (ticks - len(step_residuals)) // cycle_period
+        laps = (config.max_iter - len(step_residuals)) // cycle_period
         step_residuals += step_residuals[-cycle_period:] * laps
         if config.record_trajectory:
             trajectory += [x.copy() for x in trajectory[-cycle_period:] * laps]

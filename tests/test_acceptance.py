@@ -28,7 +28,6 @@ from riwfa import (
     brute_force_best_response,
     check_async_convergence,
     check_rne_uniqueness,
-    generate_schedule,
     interference_upper_bounds,
     load_bundled_scenario,
     operator_norm_2,
@@ -299,9 +298,8 @@ def test_acceptance_08_asynchronous_convergence():
     config = RunConfig(tol=1e-8)
     finals = []
     for seed in range(5):
-        schedule = generate_schedule("asynchronous", 3, config.max_iter,
-                                     update_probability=0.5, max_staleness=5,
-                                     seed=seed)
+        schedule = Schedule("asynchronous", update_probability=0.5, max_staleness=5,
+                            seed=seed)
         rep = run(sc, schedule, config)
         assert rep.converged
         finals.append(rep.profile)
@@ -309,9 +307,8 @@ def test_acceptance_08_asynchronous_convergence():
     agree_ok = spread <= 10 * 1e-8
 
     traj_config = RunConfig(tol=1e-8, record_trajectory=True)
-    degenerate = generate_schedule("asynchronous", 3, traj_config.max_iter,
-                                   update_probability=1.0, max_staleness=0,
-                                   seed=0)
+    degenerate = Schedule("asynchronous", update_probability=1.0, max_staleness=0,
+                          seed=0)
     async_rep = run(sc, degenerate, traj_config)
     sync_rep = run(sc, Schedule(kind="simultaneous"), traj_config)
     identical = (len(async_rep.trajectory) == len(sync_rep.trajectory)

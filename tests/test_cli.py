@@ -125,8 +125,8 @@ def test_run_reports_stop_reason_of_a_converging_run(capsys, tmp_path):
 
 
 def test_async_run_does_not_depend_on_max_iter_past_the_stop(capsys):
-    # the schedule's first ticks are the same whatever its length, so a run
-    # that stops before the shorter cap reports the same equilibrium
+    # the schedule's ticks do not depend on the cap, so a run that stops
+    # before the shorter cap reports the same equilibrium
     argv = ["run", "--generate", "low", "--users", "3", "--subchannels", "8",
             "--eps", "0.5", "--schedule", "asynchronous", "--update-prob", "0.5",
             "--max-staleness", "3", "--schedule-seed", "7"]
@@ -134,6 +134,16 @@ def test_async_run_does_not_depend_on_max_iter_past_the_stop(capsys):
     code_short, out_short, _ = run_cli(capsys, argv + ["--max-iter", "200"])
     assert code_long == code_short == EXIT_OK
     assert json.loads(out_long)["report"] == json.loads(out_short)["report"]
+
+
+def test_async_run_with_a_huge_cap_draws_only_the_ticks_it_plays(capsys):
+    # the schedule is drawn tick by tick, so a cap of 1e12 costs no memory
+    code, out, err = run_cli(capsys, [
+        "run", "--generate", "low", "--users", "2", "--subchannels", "2",
+        "--schedule", "asynchronous", "--max-iter", "1000000000000"])
+    assert code == EXIT_OK and err == ""
+    report = json.loads(out)["report"]
+    assert report["converged"] and report["stop_reason"] == "converged"
 
 
 def test_run_requires_exactly_one_source(capsys, table2_file):
@@ -485,6 +495,8 @@ def test_reproduce_input_errors(capsys, tmp_path):
      "--summary", "missing/s.csv"],
     ["run", "--generate", "low", "--users", "2", "--subchannels", "4",
      "--out", "ok.json", "--trajectory", "t.csv", "--summary", "."],
+    # a seed numpy cannot take is rejected before the first tick is drawn
+    ["run", "--generate", "low", "--schedule", "asynchronous", "--schedule-seed", "-1"],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,6 @@
 """Best-response iteration tests: schedules, convergence, reports, CSV export."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,6 @@ from riwfa import (
     best_response,
     check_rne_uniqueness,
     fixed_point_residual,
-    generate_schedule,
     load_bundled_scenario,
     profile_feasible,
     random_scenario,
@@ -54,7 +55,7 @@ def test_single_user_converges_immediately():
         assert report.converged
         assert report.iterations <= 2
         assert report.residual <= 1e-10
-    sched = generate_schedule("asynchronous", 1, 50, seed=0)
+    sched = Schedule("asynchronous", seed=0)
     report = run(sc, sched)
     assert report.converged and report.iterations <= 2
 
@@ -80,88 +81,127 @@ def test_residual_of_zero_profile_with_slack_budgets():
     assert fixed_point_residual(zero_profile(2, 2), sc) == 0.4
 
 
+def first_ticks(schedule, num_users, count):
+    """The first ``count`` rows of ``schedule.ticks(num_users)``, stacked
+    into (count, num_users) arrays ``(updates, snapshots)``."""
+    rows = list(itertools.islice(schedule.ticks(num_users), count))
+    return np.array([u for u, _ in rows]), np.array([s for _, s in rows])
+
+
 def test_generate_schedule_contract():
-    sched = generate_schedule("asynchronous", 3, 100, update_probability=0.3,
-                              max_staleness=5, seed=17)
-    assert len(sched) == 100
-    updates_per_user = sched.updates.sum(axis=0)
+    sched = Schedule("asynchronous", update_probability=0.3, max_staleness=5, seed=17)
+    updates, snapshots = first_ticks(sched, 3, 100)
+    assert updates.shape == snapshots.shape == (100, 3)
+    updates_per_user = updates.sum(axis=0)
     assert np.all(updates_per_user >= 20)  # forced at least every 5 ticks
     ticks = np.arange(100)[:, None]
-    staleness = ticks - sched.snapshots
+    staleness = ticks - snapshots
     assert np.all(staleness >= 0) and np.all(staleness <= 5)
 
 
 def test_generate_schedule_deterministic():
-    a = generate_schedule("asynchronous", 4, 60, update_probability=0.5,
-                          max_staleness=3, seed=5)
-    b = generate_schedule("asynchronous", 4, 60, update_probability=0.5,
-                          max_staleness=3, seed=5)
-    assert np.array_equal(a.updates, b.updates)
-    assert np.array_equal(a.snapshots, b.snapshots)
+    a = Schedule("asynchronous", update_probability=0.5, max_staleness=3, seed=5)
+    b = Schedule("asynchronous", update_probability=0.5, max_staleness=3, seed=5)
+    a_updates, a_snapshots = first_ticks(a, 4, 60)
+    b_updates, b_snapshots = first_ticks(b, 4, 60)
+    assert np.array_equal(a_updates, b_updates)
+    assert np.array_equal(a_snapshots, b_snapshots)
 
 
 def test_generate_schedule_stream_is_pinned():
     # per tick, per user: one random() unless forced, then one integers()
     # when the staleness window holds earlier ticks; another order moves these
-    sched = generate_schedule("asynchronous", 3, 12, update_probability=0.5,
-                              max_staleness=2, seed=7)
+    sched = Schedule("asynchronous", update_probability=0.5, max_staleness=2, seed=7)
     updates = [[0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 0, 1],
                [1, 1, 0], [0, 1, 1], [1, 1, 1], [1, 0, 0], [0, 1, 1], [1, 1, 1]]
     snapshots = [[0, 0, 0], [1, 0, 0], [2, 0, 2], [1, 3, 3], [2, 4, 4], [5, 5, 4],
                  [6, 6, 6], [7, 7, 5], [8, 7, 6], [8, 9, 9], [10, 8, 9], [10, 9, 11]]
-    assert np.array_equal(sched.updates, np.array(updates, dtype=bool))
-    assert np.array_equal(sched.snapshots, np.array(snapshots))
+    drawn_updates, drawn_snapshots = first_ticks(sched, 3, 12)
+    assert np.array_equal(drawn_updates, np.array(updates, dtype=bool))
+    assert np.array_equal(drawn_snapshots, np.array(snapshots))
+
+
+def reference_draws(m, probability, staleness, seed, count):
+    """The asynchronous draw written out plainly: user i updates when its
+    last update is ``staleness`` ticks old or a uniform draw falls below
+    ``probability``, and an update reads a snapshot drawn from the window."""
+    rng = np.random.default_rng(seed)
+    updates = np.zeros((count, m), dtype=bool)
+    snapshots = np.tile(np.arange(count)[:, None], (1, m))
+    last = [-1] * m
+    for t in range(count):
+        for i in range(m):
+            if t - last[i] >= staleness or rng.random() < probability:
+                updates[t, i] = True
+                last[i] = t
+                if t > 0 and staleness > 0:
+                    snapshots[t, i] = rng.integers(max(0, t - staleness), t + 1)
+    return updates, snapshots
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 5),
+       st.integers(0, 2**64 - 1), st.integers(1, 300))
+def test_schedule_ticks_match_the_plain_draw(m, probability, staleness, seed, count):
+    # the ticks run() reads are the plain loop's rows, and they keep the
+    # schedule's promises: every user updates in any staleness + 1 ticks,
+    # and every snapshot lies in [t - staleness, t]
+    schedule = Schedule("asynchronous", update_probability=probability,
+                        max_staleness=staleness, seed=seed)
+    updates, snapshots = first_ticks(schedule, m, count)
+    expected_updates, expected_snapshots = reference_draws(m, probability, staleness, seed, count)
+    assert np.array_equal(updates, expected_updates)
+    assert np.array_equal(snapshots, expected_snapshots)
+    for t in range(count - staleness):
+        assert updates[t:t + staleness + 1].any(axis=0).all()
+    age = np.arange(count)[:, None] - snapshots
+    assert np.all(age >= 0) and np.all(age <= staleness)
 
 
 def test_generate_schedule_validation():
     with pytest.raises(ValueError):
-        generate_schedule("asynchronous", 2, 10, update_probability=0.0)
+        Schedule("asynchronous", update_probability=0.0)
     with pytest.raises(ValueError):
-        generate_schedule("asynchronous", 2, 10, update_probability=1.2)
+        Schedule("asynchronous", update_probability=1.2)
     with pytest.raises(ValueError):
-        generate_schedule("asynchronous", 2, 10, max_staleness=-1)
+        Schedule("asynchronous", max_staleness=-1)
     with pytest.raises(ValueError):
-        generate_schedule("roundrobin", 2, 10)
-    # sequential/simultaneous carry no arrays
-    assert generate_schedule("sequential", 2, 10).updates is None
+        Schedule("roundrobin")
+    # sequential/simultaneous take their kind alone: one quiet tick stops them
+    assert Schedule("sequential").max_staleness == 0
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        Schedule(kind="asynchronous")
-    with pytest.raises(ValueError):
-        Schedule(kind="sequential", updates=np.ones((2, 2), dtype=bool),
-                 snapshots=np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError):
         Schedule(kind="simultaneous", max_staleness=2)
-    # snapshots newer than allowed staleness
     with pytest.raises(ValueError):
-        Schedule(kind="asynchronous", updates=np.ones((3, 1), dtype=bool),
-                 snapshots=np.zeros((3, 1), dtype=int), max_staleness=1)
-
-
-@pytest.mark.parametrize("schedule", [
-    Schedule(kind="asynchronous", updates=np.ones((3, 2), dtype=bool),
-             snapshots=np.tile(np.arange(3)[:, None], (1, 2))),
-    generate_schedule("asynchronous", 2, 3, update_probability=0.5, seed=1),
-], ids=["explicit", "generated"])
-def test_schedule_tick_past_the_end_is_index_error(schedule):
-    updates, snapshots = schedule.tick(2)
-    assert updates.shape == snapshots.shape == (2,)
-    for t in (3, 4, -1):
-        with pytest.raises(IndexError, match="3 ticks"):
-            schedule.tick(t)
+        Schedule("sequential", update_probability=0.5)
+    with pytest.raises(ValueError):
+        Schedule("sequential", seed=0)
+    # a seed numpy cannot take fails here, not at the first tick run() reads
+    with pytest.raises(ValueError):
+        Schedule("asynchronous", seed=-1)
 
 
 def test_async_with_zero_staleness_equals_simultaneous():
     sc = certified_scenario()
-    sched = generate_schedule("asynchronous", 3, 500, update_probability=1.0,
-                              max_staleness=0, seed=0)
+    sched = Schedule("asynchronous", update_probability=1.0, max_staleness=0, seed=0)
     config = RunConfig(record_trajectory=True)
     sync = run(sc, Schedule(kind="simultaneous"), config)
     async_ = run(sc, sched, config)
     assert len(sync.trajectory) == len(async_.trajectory)
     for a, b in zip(sync.trajectory, async_.trajectory):
+        assert np.array_equal(a, b)
+
+
+def test_async_schedule_replays_its_draws_in_every_run():
+    # a schedule is a rule, not a stream: every run of it draws the same ticks
+    sc = certified_scenario(seed=6)
+    sched = Schedule("asynchronous", update_probability=0.4, max_staleness=3, seed=21)
+    config = RunConfig(record_trajectory=True)
+    first, again = run(sc, sched, config), run(sc, sched, config)
+    assert first.step_residuals == again.step_residuals
+    for a, b in zip(first.trajectory, again.trajectory, strict=True):
         assert np.array_equal(a, b)
 
 
@@ -178,12 +218,14 @@ def reference_run(sc, schedule, config):
     if schedule.kind == "asynchronous":
         recent = {0: profile.copy()}
         quiet = 0
-        for t in range(min(config.max_iter, len(schedule))):
+        rows = schedule.ticks(sc.num_users)
+        for t in range(config.max_iter):
+            updates, snapshots = next(rows)
             nxt = profile.copy()
             delta = 0.0
             for i in range(sc.num_users):
-                if schedule.updates[t, i]:
-                    p = reply(i, recent[int(schedule.snapshots[t, i])])
+                if updates[i]:
+                    p = reply(i, recent[int(snapshots[i])])
                     delta = max(delta, float(np.abs(p - profile[i]).max()))
                     nxt[i] = p
             profile = nxt
@@ -227,10 +269,11 @@ def run_instances(draw):
     config = RunConfig(tol=draw(st.sampled_from([1e-2, 1e-4, 1e-8])),
                        max_iter=draw(st.integers(1, 25)))
     kind = draw(st.sampled_from(["sequential", "simultaneous", "asynchronous"]))
-    schedule = generate_schedule(
-        kind, m, draw(st.integers(1, 25)),
-        update_probability=draw(st.sampled_from([0.3, 0.7, 1.0])),
-        max_staleness=draw(st.integers(0, 3)), seed=draw(st.integers(0, 10_000)))
+    schedule = Schedule(kind)
+    if kind == "asynchronous":
+        schedule = Schedule(kind, update_probability=draw(st.sampled_from([0.3, 0.7, 1.0])),
+                            max_staleness=draw(st.integers(0, 3)),
+                            seed=draw(st.integers(0, 10_000)))
     return sc, schedule, config
 
 
@@ -321,7 +364,7 @@ def test_asynchronous_runs_never_report_a_cycle(seed):
         seed, uncertainty=UncertaintySpec.uniform(4, 16, 0.5))
     config = RunConfig(max_iter=120, record_trajectory=True)
     sync = run(sc, Schedule(kind="simultaneous"), config)
-    async_ = run(sc, generate_schedule("asynchronous", 4, 120, seed=seed), config)
+    async_ = run(sc, Schedule("asynchronous", seed=seed), config)
     assert sync.stop_reason == "cycle" and sync.cycle_period == 2
     assert async_.stop_reason == "max_iter" and async_.cycle_period is None
     assert async_.best_responses == 120 * 4
@@ -329,62 +372,6 @@ def test_asynchronous_runs_never_report_a_cycle(seed):
     assert sync.step_residuals == async_.step_residuals
     for a, b in zip(sync.trajectory, async_.trajectory, strict=True):
         assert np.array_equal(a, b)
-
-
-@st.composite
-def drawn_schedules(draw):
-    m = draw(st.integers(1, 8))
-    sc = random_scenario(m, 3, seed=draw(st.integers(0, 10_000)),
-                         cross_range=(0.0, draw(st.sampled_from([0.002, 0.05]))),
-                         noise_range=(0.001, 0.01))
-    probability = draw(st.floats(0.0, 1.0, exclude_min=True))
-    return sc, m, draw(st.integers(1, 300)), probability, draw(st.integers(0, 5)), \
-        draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 299))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(drawn_schedules())
-def test_run_reads_the_prefix_of_the_full_draw(instance):
-    # ticks drawn as run() reaches them, after a peek at a later tick, are
-    # the rows drawn in one go, and playing either gives the same run bitwise
-    sc, m, max_iter, probability, staleness, seed, peek = instance
-    full = generate_schedule("asynchronous", m, max_iter, update_probability=probability,
-                             max_staleness=staleness, seed=seed)
-    updates, snapshots = full.updates, full.snapshots
-    drawn = generate_schedule("asynchronous", m, max_iter, update_probability=probability,
-                              max_staleness=staleness, seed=seed)
-    drawn.tick(min(peek, max_iter - 1))
-    read, tick = [], drawn.tick
-
-    def recording_tick(t):
-        rows = tick(t)
-        read.append((t, rows[0].copy(), rows[1].copy()))
-        return rows
-
-    drawn.tick = recording_tick
-    lazy = run(sc, drawn, RunConfig(max_iter=300))
-    assert [t for t, _, _ in read] == list(range(lazy.iterations))
-    for t, row_updates, row_snapshots in read:
-        assert np.array_equal(row_updates, updates[t])
-        assert np.array_equal(row_snapshots, snapshots[t])
-    explicit = run(sc, Schedule(kind="asynchronous", updates=updates,
-                                snapshots=snapshots, max_staleness=staleness),
-                   RunConfig(max_iter=300))
-    assert np.array_equal(drawn.updates, updates)
-    assert np.array_equal(drawn.snapshots, snapshots)
-    assert np.array_equal(lazy.profile, explicit.profile)
-    assert lazy.iterations == explicit.iterations
-    assert lazy.converged == explicit.converged
-    assert lazy.step_residuals == explicit.step_residuals
-
-
-def test_run_rejects_schedule_of_other_width():
-    sc = random_scenario(4, 6, seed=11, noise_range=(0.001, 0.01))
-    for width in (3, 6):
-        sched = generate_schedule("asynchronous", width, 50, update_probability=0.5,
-                                  max_staleness=2, seed=0)
-        with pytest.raises(ValueError, match="users"):
-            run(sc, sched)
 
 
 def test_run_deterministic():
@@ -419,12 +406,12 @@ def feasibility_instances(draw):
                          cross_range=(0.0, draw(st.sampled_from([0.002, 0.05, 1.0]))),
                          uncertainty=UncertaintySpec.uniform(m, k, eps))
     kind = draw(st.sampled_from(["sequential", "simultaneous", "asynchronous"]))
-    staleness = draw(st.integers(0, 3)) if kind == "asynchronous" else 0
-    max_iter = draw(st.integers(1, 30))
-    schedule = generate_schedule(kind, m, max_iter,
-                                 update_probability=draw(st.sampled_from([0.3, 1.0])),
-                                 max_staleness=staleness, seed=draw(st.integers(0, 10_000)))
-    return sc, schedule, RunConfig(max_iter=max_iter, record_trajectory=True)
+    schedule = Schedule(kind)
+    if kind == "asynchronous":
+        schedule = Schedule(kind, max_staleness=draw(st.integers(0, 3)),
+                            update_probability=draw(st.sampled_from([0.3, 1.0])),
+                            seed=draw(st.integers(0, 10_000)))
+    return sc, schedule, RunConfig(max_iter=draw(st.integers(1, 30)), record_trajectory=True)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
