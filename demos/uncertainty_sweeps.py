@@ -20,9 +20,10 @@ import pathlib
 import numpy as np
 
 from riwfa import (
-    ScenarioTemplate,
+    ENSEMBLES,
     SweepResult,
     UncertaintySpec,
+    random_scenario,
     sweep_reports,
     write_sweep_csv,
 )
@@ -47,9 +48,9 @@ def main() -> None:
     if args.realizations < 1:
         parser.error("--realizations must be >= 1")
 
-    template = ScenarioTemplate.low_interference(args.users, args.subchannels)
     # every grid point replays the same channels, so the curves pair pointwise
-    channels = [template.realize(seed) for seed in range(7, 7 + args.realizations)]
+    channels = [random_scenario(args.users, args.subchannels, seed=seed, **ENSEMBLES["low"])
+                for seed in range(7, 7 + args.realizations)]
 
     print(f"worst-case sweep, {args.realizations} channels per point:")
     eps_grid = np.linspace(0.0, 2.0, 6)

@@ -97,6 +97,10 @@ cli run-high-k1 run --generate high --users 9 --subchannels 1 --seed 1 --out rep
 # fast-forwarded to the cap: its files are those of all 300 ticks
 cli run-high-cycle run --generate high --users 6 --subchannels 8 --seed 35 --max-iter 300 \
     --out report.json --trajectory trajectory.csv --summary summary.csv
+# the same cycling run with a cap far past its repeat and no per-tick log: the
+# run keeps nothing for the ticks it fills in, so the cap costs no memory
+cli run-high-cycle-uncapped run --generate high --users 6 --subchannels 8 --seed 35 \
+    --max-iter 1000000000000 --out report.json
 # an asynchronous run whose cap lies far past its stop: the schedule draws only
 # the ticks the run plays, so the cap costs neither time nor memory
 cli run-async-uncapped run --generate low --users 2 --subchannels 2 --schedule asynchronous \

@@ -34,11 +34,11 @@ from .dynamics import (
 )
 from .model import (
     BUDGET_TOL,
+    ENSEMBLES,
     ChannelRealization,
     DegenerateUncertaintyWarning,
     PowerConstraints,
     Scenario,
-    ScenarioTemplate,
     UncertaintySpec,
     effective_interference,
     load_bundled_scenario,
@@ -68,12 +68,12 @@ __all__ = [
     "CertificateResult",
     "ChannelRealization",
     "DegenerateUncertaintyWarning",
+    "ENSEMBLES",
     "EquilibriumReport",
     "GridSpec",
     "PowerConstraints",
     "RunConfig",
     "Scenario",
-    "ScenarioTemplate",
     "Schedule",
     "SweepResult",
     "UncertaintySpec",

@@ -36,13 +36,14 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .model import (
+    ENSEMBLES,
     MODES,
     Scenario,
-    ScenarioTemplate,
     UncertaintySpec,
     load_bundled_scenario,
     load_scenario,
     profile_feasible,
+    random_scenario,
 )
 
 EXIT_OK = 0
@@ -59,6 +60,8 @@ FIG_EPS_GRID = (0.0, 0.25, 0.5, 1.0)
 FIG_DELTA0_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 FIG_DELTA0_EPS = 0.8
 MONOTONE_TOL = 1e-9
+FIG_USERS, FIG_SUBCHANNELS = 8, 64
+MAX_CERTIFY_ATTEMPTS = 10_000
 
 
 class CliError(Exception):
@@ -83,7 +86,7 @@ def _add_source_flags(parser):
     group = parser.add_argument_group("scenario source (exactly one)")
     group.add_argument("--scenario", metavar="FILE",
                        help="JSON scenario file to load")
-    group.add_argument("--generate", choices=("low", "high"),
+    group.add_argument("--generate", choices=tuple(ENSEMBLES),
                        help="draw a random scenario from the named ensemble")
     group.add_argument("--users", type=int,
                        help="users for --generate (default 8)")
@@ -205,11 +208,10 @@ def _resolve_source(args, count: int = 1) -> tuple[list[Scenario], dict]:
         if count != 1:
             raise CliError("a --scenario file is one realization: --realizations must be 1")
         return [scenario], {"scenario": args.scenario}
-    maker = (ScenarioTemplate.low_interference if args.generate == "low"
-             else ScenarioTemplate.high_interference)
     with _input_errors():
-        template = maker(args.users, args.subchannels)
-        scenarios = [template.realize(seed) for seed in range(args.seed, args.seed + count)]
+        scenarios = [random_scenario(args.users, args.subchannels, seed=seed,
+                                     **ENSEMBLES[args.generate])
+                     for seed in range(args.seed, args.seed + count)]
     return scenarios, {"generate": args.generate, "users": args.users,
                        "subchannels": args.subchannels, "seed": args.seed}
 
@@ -468,16 +470,15 @@ def _preset_table4(args):
     return {}, checks, {"robust": _report_dict(robust), "nominal": _report_dict(nominal)}, None
 
 
-def _certified_scenarios(template: ScenarioTemplate, count: int, base_seed: int,
-                         max_attempts: int = 10_000) -> list[Scenario]:
-    """The first `count` channels drawn from `base_seed` on that pass the
-    uniqueness certificate at eps=0."""
+def _certified_scenarios(count: int, base_seed: int) -> list[Scenario]:
+    """The first `count` low-interference channels drawn from `base_seed` on
+    that pass the uniqueness certificate at eps=0."""
     scenarios, seed = [], base_seed
     while len(scenarios) < count:
-        if seed - base_seed >= max_attempts:
+        if seed - base_seed >= MAX_CERTIFY_ATTEMPTS:
             raise CliError(f"could not find {count} certificate-passing "
-                           f"channels in {max_attempts} draws")
-        sc = template.realize(seed)
+                           f"channels in {MAX_CERTIFY_ATTEMPTS} draws")
+        sc = random_scenario(FIG_USERS, FIG_SUBCHANNELS, seed=seed, **ENSEMBLES["low"])
         if check_rne_uniqueness(sc.channel, sc.uncertainty).passed:
             scenarios.append(sc)
         seed += 1
@@ -486,9 +487,9 @@ def _certified_scenarios(template: ScenarioTemplate, count: int, base_seed: int,
 
 def _preset_fig1(args):
     count = args.realizations or 20
-    scenarios = _certified_scenarios(ScenarioTemplate.low_interference(), count, base_seed=100)
-    reports = _play(args, scenarios,
-                    [UncertaintySpec.uniform(8, 64, eps) for eps in FIG_EPS_GRID])
+    scenarios = _certified_scenarios(count, base_seed=100)
+    reports = _play(args, scenarios, [UncertaintySpec.uniform(FIG_USERS, FIG_SUBCHANNELS, eps)
+                                      for eps in FIG_EPS_GRID])
     result = SweepResult.from_reports("epsilon", FIG_EPS_GRID, reports)
     utilities = result.utilities
     checks = Checks()
@@ -512,9 +513,10 @@ def _preset_fig1(args):
 def _preset_fig2(args):
     count = args.realizations or 20
     grid = [0.0, 1.0, 2.0, 3.0]
-    template = ScenarioTemplate.high_interference()
-    reports = _play(args, [template.realize(seed) for seed in range(900, 900 + count)],
-                    [UncertaintySpec.uniform(8, 64, eps) for eps in grid], max_iter=2_000)
+    scenarios = [random_scenario(FIG_USERS, FIG_SUBCHANNELS, seed=seed, **ENSEMBLES["high"])
+                 for seed in range(900, 900 + count)]
+    reports = _play(args, scenarios, [UncertaintySpec.uniform(FIG_USERS, FIG_SUBCHANNELS, eps)
+                                      for eps in grid], max_iter=2_000)
     result = SweepResult.from_reports("epsilon", grid, reports)
     checks = Checks()
     checks.add("must", "sweep completed and data written", True,
@@ -531,15 +533,15 @@ def _preset_fig2(args):
     return config, checks, data, result
 
 
-def _delta0_comparison(args, preset: str, template: ScenarioTemplate,
-                       base_seed: int, max_iter: int):
+def _delta0_comparison(args, preset: str, ensemble: str, base_seed: int, max_iter: int):
     count = args.realizations or 10
-    m, k = template.num_users, template.num_subchannels
+    m, k = FIG_USERS, FIG_SUBCHANNELS
     grid = FIG_DELTA0_GRID
     specs = [UncertaintySpec.nominal(m, k), UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS)]
     specs += [UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS, mode="probabilistic", delta0=d0)
               for d0 in grid]
-    scenarios = [template.realize(seed) for seed in range(base_seed, base_seed + count)]
+    scenarios = [random_scenario(m, k, seed=seed, **ENSEMBLES[ensemble])
+                 for seed in range(base_seed, base_seed + count)]
     reports = _play(args, scenarios, specs, max_iter)
     nominal, wc, *prob = reports
     result = SweepResult.from_reports("delta0", grid, prob)
@@ -589,10 +591,8 @@ def _delta0_comparison(args, preset: str, template: ScenarioTemplate,
 PRESETS = {
     "table3": _preset_table3, "table4": _preset_table4,
     "fig1": _preset_fig1, "fig2": _preset_fig2,
-    "fig3": lambda args: _delta0_comparison(args, "fig3", ScenarioTemplate.low_interference(),
-                                            base_seed=600, max_iter=10_000),
-    "fig4": lambda args: _delta0_comparison(args, "fig4", ScenarioTemplate.high_interference(),
-                                            base_seed=900, max_iter=2_000),
+    "fig3": lambda args: _delta0_comparison(args, "fig3", "low", base_seed=600, max_iter=10_000),
+    "fig4": lambda args: _delta0_comparison(args, "fig4", "high", base_seed=900, max_iter=2_000),
 }
 
 

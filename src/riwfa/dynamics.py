@@ -17,9 +17,9 @@ profile, so once a tick-start profile repeats exactly the run cycles
 forever: every tick of the cycle moved more than ``tol``, or it would have
 stopped there.  ``run`` looks for such a repeat with Brent's algorithm (one
 anchor copy, moved to ticks 1, 2, 4, ...), then plays only the ticks that
-bring it to the cap's place in the cycle and repeats the cycle's step
-residuals (and trajectory) up to the cap.  Its report is bitwise the one
-that playing all ``max_iter`` ticks gives, and says why the run stopped:
+bring it to the cap's place in the cycle; a recorded log repeats the
+cycle's read-only entries to the cap.  Its report is bitwise the one that
+playing all ``max_iter`` ticks gives, and says why the run stopped:
 ``"converged"``, ``"cycle"`` (with the cycle's period) or ``"max_iter"``.
 Asynchronous schedules are not periodic and are never checked.
 
@@ -110,7 +110,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Iteration controls: initial profile, stopping tolerance, iteration cap."""
+    """Iteration controls: initial profile, stopping tolerance, iteration cap, per-tick log."""
 
     init: str | np.ndarray = "zero"
     tol: float = 1e-8
@@ -136,7 +136,9 @@ class EquilibriumReport:
     ``residual`` is the fixed-point residual of the final profile (max over
     users of the sup-norm gap to their exact best response).  Utilities are
     evaluated at the nominal interference the profile actually induces.
-    ``step_residuals[t]`` is the largest power change during iteration t+1.
+    ``step_residuals[t]`` is the largest power change in tick t+1 and
+    ``trajectory[t]`` the profile after t ticks; both are None unless
+    ``RunConfig.record_trajectory`` is set.
     ``stop_reason`` is one of STOP_REASONS; ``cycle_period`` is the period
     of the exact limit cycle the run fell into, else None.
     ``best_responses`` counts the replies the tick loop evaluated; the
@@ -192,7 +194,7 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     """
     profile = _initial_profile(scenario, config)
     trajectory = [profile.copy()] if config.record_trajectory else None
-    step_residuals: list[float] = []
+    step_residuals = [] if config.record_trajectory else None
     converged = False
     asynchronous = schedule.kind == "asynchronous"
     rows = schedule.ticks(scenario.num_users)
@@ -229,26 +231,28 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
             best_responses += 1
             delta = max(delta, float(np.abs(reply - profile[i]).max()))
             profile[i] = reply
-        step_residuals.append(delta)
         if config.record_trajectory:
+            step_residuals.append(delta)
             trajectory.append(profile.copy())
         quiet = quiet + 1 if delta <= config.tol else 0
         if quiet >= window:
             converged = True
             break
-    if cycle_period is not None:
-        # the ticks left are whole periods that repeat the last one exactly
-        laps = (config.max_iter - len(step_residuals)) // cycle_period
+    if cycle_period is not None and config.record_trajectory:
+        # the max_iter - stop ticks not played are whole periods that repeat
+        # the last one exactly; every lap shares the cycle's read-only arrays
+        laps = (config.max_iter - stop) // cycle_period
+        for x in trajectory[-cycle_period:]:
+            x.setflags(write=False)
         step_residuals += step_residuals[-cycle_period:] * laps
-        if config.record_trajectory:
-            trajectory += [x.copy() for x in trajectory[-cycle_period:] * laps]
+        trajectory += trajectory[-cycle_period:] * laps
 
     utilities = per_user_utilities(profile, scenario.channel)
     threshold = SUPPORT_THRESHOLD_FRACTION * float(scenario.constraints.p_max.min())
     return EquilibriumReport(
         profile=profile,
         converged=converged,
-        iterations=len(step_residuals),
+        iterations=config.max_iter if cycle_period else t + 1,  # ticks played
         residual=fixed_point_residual(profile, scenario),
         per_user_utility=utilities,
         social_utility=float(utilities.sum()),

@@ -12,8 +12,9 @@ and transmitter i scores an allocation by its Shannon rate in nats,
 
 The measured interference may be off by a bounded relative error.
 ``UncertaintySpec`` captures the three supported attitudes toward that error
-(ignore it, plan for the worst case, or hedge against a quantile), all of
-which reduce to a deterministic per-entry multiplier on the nominal s.
+(ignore it, plan for the worst case, or hedge against a quantile); each is
+one per-entry multiplier on the nominal s, computed when the spec is built.
+``random_scenario`` draws channels, from the ranges in ``ENSEMBLES``.
 """
 from __future__ import annotations
 
@@ -175,6 +176,8 @@ class UncertaintySpec:
     eps: np.ndarray
     mode: str = "nominal"
     delta0: float | None = None
+    _multipliers: np.ndarray = field(init=False, repr=False, compare=False)
+    _effective_eps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps = _readonly_array(self.eps)
@@ -190,9 +193,15 @@ class UncertaintySpec:
             if not (0.0 <= float(self.delta0) <= 1.0):
                 raise ValueError("delta0 must lie in [0, 1]")
             object.__setattr__(self, "delta0", float(self.delta0))
+            shift = eps * (2.0 * self.delta0 - 1.0)
         elif self.delta0 is not None:
             raise ValueError(f"delta0 only applies to probabilistic mode, not {self.mode!r}")
-        object.__setattr__(self, "eps", eps)
+        else:
+            shift = eps if self.mode == "worstcase" else 0.0 * eps
+        for name, value in (("eps", eps), ("_multipliers", 1.0 + shift),
+                            ("_effective_eps", np.abs(shift))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def nominal(cls, num_users: int, num_subchannels: int):
@@ -205,28 +214,20 @@ class UncertaintySpec:
         return cls(eps=np.full((num_users, num_subchannels), float(eps)), mode=mode, delta0=delta0)
 
     def multipliers(self) -> np.ndarray:
-        """Per-entry multiplier applied to nominal interference, shape (M, K)."""
-        if self.mode == "nominal":
-            return np.ones_like(self.eps)
-        if self.mode == "worstcase":
-            return 1.0 + self.eps
-        return 1.0 + self.eps * (2.0 * self.delta0 - 1.0)
+        """Per-entry multiplier on nominal interference, shape (M, K), read-only."""
+        return self._multipliers
 
     def effective_eps(self) -> np.ndarray:
         """|multiplier - 1|: the magnitude of protection actually applied.
 
         This is what certificate conditions see; nominal mode contributes 0
-        and probabilistic mode contributes |eps*(2*delta0 - 1)|.
+        and probabilistic mode contributes |eps*(2*delta0 - 1)|.  Read-only.
         """
-        if self.mode == "nominal":
-            return np.zeros_like(self.eps)
-        if self.mode == "worstcase":
-            return self.eps.copy()
-        return np.abs(self.eps * (2.0 * self.delta0 - 1.0))
+        return self._effective_eps
 
     def is_degenerate(self) -> bool:
         """True when some multiplier is <= 0 (effective interference clamps)."""
-        return bool(np.any(self.multipliers() <= 0.0))
+        return bool(np.any(self._multipliers <= 0.0))
 
 
 @dataclass(frozen=True)
@@ -377,6 +378,19 @@ def effective_interference(s_nominal: np.ndarray, uncertainty: UncertaintySpec,
 # Random scenarios
 # ---------------------------------------------------------------------------
 
+# The paper's two regimes.  low: cross gains two orders of magnitude below the
+# direct gains and a noise floor that bounds every SINR, so every draw passes
+# check_rne_uniqueness and robustness costs more than the interference it
+# removes.  high: cross gains up to ten times the direct gains, so the
+# certificate fails, draws have several equilibria and iterations may orbit.
+ENSEMBLES = {
+    "low": {"direct_range": (0.05, 0.1), "cross_range": (0.0, 3e-4),
+            "noise_range": (1e-3, 1e-2)},
+    "high": {"direct_range": (0.0, 0.1), "cross_range": (0.0, 1.0),
+             "noise_range": (0.0, 0.01)},
+}
+
+
 def _check_range(name: str, rng_pair) -> tuple[float, float]:
     lo, hi = (float(rng_pair[0]), float(rng_pair[1]))
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0 or hi < lo:
@@ -386,9 +400,9 @@ def _check_range(name: str, rng_pair) -> tuple[float, float]:
 
 def random_scenario(num_users: int, num_subchannels: int,
                     direct_range=(0.0, 0.1), cross_range=(0.0, 0.01),
-                    noise_range=(0.0, 0.01), seed: int | None = None, p_max=1.0, mask=None,
-                    uncertainty: UncertaintySpec | None = None) -> Scenario:
-    """Draw a scenario with uniform gains/noise from the given ranges.
+                    noise_range=(0.0, 0.01), seed: int | None = None, p_max=1.0,
+                    mask=None) -> Scenario:
+    """Draw a nominal scenario with uniform gains/noise from the given ranges.
 
     Direct gains are redrawn while below DIRECT_GAIN_FLOOR_FRACTION times the
     range upper bound, keeping normalization well-posed.  All draws come from
@@ -422,65 +436,12 @@ def random_scenario(num_users: int, num_subchannels: int,
     else:
         mask_arr = np.broadcast_to(np.asarray(mask, dtype=float),
                                    (num_users, num_subchannels)).copy()
-    if uncertainty is None:
-        uncertainty = UncertaintySpec.nominal(num_users, num_subchannels)
-
     return Scenario(
         channel=ChannelRealization(gains=gains, noise=noise),
         constraints=PowerConstraints(p_max=p_max_arr, mask=mask_arr),
-        uncertainty=uncertainty,
+        uncertainty=UncertaintySpec.nominal(num_users, num_subchannels),
         seed=None if seed is None else int(seed),
     )
-
-
-@dataclass(frozen=True)
-class ScenarioTemplate:
-    """Parameters for drawing a family of random scenarios.
-
-    ``realize(seed)`` draws the channel; the uncertainty spec is supplied per
-    realization so one channel can be replayed under several eps values.
-    """
-
-    num_users: int
-    num_subchannels: int
-    direct_range: tuple[float, float] = (0.0, 0.1)
-    cross_range: tuple[float, float] = (0.0, 0.01)
-    noise_range: tuple[float, float] = (0.0, 0.01)
-    p_max: float = 1.0
-    mask: float | None = None
-
-    def realize(self, seed: int | None,
-                uncertainty: UncertaintySpec | None = None) -> Scenario:
-        return random_scenario(
-            self.num_users, self.num_subchannels,
-            direct_range=self.direct_range, cross_range=self.cross_range,
-            noise_range=self.noise_range, seed=seed,
-            p_max=self.p_max, mask=self.mask, uncertainty=uncertainty,
-        )
-
-    @classmethod
-    def low_interference(cls, num_users: int = 8,
-                         num_subchannels: int = 64) -> "ScenarioTemplate":
-        """Weakly coupled ensemble on which the uniqueness certificate holds.
-
-        Cross gains are capped two orders of magnitude below the direct
-        gains and the noise floor keeps every sub-channel's SINR bounded, so
-        every draw passes check_rne_uniqueness and the conservatism cost of
-        robustness dominates the interference it removes.
-        """
-        return cls(num_users, num_subchannels, direct_range=(0.05, 0.1),
-                   cross_range=(0.0, 3e-4), noise_range=(1e-3, 1e-2))
-
-    @classmethod
-    def high_interference(cls, num_users: int = 8,
-                          num_subchannels: int = 64) -> "ScenarioTemplate":
-        """Strongly coupled ensemble with several equilibria per draw.
-
-        Cross gains run up to ten times the direct gains, so the uniqueness
-        certificate fails and iterations may orbit instead of converging.
-        """
-        return cls(num_users, num_subchannels, direct_range=(0.0, 0.1),
-                   cross_range=(0.0, 1.0), noise_range=(0.0, 0.01))
 
 
 # ---------------------------------------------------------------------------

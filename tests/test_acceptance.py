@@ -16,12 +16,12 @@ import time
 import numpy as np
 
 from riwfa import (
+    ENSEMBLES,
     ChannelRealization,
     GridSpec,
     PowerConstraints,
     RunConfig,
     Scenario,
-    ScenarioTemplate,
     Schedule,
     UncertaintySpec,
     best_response,
@@ -216,10 +216,9 @@ def test_acceptance_06_utility_monotone_under_uncertainty():
     """More protection never helps: social utility falls as eps grows."""
     start = time.monotonic()
     eps_grid = (0.0, 0.25, 0.5, 1.0)
-    template = ScenarioTemplate.low_interference()
     scenarios, seed = [], 100
     while len(scenarios) < 20:
-        sc = template.realize(seed)
+        sc = random_scenario(8, 64, seed=seed, **ENSEMBLES["low"])
         if check_rne_uniqueness(sc.channel, sc.uncertainty).passed:
             scenarios.append(sc)
         seed += 1

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from riwfa import (
+    ENSEMBLES,
     ChannelRealization,
     PowerConstraints,
     RunConfig,
     Scenario,
-    ScenarioTemplate,
     Schedule,
     SweepResult,
     UncertaintySpec,
@@ -324,8 +324,9 @@ def _eps_specs(m, k, grid):
     return [UncertaintySpec.uniform(m, k, eps) for eps in grid]
 
 
-def _draw(template, seeds):
-    return [template.realize(seed) for seed in seeds]
+def _draw(m, k, seeds):
+    """Low-interference channels of shape (m, k), one per seed."""
+    return [random_scenario(m, k, seed=seed, **ENSEMBLES["low"]) for seed in seeds]
 
 
 def test_sweep_identity_at_eps_zero():
@@ -340,15 +341,14 @@ def test_sweep_identity_at_eps_zero():
 
 
 def test_sweep_pairs_seeds_across_grid():
-    template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
-    scenarios = _draw(template, range(50, 53))
+    scenarios = _draw(2, 8, range(50, 53))
     a = sweep_reports(scenarios, _eps_specs(2, 8, [0.0, 0.5]))
     b = sweep_reports(scenarios, _eps_specs(2, 8, [0.5]))
     # the eps=0.5 row of the wider grid plays the same channels
     assert all(np.array_equal(x.profile, y.profile) for x, y in zip(a[1], b[0]))
     # and realization r is scenarios[r], the channel drawn from seed 50 + r
     spec = UncertaintySpec.uniform(2, 8, 0.5)
-    alone = run(template.realize(51, uncertainty=spec), Schedule(kind="sequential"))
+    alone = run(_draw(2, 8, [51])[0].with_uncertainty(spec), Schedule(kind="sequential"))
     assert np.array_equal(a[1][1].profile, alone.profile)
 
 
@@ -362,9 +362,8 @@ def test_sweep_monotone_in_eps_on_certified_channel():
 
 
 def test_sweep_mean_decreases_in_eps_on_low_interference_ensemble():
-    template = ScenarioTemplate.low_interference()
     grid = [0.0, 0.5, 1.0]
-    reports = sweep_reports(_draw(template, range(100, 105)), _eps_specs(8, 64, grid))
+    reports = sweep_reports(_draw(8, 64, range(100, 105)), _eps_specs(8, 64, grid))
     sweep = SweepResult.from_reports("epsilon", grid, reports)
     assert np.all(sweep.num_converged == 5)
     means = sweep.mean_social_utility
@@ -372,8 +371,7 @@ def test_sweep_mean_decreases_in_eps_on_low_interference_ensemble():
 
 
 def test_sweep_delta0_endpoint_identities():
-    template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
-    scenarios = _draw(template, range(60, 63))
+    scenarios = _draw(2, 8, range(60, 63))
     grid = [0.0, 0.5, 1.0]
     specs = [UncertaintySpec.uniform(2, 8, 0.8, mode="probabilistic", delta0=d0)
              for d0 in grid]
@@ -386,9 +384,8 @@ def test_sweep_delta0_endpoint_identities():
 
 def test_sweep_validation():
     specs = _eps_specs(3, 6, [0.1])
-    template = ScenarioTemplate.low_interference(num_users=3, num_subchannels=6)
-    # the engine plays realized channels only
-    for scenarios in (["not a scenario"], [template]):
+    # the engine plays realized channels only, not an ensemble's ranges
+    for scenarios in (["not a scenario"], [ENSEMBLES["low"]]):
         with pytest.raises(ValueError, match="realized Scenario"):
             sweep_reports(scenarios, specs)
     for jobs in (0, -1):
@@ -397,9 +394,8 @@ def test_sweep_validation():
 
 
 def test_sweep_jobs_deterministic():
-    template = ScenarioTemplate.low_interference(num_users=2, num_subchannels=8)
     specs = _eps_specs(2, 8, [0.0, 0.5])
-    scenarios = _draw(template, range(70, 74))
+    scenarios = _draw(2, 8, range(70, 74))
     serial = sweep_reports(scenarios, specs, jobs=1)
     parallel = sweep_reports(scenarios, specs, jobs=2)
     for row_s, row_p in zip(serial, parallel):
@@ -427,7 +423,7 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(dynamics, "ProcessPoolExecutor", RecordingPool)
-    scenarios = _draw(ScenarioTemplate.low_interference(2, 6), [5])
+    scenarios = _draw(2, 6, [5])
     sweep_reports(scenarios, _eps_specs(2, 6, [0.5]), jobs=64)
     assert sizes == []  # one run plays in this process
     specs = _eps_specs(2, 6, [0.0, 0.5, 1.0])
@@ -456,7 +452,7 @@ def sweep_instances(draw):
                                  seed=draw(st.integers(0, 10_000)),
                                  mask=draw(arrays(float, (m, k), elements=st.floats(0.05, 1.0))))
                  for _ in range(draw(st.integers(1, 3)))]
-    config = RunConfig(max_iter=draw(st.integers(1, 25)))
+    config = RunConfig(max_iter=draw(st.integers(1, 25)), record_trajectory=True)
     kind = draw(st.sampled_from(["sequential", "simultaneous"]))
     entry = draw(st.integers(0, 4)), draw(st.integers(0, len(scenarios) - 1))
     return scenarios, draw(st.sampled_from([0.3, 0.8, 2.0])), kind, config, entry

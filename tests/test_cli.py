@@ -1,10 +1,15 @@
 """Command-line interface tests: exit codes, output formats, reproducibility."""
 import json
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import riwfa
 from riwfa import (
     ChannelRealization,
     PowerConstraints,
@@ -144,6 +149,26 @@ def test_async_run_with_a_huge_cap_draws_only_the_ticks_it_plays(capsys):
     assert code == EXIT_OK and err == ""
     report = json.loads(out)["report"]
     assert report["converged"] and report["stop_reason"] == "converged"
+
+
+def test_cycling_run_with_a_huge_cap_keeps_no_per_tick_log(tmp_path):
+    # past a detected cycle an unrecorded run keeps nothing per tick, so a cap
+    # of 1e12 fits in a 2 GiB address space
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(riwfa.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "riwfa", "run", "--generate", "high", "--users", "6",
+         "--subchannels", "8", "--seed", "35", "--max-iter", "1000000000000",
+         "--out", "r.json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_FAILED
+    assert "Traceback" not in done.stderr
+    report = json.loads((tmp_path / "r.json").read_text())["report"]
+    assert report["stop_reason"] == "cycle" and report["cycle_period"] == 5
+    assert report["iterations"] == 10**12
 
 
 def test_run_requires_exactly_one_source(capsys, table2_file):

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riwfa import (
+    ENSEMBLES,
     ChannelRealization,
     PowerConstraints,
     RunConfig,
     Scenario,
-    ScenarioTemplate,
     Schedule,
     UncertaintySpec,
     best_response,
@@ -267,7 +267,7 @@ def run_instances(draw):
     eps = draw(st.sampled_from([0.0, 0.5]))
     sc = sc.with_uncertainty(UncertaintySpec.uniform(m, k, eps))
     config = RunConfig(tol=draw(st.sampled_from([1e-2, 1e-4, 1e-8])),
-                       max_iter=draw(st.integers(1, 25)))
+                       max_iter=draw(st.integers(1, 25)), record_trajectory=True)
     kind = draw(st.sampled_from(["sequential", "simultaneous", "asynchronous"]))
     schedule = Schedule(kind)
     if kind == "asynchronous":
@@ -312,7 +312,7 @@ def cycling_instances(draw):
     # equilibria, and many simultaneous runs cycle exactly
     if draw(st.booleans()):
         m, k, seed = draw(st.sampled_from(SEQUENTIAL_CYCLES))
-        sc = ScenarioTemplate.high_interference(m, k).realize(seed)
+        sc = random_scenario(m, k, seed=seed, **ENSEMBLES["high"])
     else:
         m, k = draw(st.integers(2, 6)), draw(st.integers(1, 8))
         sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)),
@@ -323,7 +323,7 @@ def cycling_instances(draw):
 
 
 # sequential play on this draw repeats its tick-start profile with period 5
-KNOWN_CYCLE = (ScenarioTemplate.high_interference(6, 8).realize(35), "sequential", 200)
+KNOWN_CYCLE = (random_scenario(6, 8, seed=35, **ENSEMBLES["high"]), "sequential", 200)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -360,8 +360,8 @@ def test_cycle_fast_forward_matches_playing_every_tick(instance):
 def test_asynchronous_runs_never_report_a_cycle(seed):
     # the degenerate asynchronous schedule plays simultaneous rounds, which
     # cycle on these draws, but asynchronous ticks are never checked
-    sc = ScenarioTemplate.high_interference(4, 16).realize(
-        seed, uncertainty=UncertaintySpec.uniform(4, 16, 0.5))
+    sc = random_scenario(4, 16, seed=seed, **ENSEMBLES["high"]).with_uncertainty(
+        UncertaintySpec.uniform(4, 16, 0.5))
     config = RunConfig(max_iter=120, record_trajectory=True)
     sync = run(sc, Schedule(kind="simultaneous"), config)
     async_ = run(sc, Schedule("asynchronous", seed=seed), config)
@@ -403,8 +403,8 @@ def feasibility_instances(draw):
                          min_size=m, max_size=m))
     eps = draw(st.sampled_from([0.0, 0.5]))
     sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)), p_max=p_max, mask=mask,
-                         cross_range=(0.0, draw(st.sampled_from([0.002, 0.05, 1.0]))),
-                         uncertainty=UncertaintySpec.uniform(m, k, eps))
+                         cross_range=(0.0, draw(st.sampled_from([0.002, 0.05, 1.0]))))
+    sc = sc.with_uncertainty(UncertaintySpec.uniform(m, k, eps))
     kind = draw(st.sampled_from(["sequential", "simultaneous", "asynchronous"]))
     schedule = Schedule(kind)
     if kind == "asynchronous":
@@ -531,8 +531,8 @@ def test_summary_csv_schema(tmp_path):
 
     # with 8 users numpy sums pairwise, so the last row must be summed as the
     # report is to match it bitwise
-    sc = ScenarioTemplate.low_interference().realize(
-        0, uncertainty=UncertaintySpec.uniform(8, 64, 0.5))
+    sc = random_scenario(8, 64, seed=0, **ENSEMBLES["low"]).with_uncertainty(
+        UncertaintySpec.uniform(8, 64, 0.5))
     report = run(sc, Schedule(kind="sequential"), RunConfig(record_trajectory=True))
     write_summary_csv(report, sc, path)
     last = path.read_text().splitlines()[-1].split(",")

@@ -1,11 +1,13 @@
 """Model-layer tests: interference, utilities, uncertainty, scenario I/O."""
 import json
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riwfa import (
     ChannelRealization,
@@ -13,6 +15,7 @@ from riwfa import (
     PowerConstraints,
     Scenario,
     UncertaintySpec,
+    best_response,
     effective_interference,
     load_bundled_scenario,
     load_scenario,
@@ -28,6 +31,7 @@ from riwfa import (
     zero_profile,
 )
 from riwfa.analysis import _ratio_matrices
+from riwfa.model import EFFECTIVE_INTERFERENCE_FLOOR, MODES
 
 
 def single_user_channel(gain: float, noise: float, num_subchannels: int = 1):
@@ -221,6 +225,65 @@ def test_multiplier_identities_are_exact():
     assert np.array_equal(full.effective_eps(), worst.effective_eps())
 
 
+@st.composite
+def uncertainty_instances(draw):
+    """A random spec on a random channel and feasible profile; eps up to 3, so
+    probabilistic specs with delta0 < 0.5 are often degenerate."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(MODES))
+    spec = UncertaintySpec(eps=draw(arrays(float, (m, k), elements=st.floats(0.0, 3.0))),
+                           mode=mode,
+                           delta0=draw(st.floats(0.0, 1.0)) if mode == "probabilistic" else None)
+    sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)), cross_range=(0.0, 0.5),
+                         mask=draw(st.sampled_from([None, 0.3])))
+    profile = uniform_profile(sc.constraints) * draw(st.floats(0.0, 1.0))
+    return spec, sc.with_uncertainty(spec), profile
+
+
+DEGENERATE = UncertaintySpec.uniform(2, 3, 2.5, mode="probabilistic", delta0=0.1)
+ZERO_MULTIPLIER = UncertaintySpec.uniform(2, 3, 2.0, mode="probabilistic", delta0=0.25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example((DEGENERATE, random_scenario(2, 3, seed=1).with_uncertainty(DEGENERATE),
+          np.full((2, 3), 0.2)))
+@example((ZERO_MULTIPLIER, random_scenario(2, 3, seed=2).with_uncertainty(ZERO_MULTIPLIER),
+          np.zeros((2, 3))))
+@given(uncertainty_instances())
+def test_uncertainty_spec_applies_one_rule_per_mode(instance):
+    spec, sc, profile = instance
+    eps = spec.eps
+    if spec.mode == "nominal":
+        mult, eff = np.ones_like(eps), np.zeros_like(eps)
+    elif spec.mode == "worstcase":
+        mult, eff = 1.0 + eps, eps.copy()
+    else:
+        mult = 1.0 + eps * (2.0 * spec.delta0 - 1.0)
+        eff = np.abs(eps * (2.0 * spec.delta0 - 1.0))
+    back = pickle.loads(pickle.dumps(spec))
+    for got, want in ((spec.multipliers(), mult), (spec.effective_eps(), eff),
+                      (back.multipliers(), mult), (back.effective_eps(), eff)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+    for cached in (spec.multipliers(), spec.effective_eps()):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    assert spec.is_degenerate() == bool(np.any(mult <= 0))
+
+    # a degenerate spec clamps at the floor, and every reply stays feasible
+    s_bar = normalized_interference(sc.channel, profile)
+    for i in range(sc.num_users):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
+            s_eff = effective_interference(s_bar[i], spec, i)
+            reply = best_response(i, sc.channel, profile, sc.constraints, spec).p
+        assert np.all(s_eff >= EFFECTIVE_INTERFERENCE_FLOOR)
+        replied = profile.copy()
+        replied[i] = reply
+        assert profile_feasible(replied, sc.constraints)
+
+
 def test_uncertainty_spec_validation():
     with pytest.raises(ValueError):
         UncertaintySpec(eps=np.zeros((2, 2)), mode="pessimistic")
@@ -307,10 +370,8 @@ def test_scenario_shape_consistency():
 
 
 def test_scenario_roundtrip(tmp_path):
-    sc = random_scenario(3, 5, seed=9,
-                         uncertainty=UncertaintySpec.uniform(3, 5, 0.4,
-                                                             mode="probabilistic",
-                                                             delta0=0.8))
+    sc = random_scenario(3, 5, seed=9).with_uncertainty(
+        UncertaintySpec.uniform(3, 5, 0.4, mode="probabilistic", delta0=0.8))
     path = tmp_path / "sc.json"
     save_scenario(sc, path)
     back = load_scenario(path)
