@@ -8,8 +8,10 @@
 #
 # All six presets run at --jobs 1; fig1 and fig3 run once more at
 # --realizations 2 --jobs 2, and table3 at --jobs 4, which plays its one run
-# without a worker process. `sweep-eps-jobs2` is `sweep-eps` at --jobs 2, so
-# its files must equal those of its --jobs 1 twin byte for byte. Each demo runs inside its own directory, where
+# without a worker process. `sweep-eps-jobs2` and `sweep-delta0-jobs2` are
+# `sweep-eps` and `sweep-delta0` at --jobs 2, so their files must equal those
+# of their --jobs 1 twins byte for byte; the second sends probabilistic specs
+# to the workers. Each demo runs inside its own directory, where
 # uncertainty_sweeps.py also writes its CSVs to the relative directory csv/,
 # so no absolute path enters its output. The fixed commands run the same way,
 # each in OUT_DIR/cli-<name>. Running the script in two checkouts
@@ -92,6 +94,8 @@ cli sweep-eps-jobs2 sweep --generate low $small --eps-grid 0,0.5,1 --realization
     --out sweep.csv
 cli sweep-delta0 sweep --generate high $small --delta0-grid 0,0.5,1 --eps 0.8 \
     --realizations 3 --max-iter 300 --out sweep.csv
+cli sweep-delta0-jobs2 sweep --generate high $small --delta0-grid 0,0.5,1 --eps 0.8 \
+    --realizations 3 --max-iter 300 --jobs 2 --out sweep.csv
 cli run-high-k1 run --generate high --users 9 --subchannels 1 --seed 1 --out report.json
 # sequential play that falls into a cycle of period 5 at tick 13 and is
 # fast-forwarded to the cap: its files are those of all 300 ticks

@@ -10,13 +10,15 @@ configuration.
 `sweep` and every `reproduce` preset play their games through one engine,
 `dynamics.sweep_reports`, which plays a list of realized scenarios: the CLI
 alone decides which channels those are (`_resolve_source` for `--scenario`
-or `--generate`).  A preset is a declaration of its channels, specs and
-checks, and `cmd_reproduce` writes its files and verdict.
+or `--generate`), and `_draws` draws every generated channel, for
+`--generate` and the fig presets alike.  A preset is a declaration of its
+channels, specs and checks, and `cmd_reproduce` writes its files and verdict.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -61,7 +63,6 @@ FIG_DELTA0_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 FIG_DELTA0_EPS = 0.8
 MONOTONE_TOL = 1e-9
 FIG_USERS, FIG_SUBCHANNELS = 8, 64
-MAX_CERTIFY_ATTEMPTS = 10_000
 
 
 class CliError(Exception):
@@ -118,8 +119,8 @@ def _add_dynamics_flags(parser):
     group.add_argument("--schedule-seed", type=int,
                        help="seed for asynchronous schedule draws (default 0)")
     group.add_argument("--init", default="zero", choices=("zero", "uniform"))
-    group.add_argument("--tol", type=float, default=1e-8)
-    group.add_argument("--max-iter", type=int, default=10_000)
+    group.add_argument("--tol", type=float, default=RunConfig.tol)
+    group.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,6 +188,13 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         raise CliError(f"{flag}: {exc}") from None
 
 
+def _draws(ensemble: str, seed: int, count: int,
+           m: int = FIG_USERS, k: int = FIG_SUBCHANNELS) -> list[Scenario]:
+    """The `count` m x k channels of `ensemble` drawn at seeds `seed`, `seed + 1`, ..."""
+    return [random_scenario(m, k, seed=s, **ENSEMBLES[ensemble])
+            for s in range(seed, seed + count)]
+
+
 def _resolve_source(args, count: int = 1) -> tuple[list[Scenario], dict]:
     """Return (scenarios, source description dict): the --scenario file, or
     the `count` channels --generate draws at seeds --seed, --seed + 1, ...
@@ -209,9 +217,7 @@ def _resolve_source(args, count: int = 1) -> tuple[list[Scenario], dict]:
             raise CliError("a --scenario file is one realization: --realizations must be 1")
         return [scenario], {"scenario": args.scenario}
     with _input_errors():
-        scenarios = [random_scenario(args.users, args.subchannels, seed=seed,
-                                     **ENSEMBLES[args.generate])
-                     for seed in range(args.seed, args.seed + count)]
+        scenarios = _draws(args.generate, args.seed, count, args.users, args.subchannels)
     return scenarios, {"generate": args.generate, "users": args.users,
                        "subchannels": args.subchannels, "seed": args.seed}
 
@@ -250,10 +256,6 @@ def _resolve_async_flags(args) -> None:
             raise CliError(f"--{name.replace('_', '-')} applies only to run --schedule asynchronous")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _check_output_path(path: str | None) -> None:
     """Reject a path that names a directory or lies in a missing one before
     any game is played or file written, so that `run` with two outputs
@@ -263,12 +265,10 @@ def _check_output_path(path: str | None) -> None:
         raise CliError(f"cannot write {path}: not a file in an existing directory")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _emit(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as indented, key-sorted JSON to ``out`` (None: stdout)."""
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +276,11 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _report_dict(report) -> dict:
-    return {
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "residual": report.residual,
-        "per_user_utility": [float(u) for u in report.per_user_utility],
-        "social_utility": report.social_utility,
-        "orthogonality_index": report.orthogonality_index,
-        "degenerate_uncertainty": report.degenerate_uncertainty,
-        "stop_reason": report.stop_reason,
-        "cycle_period": report.cycle_period,
-        "best_responses": report.best_responses,
-        "supports": report.supports,
-        "profile": report.profile.tolist(),
-    }
+    """The report's fields, arrays as lists, without the per-tick log."""
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+              if f.name not in ("trajectory", "step_residuals")}
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in values.items()}
 
 
 def cmd_run(args) -> int:
@@ -305,7 +296,11 @@ def cmd_run(args) -> int:
         schedule = (Schedule(args.schedule, args.update_prob, args.max_staleness,
                              args.schedule_seed)
                     if args.schedule == "asynchronous" else Schedule(args.schedule))
-    report = run(scenario, schedule, config)
+    try:
+        report = run(scenario, schedule, config)
+    except MemoryError:
+        raise CliError(f"the per-tick log of --max-iter {args.max_iter} ticks does not fit "
+                       "in memory: lower --max-iter or drop --trajectory/--summary") from None
 
     resolved = {"command": "run", **source_desc,
                 "mode": scenario.uncertainty.mode,
@@ -315,7 +310,7 @@ def cmd_run(args) -> int:
                 "schedule_seed": args.schedule_seed,
                 "init": args.init, "tol": args.tol, "max_iter": args.max_iter}
     payload = {"config": resolved, "report": _report_dict(report)}
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
     preamble = json.dumps(resolved, sort_keys=True)
     if args.trajectory is not None:
         write_trajectory_csv(report, args.trajectory, preamble=preamble)
@@ -378,7 +373,7 @@ def cmd_check(args) -> int:
     payload = {"config": resolved,
                "uniqueness": uniqueness.to_dict(),
                "async_convergence": asynchronous.to_dict()}
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -406,11 +401,12 @@ class Checks:
 # A preset declares its channels, specs and iteration cap, plays them through
 # _play and returns (config entries, Checks, report data, SweepResult or
 # None); cmd_reproduce writes the files and the verdict.  Each channel is
-# drawn once and played at every grid point.
+# drawn once, by _draws, and played at every grid point.  fig1 needs no
+# uniqueness filter: in the low ensemble the certificate's left side at eps = 0
+# is at most sqrt(M (M - 1)) * cross_hi / direct_lo < 0.05 on every 8x64 draw.
 
-def _play(args, scenarios, specs, max_iter: int = 10_000):
-    return sweep_reports(scenarios, specs,
-                         config=RunConfig(tol=1e-8, max_iter=max_iter), jobs=args.jobs)
+def _play(args, scenarios, specs, max_iter: int = RunConfig.max_iter):
+    return sweep_reports(scenarios, specs, config=RunConfig(max_iter=max_iter), jobs=args.jobs)
 
 
 def _stop_counts(reports) -> dict:
@@ -470,24 +466,9 @@ def _preset_table4(args):
     return {}, checks, {"robust": _report_dict(robust), "nominal": _report_dict(nominal)}, None
 
 
-def _certified_scenarios(count: int, base_seed: int) -> list[Scenario]:
-    """The first `count` low-interference channels drawn from `base_seed` on
-    that pass the uniqueness certificate at eps=0."""
-    scenarios, seed = [], base_seed
-    while len(scenarios) < count:
-        if seed - base_seed >= MAX_CERTIFY_ATTEMPTS:
-            raise CliError(f"could not find {count} certificate-passing "
-                           f"channels in {MAX_CERTIFY_ATTEMPTS} draws")
-        sc = random_scenario(FIG_USERS, FIG_SUBCHANNELS, seed=seed, **ENSEMBLES["low"])
-        if check_rne_uniqueness(sc.channel, sc.uncertainty).passed:
-            scenarios.append(sc)
-        seed += 1
-    return scenarios
-
-
 def _preset_fig1(args):
     count = args.realizations or 20
-    scenarios = _certified_scenarios(count, base_seed=100)
+    scenarios = _draws("low", 100, count)
     reports = _play(args, scenarios, [UncertaintySpec.uniform(FIG_USERS, FIG_SUBCHANNELS, eps)
                                       for eps in FIG_EPS_GRID])
     result = SweepResult.from_reports("epsilon", FIG_EPS_GRID, reports)
@@ -513,8 +494,7 @@ def _preset_fig1(args):
 def _preset_fig2(args):
     count = args.realizations or 20
     grid = [0.0, 1.0, 2.0, 3.0]
-    scenarios = [random_scenario(FIG_USERS, FIG_SUBCHANNELS, seed=seed, **ENSEMBLES["high"])
-                 for seed in range(900, 900 + count)]
+    scenarios = _draws("high", 900, count)
     reports = _play(args, scenarios, [UncertaintySpec.uniform(FIG_USERS, FIG_SUBCHANNELS, eps)
                                       for eps in grid], max_iter=2_000)
     result = SweepResult.from_reports("epsilon", grid, reports)
@@ -533,15 +513,15 @@ def _preset_fig2(args):
     return config, checks, data, result
 
 
-def _delta0_comparison(args, preset: str, ensemble: str, base_seed: int, max_iter: int):
+def _delta0_comparison(args, preset: str, ensemble: str, base_seed: int,
+                       max_iter: int = RunConfig.max_iter):
     count = args.realizations or 10
     m, k = FIG_USERS, FIG_SUBCHANNELS
     grid = FIG_DELTA0_GRID
     specs = [UncertaintySpec.nominal(m, k), UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS)]
     specs += [UncertaintySpec.uniform(m, k, FIG_DELTA0_EPS, mode="probabilistic", delta0=d0)
               for d0 in grid]
-    scenarios = [random_scenario(m, k, seed=seed, **ENSEMBLES[ensemble])
-                 for seed in range(base_seed, base_seed + count)]
+    scenarios = _draws(ensemble, base_seed, count)
     reports = _play(args, scenarios, specs, max_iter)
     nominal, wc, *prob = reports
     result = SweepResult.from_reports("delta0", grid, prob)
@@ -591,7 +571,7 @@ def _delta0_comparison(args, preset: str, ensemble: str, base_seed: int, max_ite
 PRESETS = {
     "table3": _preset_table3, "table4": _preset_table4,
     "fig1": _preset_fig1, "fig2": _preset_fig2,
-    "fig3": lambda args: _delta0_comparison(args, "fig3", "low", base_seed=600, max_iter=10_000),
+    "fig3": lambda args: _delta0_comparison(args, "fig3", "low", base_seed=600),
     "fig4": lambda args: _delta0_comparison(args, "fig4", "high", base_seed=900, max_iter=2_000),
 }
 
@@ -612,7 +592,7 @@ def cmd_reproduce(args) -> int:
         write_sweep_csv(result, f"{args.out_dir}/{args.preset}_data.csv",
                         preamble=json.dumps(resolved, sort_keys=True))
     payload = {"config": resolved, "checks": checks.items, "data": data}
-    _emit(_json_text(payload), f"{args.out_dir}/{args.preset}_report.json")
+    _emit(payload, f"{args.out_dir}/{args.preset}_report.json")
     code = EXIT_OK if checks.must_ok() else EXIT_FAILED
     print(f"preset {args.preset}: {'OK' if code == EXIT_OK else 'FAILED'}")
     return code

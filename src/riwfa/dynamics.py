@@ -31,11 +31,11 @@ caller's choice alone.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +108,7 @@ class Schedule:
             yield updates, snapshots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """Iteration controls: initial profile, stopping tolerance, iteration cap, per-tick log."""
 
@@ -267,17 +267,26 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     )
 
 
+@contextlib.contextmanager
+def _csv_writer(path, header, preamble: str | None):
+    """A csv writer on ``path``, a file name or an open text file, after the
+    leading '# preamble' comment line (if any) and the header row."""
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", newline="")) as fh:
+        if preamble is not None:
+            fh.write(f"# {preamble}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield writer
+
+
 def write_trajectory_csv(report: EquilibriumReport, path,
                          preamble: str | None = None) -> None:
     """Long-format trajectory: one row per (iteration, user, subchannel).
     ``preamble`` becomes a leading '#' comment line."""
     if report.trajectory is None:
         raise ValueError("run was not configured with record_trajectory=True")
-    with open(path, "w", newline="") as fh:
-        if preamble is not None:
-            fh.write(f"# {preamble}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "user", "subchannel", "power"])
+    with _csv_writer(path, ["iteration", "user", "subchannel", "power"], preamble) as writer:
         for t, profile in enumerate(report.trajectory):
             for i in range(profile.shape[0]):
                 for k in range(profile.shape[1]):
@@ -290,11 +299,7 @@ def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
     ``preamble`` becomes a leading '#' comment line."""
     if report.trajectory is None:
         raise ValueError("run was not configured with record_trajectory=True")
-    with open(path, "w", newline="") as fh:
-        if preamble is not None:
-            fh.write(f"# {preamble}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual", "social_utility"])
+    with _csv_writer(path, ["iteration", "residual", "social_utility"], preamble) as writer:
         for t in range(1, len(report.trajectory)):
             # summed as run() sums it, so the last row equals report.social_utility
             social = per_user_utilities(report.trajectory[t], scenario.channel).sum()
@@ -365,6 +370,7 @@ def sweep_reports(scenarios, specs, schedule_kind: str = "sequential",
     tasks = [(scenario, spec, schedule_kind, config) for spec in specs for scenario in scenarios]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(_sweep_run, tasks))
     else:
@@ -380,21 +386,10 @@ def write_sweep_csv(result: SweepResult, path, preamble: str | None = None) -> N
     means = result.mean_social_utility
     stds = result.std_social_utility
     counts = result.num_converged
-
-    def _write(fh):
-        if preamble is not None:
-            fh.write(f"# {preamble}\n")
-        writer = csv.writer(fh)
-        writer.writerow([result.parameter, "mean_social_utility", "std",
-                         "num_converged", "num_total"])
+    with _csv_writer(path, [result.parameter, "mean_social_utility", "std", "num_converged",
+                            "num_total"], preamble) as writer:
         for g in range(result.grid.size):
             mean = "" if np.isnan(means[g]) else repr(float(means[g]))
             std = "" if np.isnan(stds[g]) else repr(float(stds[g]))
             writer.writerow([repr(float(result.grid[g])), mean, std,
                              int(counts[g]), result.num_total])
-
-    if hasattr(path, "write"):
-        _write(path)
-    else:
-        with open(path, "w", newline="") as fh:
-            _write(fh)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +48,16 @@ class DegenerateUncertaintyWarning(UserWarning):
     """
 
 
+# Each model class pickles as a call to its constructor (``__reduce__``), so a
+# sweep worker's copy is read-only too: numpy unpickles an array as writable.
+
 def _readonly_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Channel gains and noise powers for an M-user, K-sub-channel network.
 
@@ -76,8 +78,8 @@ class ChannelRealization:
 
     gains: np.ndarray
     noise: np.ndarray
-    cross_gains: np.ndarray = field(init=False, repr=False, compare=False)
-    direct_gains: np.ndarray = field(init=False, repr=False, compare=False)
+    cross_gains: np.ndarray = field(init=False, repr=False)
+    direct_gains: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         gains = _readonly_array(self.gains)
@@ -105,6 +107,9 @@ class ChannelRealization:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        return type(self), (self.gains, self.noise)
+
     @property
     def num_users(self) -> int:
         return self.gains.shape[0]
@@ -114,7 +119,7 @@ class ChannelRealization:
         return self.gains.shape[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerConstraints:
     """Per-user power budget and per-sub-channel spectral mask.
 
@@ -139,6 +144,9 @@ class PowerConstraints:
         object.__setattr__(self, "p_max", p_max)
         object.__setattr__(self, "mask", mask)
 
+    def __reduce__(self):
+        return type(self), (self.p_max, self.mask)
+
     @classmethod
     def uniform(cls, num_users: int, num_subchannels: int, p_max: float, mask: float | None = None):
         """Same budget for every user and a flat mask (default: mask = p_max)."""
@@ -158,7 +166,7 @@ class PowerConstraints:
         return self.mask.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintySpec:
     """Relative error bounds on measured interference, and how to respond.
 
@@ -176,8 +184,8 @@ class UncertaintySpec:
     eps: np.ndarray
     mode: str = "nominal"
     delta0: float | None = None
-    _multipliers: np.ndarray = field(init=False, repr=False, compare=False)
-    _effective_eps: np.ndarray = field(init=False, repr=False, compare=False)
+    _multipliers: np.ndarray = field(init=False, repr=False)
+    _effective_eps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         eps = _readonly_array(self.eps)
@@ -202,6 +210,9 @@ class UncertaintySpec:
                             ("_effective_eps", np.abs(shift))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), (self.eps, self.mode, self.delta0)
 
     @classmethod
     def nominal(cls, num_users: int, num_subchannels: int):
@@ -230,7 +241,7 @@ class UncertaintySpec:
         return bool(np.any(self._multipliers <= 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A complete game instance: channel, constraints, uncertainty, seed."""
 
@@ -535,9 +546,7 @@ def load_scenario(path) -> Scenario:
 
 def load_bundled_scenario(name: str = "table2") -> Scenario:
     """Load a scenario shipped with the package (see riwfa/data/)."""
-    ref = resources.files("riwfa").joinpath(f"data/{name}.json")
-    try:
-        text = ref.read_text()
-    except FileNotFoundError:
-        raise ValueError(f"no bundled scenario named {name!r}") from None
-    return scenario_from_dict(json.loads(text))
+    path = Path(__file__).with_name("data") / f"{name}.json"
+    if not path.is_file():
+        raise ValueError(f"no bundled scenario named {name!r}")
+    return load_scenario(path)

@@ -1,8 +1,10 @@
 """Grid-search oracles that check the closed-form solvers from the outside.
 
-Both oracles restrict powers to a lattice with a fixed step and score
-candidates with nothing but the utility definition, so they share no code
-path with the water-filling solver they are meant to audit.
+``brute_force_best_response`` restricts powers to a lattice with a fixed
+step and scores candidates with nothing but the utility definition, so it
+shares no code with ``waterfill``.  ``exhaustive_equilibrium_scan`` by design
+scores grid profiles with ``fixed_point_residual``, whose exact best responses
+call ``waterfill``: it checks equilibria, not the water-filler.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 """Certificate and metric tests for the analysis layer, and sweep-engine tests."""
+import concurrent.futures
 import io
 import warnings
 
@@ -33,7 +34,6 @@ from riwfa import (
     write_sweep_csv,
     zero_profile,
 )
-from riwfa import dynamics
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -422,7 +422,8 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", RecordingPool)
+    # sweep_reports imports the pool only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     scenarios = _draw(2, 6, [5])
     sweep_reports(scenarios, _eps_specs(2, 6, [0.5]), jobs=64)
     assert sizes == []  # one run plays in this process

@@ -8,14 +8,19 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import riwfa
 from riwfa import (
+    ENSEMBLES,
     ChannelRealization,
     PowerConstraints,
     Scenario,
     UncertaintySpec,
+    check_rne_uniqueness,
     load_bundled_scenario,
+    random_scenario,
     save_scenario,
 )
 from riwfa import cli
@@ -117,6 +122,18 @@ def test_run_summary_of_a_cycling_run(capsys, tmp_path):
     assert float(lines[-1].split(",")[2]) == report["social_utility"]
 
 
+def test_run_report_holds_exactly_its_summary_keys(capsys, tmp_path):
+    # a recorded run keeps its per-tick log out of the JSON report
+    code, out, _ = run_cli(capsys, [
+        "run", "--generate", "low", "--users", "2", "--subchannels", "3",
+        "--trajectory", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.csv")])
+    assert code == EXIT_OK
+    assert set(json.loads(out)["report"]) == {
+        "converged", "iterations", "residual", "per_user_utility", "social_utility",
+        "orthogonality_index", "degenerate_uncertainty", "stop_reason", "cycle_period",
+        "best_responses", "supports", "profile"}
+
+
 def test_run_reports_stop_reason_of_a_converging_run(capsys, tmp_path):
     summary = tmp_path / "s.csv"
     code, out, _ = run_cli(capsys, [
@@ -169,6 +186,34 @@ def test_cycling_run_with_a_huge_cap_keeps_no_per_tick_log(tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())["report"]
     assert report["stop_reason"] == "cycle" and report["cycle_period"] == 5
     assert report["iterations"] == 10**12
+
+
+def test_recorded_cycling_run_with_a_huge_cap_is_an_input_error(tmp_path):
+    # a per-tick log of 1e12 rows cannot fit in a 2 GiB address space: the run
+    # says so in an error line and writes none of its files
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(riwfa.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "riwfa", "run", "--generate", "high", "--users", "6",
+         "--subchannels", "8", "--seed", "35", "--max-iter", "1000000000000",
+         "--out", "r.json", "--summary", "s.csv"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert "--max-iter" in done.stderr and "--trajectory/--summary" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a sweep with more than one worker imports concurrent.futures
+    src = os.path.dirname(os.path.dirname(riwfa.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, riwfa.cli; print('concurrent.futures' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.stdout == "False\n"
 
 
 def test_run_requires_exactly_one_source(capsys, table2_file):
@@ -410,6 +455,21 @@ def test_reproduce_fig1_smoke(capsys, tmp_path):
     assert (tmp_path / "fig1_report.json").exists()
     assert_jobs_invariant(capsys, "fig1", tmp_path, out,
                           ["fig1_data.csv", "fig1_report.json"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(seed=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_low_interference_draw_passes_the_uniqueness_certificate(seed):
+    # fig1 needs a unique equilibrium and plays its low draws unfiltered: the
+    # ensemble bounds every gain ratio, so the certificate holds on any draw
+    m, k = cli.FIG_USERS, cli.FIG_SUBCHANNELS
+    low = ENSEMBLES["low"]
+    bound = np.sqrt(m * (m - 1)) * low["cross_range"][1] / low["direct_range"][0]
+    sc = random_scenario(m, k, seed=seed, **low)
+    result = check_rne_uniqueness(sc.channel, sc.uncertainty)
+    assert result.passed
+    assert result.margin + 1.0 <= bound
 
 
 def test_reproduce_fig3_smoke(capsys, tmp_path):

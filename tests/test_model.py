@@ -13,6 +13,7 @@ from riwfa import (
     ChannelRealization,
     DegenerateUncertaintyWarning,
     PowerConstraints,
+    RunConfig,
     Scenario,
     UncertaintySpec,
     best_response,
@@ -265,7 +266,8 @@ def test_uncertainty_spec_applies_one_rule_per_mode(instance):
                       (back.multipliers(), mult), (back.effective_eps(), eff)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
-    for cached in (spec.multipliers(), spec.effective_eps()):
+    for cached in (spec.multipliers(), spec.effective_eps(),
+                   back.eps, back.multipliers(), back.effective_eps()):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
@@ -367,6 +369,47 @@ def test_scenario_shape_consistency():
     with pytest.raises(ValueError):
         Scenario(channel=channel, constraints=good,
                  uncertainty=UncertaintySpec.nominal(2, 4))
+
+
+def model_arrays(obj):
+    """Every ndarray attribute of a model object, and of the model objects it holds."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (ChannelRealization, PowerConstraints, UncertaintySpec)):
+            yield from model_arrays(value)
+
+
+@pytest.mark.parametrize("spec", [
+    UncertaintySpec.nominal(3, 5),
+    UncertaintySpec.uniform(3, 5, 0.4),
+    UncertaintySpec.uniform(3, 5, 0.8, mode="probabilistic", delta0=0.25),
+])
+def test_pickled_model_objects_keep_read_only_arrays(spec):
+    # a sweep hands each worker process pickled scenarios and specs
+    sc = random_scenario(3, 5, seed=9, mask=0.3).with_uncertainty(spec)
+    for obj in (sc, spec, sc.channel, sc.constraints):
+        back = pickle.loads(pickle.dumps(obj))
+        arrays_before, arrays_back = list(model_arrays(obj)), list(model_arrays(back))
+        assert len(arrays_back) == len(arrays_before) > 0
+        for got, want in zip(arrays_back, arrays_before):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got.flat[0] = 1.0
+    back = pickle.loads(pickle.dumps(sc))
+    assert (back.seed, back.uncertainty.mode, back.uncertainty.delta0) == (
+        sc.seed, spec.mode, spec.delta0)
+
+
+def test_model_objects_compare_by_identity():
+    # arrays have no single truth value, so equality is identity, not a ValueError
+    sc = random_scenario(2, 3, seed=1)
+    assert sc == sc
+    assert (sc == random_scenario(2, 3, seed=1)) is False
+    assert (sc.uncertainty == UncertaintySpec.nominal(2, 3)) is False
+    assert (RunConfig(init=np.zeros((2, 3))) == RunConfig(init=np.zeros((2, 3)))) is False
+    assert len({sc, sc.channel, sc.constraints, sc.uncertainty}) == 4  # hashable too
 
 
 def test_scenario_roundtrip(tmp_path):
