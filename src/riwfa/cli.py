@@ -71,12 +71,14 @@ class CliError(Exception):
 
 @contextlib.contextmanager
 def _input_errors():
-    """Report a ValueError raised while validating flag values as an input
-    error: an `error:` line and exit 1, not a traceback."""
+    """Report a ValueError raised while validating flag values, or a draw too
+    large for memory, as an input error: an `error:` line and exit 1."""
     try:
         yield
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    except MemoryError as exc:
+        raise CliError(str(exc) or "out of memory") from None
 
 
 # ---------------------------------------------------------------------------

@@ -269,28 +269,27 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
 
 @contextlib.contextmanager
 def _csv_writer(path, header, preamble: str | None):
-    """A csv writer on ``path``, a file name or an open text file, after the
-    leading '# preamble' comment line (if any) and the header row."""
+    """``(file, csv writer)`` on ``path``, a file name or an open text file,
+    after the leading '# preamble' comment line (if any) and the header row."""
     with (contextlib.nullcontext(path) if hasattr(path, "write")
           else open(path, "w", newline="")) as fh:
         if preamble is not None:
             fh.write(f"# {preamble}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        yield writer
+        yield fh, writer
 
 
 def write_trajectory_csv(report: EquilibriumReport, path,
                          preamble: str | None = None) -> None:
-    """Long-format trajectory: one row per (iteration, user, subchannel).
-    ``preamble`` becomes a leading '#' comment line."""
+    """Long-format trajectory: one row per (iteration, user, subchannel), one string
+    per tick, as csv.writer writes it.  ``preamble`` becomes a leading '#' comment line."""
     if report.trajectory is None:
         raise ValueError("run was not configured with record_trajectory=True")
-    with _csv_writer(path, ["iteration", "user", "subchannel", "power"], preamble) as writer:
-        for t, profile in enumerate(report.trajectory):
-            for i in range(profile.shape[0]):
-                for k in range(profile.shape[1]):
-                    writer.writerow([t, i, k, repr(float(profile[i, k]))])
+    cells = [f"{i},{k}," for i, k in np.ndindex(report.trajectory[0].shape)]
+    with _csv_writer(path, ["iteration", "user", "subchannel", "power"], preamble) as (fh, _):
+        for t, x in enumerate(report.trajectory):
+            fh.write("".join([f"{t},{c}{p!r}\r\n" for c, p in zip(cells, x.ravel().tolist())]))
 
 
 def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
@@ -299,7 +298,7 @@ def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
     ``preamble`` becomes a leading '#' comment line."""
     if report.trajectory is None:
         raise ValueError("run was not configured with record_trajectory=True")
-    with _csv_writer(path, ["iteration", "residual", "social_utility"], preamble) as writer:
+    with _csv_writer(path, ["iteration", "residual", "social_utility"], preamble) as (_, writer):
         for t in range(1, len(report.trajectory)):
             # summed as run() sums it, so the last row equals report.social_utility
             social = per_user_utilities(report.trajectory[t], scenario.channel).sum()
@@ -387,7 +386,7 @@ def write_sweep_csv(result: SweepResult, path, preamble: str | None = None) -> N
     stds = result.std_social_utility
     counts = result.num_converged
     with _csv_writer(path, [result.parameter, "mean_social_utility", "std", "num_converged",
-                            "num_total"], preamble) as writer:
+                            "num_total"], preamble) as (_, writer):
         for g in range(result.grid.size):
             mean = "" if np.isnan(means[g]) else repr(float(means[g]))
             std = "" if np.isnan(stds[g]) else repr(float(stds[g]))

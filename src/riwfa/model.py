@@ -256,6 +256,11 @@ class Scenario:
             raise ValueError("constraints shapes do not match the channel")
         if self.uncertainty.eps.shape != (m, k):
             raise ValueError("uncertainty eps shape does not match the channel")
+        with np.errstate(over="ignore"):  # s rises with every power; |mult| <= 1 + eps
+            worst = normalized_interference(self.channel, self.constraints.mask)
+            worst *= 1.0 + self.uncertainty.eps
+        if not np.isfinite(worst).all():
+            raise ValueError("interference at full mask power, times 1 + eps, overflows float64")
 
     @property
     def num_users(self) -> int:

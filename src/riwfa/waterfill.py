@@ -6,15 +6,16 @@ sum_k p[k] <= p_max,  0 <= p[k] <= mask[k]  is
 
     p[k] = clamp(mu - s[k], 0, mask[k])
 
-where the water level mu is chosen to spend the budget exactly, unless the
-caps alone sum to at most the budget (then every channel saturates and the
-budget constraint is slack).  The dual variable of the budget constraint is
-lam = 1/mu.
+where the water level mu is chosen to spend the budget exactly, or is +inf
+when the caps alone sum to at most the budget (then every channel saturates,
+the budget is slack and its dual variable lam = 1/mu is 0).
 
 The total is piecewise linear in mu, with breakpoints at s[k] and
-s[k] + mask[k].  ``waterfill`` sorts them once, accumulates the total along
-them and solves the segment that reaches the budget in closed form (Palomar
-and Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration.
+s[k] + mask[k].  One closed form, ``_waterfill``, sorts them once, accumulates
+the total along them and solves the segment that reaches the budget (Palomar
+and Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration and no
+input checks.  ``waterfill`` checks its input first; ``best_response`` trusts
+the validated model objects.
 """
 from __future__ import annotations
 
@@ -65,35 +66,36 @@ def waterfill(s_eff: np.ndarray, p_max: float, mask) -> WaterfillSolution:
         raise ValueError("mask entries must be finite and > 0")
     if not np.isfinite(p_max) or p_max <= 0:
         raise ValueError("p_max must be finite and > 0")
+    return _waterfill(s, p_max, mask)
 
+
+def _waterfill(s: np.ndarray, p_max: float, mask: np.ndarray) -> WaterfillSolution:
     if mask.sum() <= p_max:
-        # Every channel saturates; the budget never binds.
-        return WaterfillSolution(p=mask.copy(), water_level=np.inf, lam=0.0,
-                                 budget_active=False)
-
-    top = s + mask
-    levels = np.concatenate((s, top))
-    order = np.argsort(levels)
-    levels = levels[order]
-    # slope[j] channels fill on segment j, from levels[j] to levels[j + 1];
-    # spent[j] is the total allocated at its upper end.
-    slope = np.cumsum(np.where(order < s.size, 1, -1))[:-1]
-    spent = np.cumsum(slope * np.diff(levels))
-    # Lower end of the first segment to reach the budget (the last breakpoint
-    # if rounding leaves spent[-1] an ulp below it).  No breakpoint lies
-    # inside that segment, so the levels classify every channel.
-    lo = levels[np.searchsorted(spent, p_max)]
-    saturated = top <= lo
-    interior = (s <= lo) & ~saturated    # empty only if capped >= p_max
-    capped = mask[saturated].sum()
-    if capped >= p_max:
-        # The saturated masks alone spend the budget: a running total an ulp
-        # short stepped over the flat stretch they end on.  Take its lower end.
-        mu = float(top[saturated].max())
+        mu = np.inf  # every channel saturates; the budget never binds
     else:
-        mu = float((p_max - capped + s[interior].sum()) / interior.sum())
+        top = s + mask
+        levels = np.concatenate((s, top))
+        order = np.argsort(levels)
+        levels = levels[order]
+        # slope[j] channels fill on segment j, from levels[j] to levels[j + 1];
+        # spent[j] is the total allocated at its upper end.
+        slope = np.cumsum(np.where(order < s.size, 1, -1))[:-1]
+        spent = np.cumsum(slope * np.diff(levels))
+        # Lower end of the first segment to reach the budget (the last breakpoint
+        # if rounding leaves spent[-1] an ulp below it).  No breakpoint lies
+        # inside that segment, so the levels classify every channel.
+        lo = levels[np.searchsorted(spent, p_max)]
+        saturated = top <= lo
+        interior = (s <= lo) & ~saturated    # empty only if capped >= p_max
+        capped = mask[saturated].sum()
+        if capped >= p_max:
+            # The saturated masks alone spend the budget: a running total an ulp
+            # short stepped over the flat stretch they end on.  Take its lower end.
+            mu = float(top[saturated].max())
+        else:
+            mu = float((p_max - capped + s[interior].sum()) / interior.sum())
     return WaterfillSolution(p=np.clip(mu - s, 0.0, mask), water_level=mu,
-                             lam=1.0 / mu, budget_active=True)
+                             lam=1.0 / mu, budget_active=mu < np.inf)
 
 
 def best_response(user: int, channel: ChannelRealization, profile: np.ndarray,
@@ -102,9 +104,13 @@ def best_response(user: int, channel: ChannelRealization, profile: np.ndarray,
     """Water-filling against the interference the other users generate.
 
     ``profile`` is a full (M, K) power profile; the user's own row is ignored.
-    The nominal interference is scaled by the user's uncertainty multipliers
-    before water-filling.
+    The nominal interference, scaled by the user's uncertainty multipliers, is
+    water-filled without re-checking what a ``Scenario`` guarantees.
     """
+    if constraints.mask.shape != (channel.num_users, channel.num_subchannels):
+        raise ValueError("constraints shapes do not match the channel")
     s_bar = normalized_interference(channel, profile, user)
     s_eff = effective_interference(s_bar, uncertainty, user)
-    return waterfill(s_eff, float(constraints.p_max[user]), constraints.mask[user])
+    if not np.isfinite(s_eff).all():
+        raise ValueError("the profile's effective interference must be finite")
+    return _waterfill(s_eff, float(constraints.p_max[user]), constraints.mask[user])

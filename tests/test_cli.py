@@ -207,6 +207,29 @@ def test_recorded_cycling_run_with_a_huge_cap_is_an_input_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--generate", "low", "--users", "100000", "--subchannels", "100000"],
+    ["check", "--generate", "low", "--users", "2000", "--subchannels", "2000"],
+    ["sweep", "--generate", "low", "--users", "2000", "--subchannels", "2000",
+     "--eps-grid", "0"],
+])
+def test_a_draw_too_large_for_memory_is_an_input_error(tmp_path, argv):
+    # the first channel array alone needs tens of GiB, far past a 2 GiB
+    # address space: numpy's MemoryError becomes an error line naming the size
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(riwfa.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "riwfa", *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert "GiB" in done.stderr and done.stderr.count("\n") == 1
+    assert done.stdout == "" and list(tmp_path.iterdir()) == []
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only a sweep with more than one worker imports concurrent.futures
     src = os.path.dirname(os.path.dirname(riwfa.__file__))
@@ -253,6 +276,22 @@ def test_malformed_scenario_diagnostics(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, ["run", "--scenario", str(tmp_path / "nope.json")])
     assert code == EXIT_INPUT and "cannot read" in err
+
+
+def test_scenario_whose_interference_overflows_is_malformed(capsys, tmp_path):
+    # every number is finite, but noise / direct gain is not
+    from riwfa import scenario_to_dict
+
+    data = scenario_to_dict(random_scenario(2, 3, seed=4))
+    data["noise"][0][1] = 1e300
+    data["gains"][0][0][1] = 1e-300
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    for command in ("run", "check"):
+        code, out, err = run_cli(capsys, [command, "--scenario", str(path)])
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: malformed scenario file: ") and "overflows" in err
+        assert err.count("\n") == 1
 
 
 def test_run_byte_identical_reruns(capsys, tmp_path):
@@ -582,6 +621,11 @@ def test_reproduce_input_errors(capsys, tmp_path):
      "--out", "ok.json", "--trajectory", "t.csv", "--summary", "."],
     # a seed numpy cannot take is rejected before the first tick is drawn
     ["run", "--generate", "low", "--schedule", "asynchronous", "--schedule-seed", "-1"],
+    # an eps whose worst-case interference overflows float64
+    ["run", "--generate", "high", "--users", "2", "--subchannels", "2", "--eps", "1e308"],
+    ["sweep", "--generate", "high", "--users", "2", "--subchannels", "2",
+     "--eps-grid", "0,1e308", "--realizations", "1"],
+    ["check", "--generate", "high", "--users", "2", "--subchannels", "2", "--eps", "1e308"],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -371,6 +371,35 @@ def test_scenario_shape_consistency():
                  uncertainty=UncertaintySpec.nominal(2, 4))
 
 
+def test_scenario_rejects_interference_that_overflows():
+    # finite gains and noise whose ratio is not: 1e300 / 1e-300
+    gains = np.full((2, 2, 3), 0.1)
+    gains[1, 1, 2] = 1e-300
+    noise = np.full((2, 3), 0.01)
+    noise[1, 2] = 1e300
+    channel = ChannelRealization(gains=gains, noise=noise)
+    constraints = PowerConstraints.uniform(2, 3, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        Scenario(channel=channel, constraints=constraints,
+                 uncertainty=UncertaintySpec.nominal(2, 3))
+    doc = scenario_to_dict(random_scenario(2, 3, seed=1))
+    doc["gains"], doc["noise"] = gains.tolist(), noise.tolist()
+    with pytest.raises(ValueError, match="overflows"):
+        scenario_from_dict(doc)
+
+    # a neighbouring channel whose worst interference is about 1e300 still fits,
+    # until an eps scales it past float64
+    gains[1, 1, 2] = 1.0
+    fits = Scenario(channel=ChannelRealization(gains=gains, noise=noise),
+                    constraints=constraints, uncertainty=UncertaintySpec.nominal(2, 3))
+    assert normalized_interference(fits.channel, constraints.mask, 1)[2] == pytest.approx(1e300)
+    doc["gains"] = gains.tolist()
+    assert scenario_from_dict(doc).channel.direct_gains[1, 2] == 1.0
+    fits.with_uncertainty(UncertaintySpec.uniform(2, 3, 1e3))
+    with pytest.raises(ValueError, match="overflows"):
+        fits.with_uncertainty(UncertaintySpec.uniform(2, 3, 1e9))
+
+
 def model_arrays(obj):
     """Every ndarray attribute of a model object, and of the model objects it holds."""
     for value in vars(obj).values():

@@ -1,17 +1,26 @@
 """Water-filling solver tests against closed forms and KKT conditions."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riwfa import (
+    DegenerateUncertaintyWarning,
+    PowerConstraints,
     UncertaintySpec,
     best_response,
+    effective_interference,
+    fixed_point_residual,
+    normalized_interference,
     random_scenario,
     uniform_profile,
     user_utility,
     waterfill,
 )
+from riwfa.model import MODES
 
 PROPERTY = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
@@ -199,3 +208,62 @@ def test_best_response_respects_constraints():
                         UncertaintySpec.uniform(3, 5, 0.5))
     assert np.all(sol.p <= 0.3 + 1e-12)
     assert sol.p.sum() <= 1.0 + 1e-9
+
+
+@st.composite
+def reply_instances(draw):
+    """A channel with random budgets and masks (a budget the masks cannot
+    fill, often), a spec of any mode with eps up to 3 (so probabilistic
+    multipliers often clamp), and a profile of random fractions of the masks."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(MODES))
+    spec = UncertaintySpec(eps=draw(arrays(float, (m, k), elements=st.floats(0.0, 3.0))),
+                           mode=mode,
+                           delta0=draw(st.floats(0.0, 1.0)) if mode == "probabilistic" else None)
+    mask = draw(arrays(float, (m, k), elements=st.floats(0.01, 1.0)))
+    sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)), cross_range=(0.0, 0.5),
+                         p_max=draw(arrays(float, (m,), elements=st.floats(0.05, 3.0))),
+                         mask=mask).with_uncertainty(spec)
+    profile = mask * draw(arrays(float, (m, k), elements=st.floats(0.0, 1.0)))
+    return sc, profile
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(reply_instances())
+def test_best_response_is_the_checked_waterfill_of_its_interference(instance):
+    # best_response skips waterfill's checks, never its result
+    sc, x = instance
+    for i in range(sc.num_users):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
+            got = best_response(i, sc.channel, x, sc.constraints, sc.uncertainty)
+            s_eff = effective_interference(normalized_interference(sc.channel, x, i),
+                                           sc.uncertainty, i)
+        want = waterfill(s_eff, sc.constraints.p_max[i], sc.constraints.mask[i])
+        assert got.p.tobytes() == want.p.tobytes()
+        assert (np.array([got.water_level, got.lam]).tobytes()
+                == np.array([want.water_level, want.lam]).tobytes())
+        assert got.budget_active is want.budget_active
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reply_to_a_profile_that_is_not_finite_is_a_value_error(bad):
+    sc = random_scenario(3, 4, seed=5)
+    profile = uniform_profile(sc.constraints)
+    profile[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        best_response(0, sc.channel, profile, sc.constraints, sc.uncertainty)
+    with pytest.raises(ValueError, match="finite"):
+        fixed_point_residual(profile, sc)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (2, 4), (4, 4), (3, 5)])
+def test_best_response_rejects_constraints_of_another_shape(shape):
+    # a one-column mask would broadcast and a short p_max would lend another
+    # user's budget; both are errors, as they are in a Scenario
+    sc = random_scenario(3, 4, seed=5)
+    constraints = PowerConstraints.uniform(*shape, 1.0)
+    for user in range(3):
+        with pytest.raises(ValueError, match="constraints"):
+            best_response(user, sc.channel, uniform_profile(sc.constraints), constraints,
+                          sc.uncertainty)
