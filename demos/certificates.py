@@ -23,7 +23,6 @@ from riwfa import (
     UncertaintySpec,
     check_async_convergence,
     check_rne_uniqueness,
-    interference_upper_bounds,
 )
 
 
@@ -49,7 +48,7 @@ def main() -> None:
         cells = []
         for eps in epsilons:
             sc = symmetric_scenario(alpha, eps)
-            cert = check_rne_uniqueness(sc.channel, sc.uncertainty)
+            cert = check_rne_uniqueness(sc)
             mark = " " if cert.passed else "*"
             cells.append(f"{cert.margin:+8.3f}{mark}")
         print(f"  {alpha:>11} " + "".join(cells))
@@ -62,8 +61,7 @@ def main() -> None:
     print("than the realized interference:")
     for alpha, eps in ((0.1, 0.0), (0.1, 0.2), (0.3, 0.2), (0.3, 0.4)):
         sc = symmetric_scenario(alpha, eps)
-        bounds = interference_upper_bounds(sc.channel, sc.constraints)
-        cert = check_async_convergence(sc.channel, bounds, sc.uncertainty)
+        cert = check_async_convergence(sc)
         verdict = "pass" if cert.passed else "fail"
         print(f"  alpha = {alpha}, eps = {eps}: margin {cert.margin:+.3f} "
               f"({verdict})")

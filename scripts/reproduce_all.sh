@@ -112,3 +112,12 @@ cli run-async-uncapped run --generate low --users 2 --subchannels 2 --schedule a
 # an eps whose worst-case interference overflows float64: one error line each
 cli run-overflow run --generate high --users 2 --subchannels 2 --eps 1e308
 cli check-overflow check --generate high --users 2 --subchannels 2 --eps 1e308
+# a gain ratio, 1e10 / 1e-300, that overflows float64 under masks small enough
+# to keep the interference finite: one error line
+mkdir -p "$out/cli-check-ratio-overflow"
+cat >"$out/cli-check-ratio-overflow/ratio.json" <<'JSON'
+{"M": 2, "K": 1, "gains": [[[1e-300], [1e10]], [[1e10], [1e-300]]], "noise": [[0.0], [0.0]],
+ "p_max": [1.0, 1.0], "mask": [[1e-10], [1e-10]], "eps": [[0.0], [0.0]], "mode": "nominal",
+ "seed": null}
+JSON
+cli check-ratio-overflow check --scenario ratio.json

@@ -14,7 +14,6 @@ from .analysis import (
     check_rne_uniqueness,
     interference_ratio_matrix,
     interference_ratio_matrix_max,
-    interference_upper_bounds,
     operator_norm_2,
     orthogonality_index,
     per_user_utilities,
@@ -88,7 +87,6 @@ __all__ = [
     "fixed_point_residual",
     "interference_ratio_matrix",
     "interference_ratio_matrix_max",
-    "interference_upper_bounds",
     "load_bundled_scenario",
     "load_scenario",
     "normalized_interference",

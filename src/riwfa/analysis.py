@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ChannelRealization,
-    PowerConstraints,
-    UncertaintySpec,
-    normalized_interference,
-    user_utility,
-)
+from .model import ChannelRealization, Scenario, normalized_interference, user_utility
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +93,7 @@ class CertificateResult:
         return out
 
 
-def check_rne_uniqueness(channel: ChannelRealization,
-                         uncertainty: UncertaintySpec) -> CertificateResult:
+def check_rne_uniqueness(scenario: Scenario) -> CertificateResult:
     """Unique-equilibrium certificate, per sub-channel:
 
         min{ rho_sym(W(k)), ||W(k)||_2 } + || eps_eff[:, k] ||_2  <  1
@@ -109,13 +102,10 @@ def check_rne_uniqueness(channel: ChannelRealization,
     the effective uncertainty magnitude (zero in nominal mode).  Passing on
     every sub-channel certifies a unique equilibrium of the robust game.
     """
-    eps_eff = uncertainty.effective_eps()
-    if eps_eff.shape != (channel.num_users, channel.num_subchannels):
-        raise ValueError("uncertainty shape does not match the channel")
-    w = _ratio_matrices(channel)
+    w = _ratio_matrices(scenario.channel)
     rho = spectral_radius(w)
     norm2 = operator_norm_2(w)
-    eps_norm = np.linalg.norm(eps_eff, axis=0)
+    eps_norm = np.linalg.norm(scenario.uncertainty.effective_eps(), axis=0)
     margins = np.minimum(rho, norm2) + eps_norm - 1.0
     return CertificateResult(
         passed=bool(np.all(margins < 0.0)),
@@ -125,33 +115,21 @@ def check_rne_uniqueness(channel: ChannelRealization,
     )
 
 
-def interference_upper_bounds(channel: ChannelRealization,
-                              constraints: PowerConstraints) -> np.ndarray:
-    """Normalized interference each user would see if everyone transmitted at
-    the full mask: an upper bound over all feasible profiles."""
-    return normalized_interference(channel, constraints.mask)
-
-
-def check_async_convergence(channel: ChannelRealization, s_bar_max: np.ndarray,
-                            uncertainty: UncertaintySpec) -> CertificateResult:
+def check_async_convergence(scenario: Scenario) -> CertificateResult:
     """Certificate for asynchronous best-response convergence:
 
         || W_max ||_2 + sqrt(M) * || w_max ||_2  <  1
 
     with W_max the entrywise max gain-ratio matrix and
-    w_max[i] = max_k s_bar_max[i, k] * eps_eff[i, k].  ``s_bar_max`` should
-    upper-bound the interference (see interference_upper_bounds).
+    w_max[i] = max_k s_bar_max[i, k] * eps_eff[i, k], where s_bar_max is the
+    interference at full mask power: interference rises with every power, so
+    it bounds the interference of every feasible profile.
     """
-    num_users = channel.num_users
-    s_bar_max = np.asarray(s_bar_max, dtype=float)
-    if s_bar_max.shape != (num_users, channel.num_subchannels):
-        raise ValueError("s_bar_max must have shape (M, K)")
-    eps_eff = uncertainty.effective_eps()
-    if eps_eff.shape != s_bar_max.shape:
-        raise ValueError("uncertainty shape does not match the channel")
+    channel = scenario.channel
+    s_bar_max = normalized_interference(channel, scenario.constraints.mask)
     w_matrix_norm = operator_norm_2(interference_ratio_matrix_max(channel))
-    w_vec = (s_bar_max * eps_eff).max(axis=1)
-    staleness_term = float(np.sqrt(num_users) * np.linalg.norm(w_vec))
+    w_vec = (s_bar_max * scenario.uncertainty.effective_eps()).max(axis=1)
+    staleness_term = float(np.sqrt(scenario.num_users) * np.linalg.norm(w_vec))
     margin = w_matrix_norm + staleness_term - 1.0
     return CertificateResult(
         passed=bool(margin < 0.0),

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .analysis import check_async_convergence, check_rne_uniqueness, interference_upper_bounds
+from .analysis import check_async_convergence, check_rne_uniqueness
 from .dynamics import (
     STOP_REASONS,
     RunConfig,
@@ -365,16 +365,12 @@ def cmd_check(args) -> int:
     _check_output_path(args.out)
     with _input_errors():
         scenario = _resolve_scenario(args, scenario)
-    uniqueness = check_rne_uniqueness(scenario.channel, scenario.uncertainty)
-    s_bar_max = interference_upper_bounds(scenario.channel, scenario.constraints)
-    asynchronous = check_async_convergence(scenario.channel, s_bar_max,
-                                           scenario.uncertainty)
     resolved = {"command": "check", **source_desc,
                 "mode": scenario.uncertainty.mode,
                 "eps": args.eps, "delta0": args.delta0}
     payload = {"config": resolved,
-               "uniqueness": uniqueness.to_dict(),
-               "async_convergence": asynchronous.to_dict()}
+               "uniqueness": check_rne_uniqueness(scenario).to_dict(),
+               "async_convergence": check_async_convergence(scenario).to_dict()}
     _emit(payload, args.out)
     return EXIT_OK
 

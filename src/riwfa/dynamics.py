@@ -6,11 +6,11 @@ profile it replies to depends on the schedule: the live profile
 (sequential, a Gauss-Seidel sweep), the copy taken at the start of the
 tick (simultaneous, a Jacobi round), or, for a user the asynchronous
 schedule picks, the start-of-tick copy of the tick it names, at most
-max_staleness ticks old; ``Schedule.ticks`` draws each tick only when the
-loop reaches it.  Iteration stops once the largest power change of a tick
-stays at or below ``tol`` for max_staleness + 1 consecutive ticks: one tick
-for sequential and simultaneous play, and for asynchronous play enough
-ticks that the schedule guarantees every user updated.
+max_staleness ticks old; every schedule's ticks come from ``Schedule.ticks``,
+drawn only when the loop reaches them.  Iteration stops once the largest
+power change of a tick stays at or below ``tol`` for max_staleness + 1
+consecutive ticks: one tick for sequential and simultaneous play, and for
+asynchronous play enough ticks that the schedule guarantees every user updated.
 
 Sequential and simultaneous ticks are a fixed map of the tick-start
 profile, so once a tick-start profile repeats exactly the run cycles
@@ -90,8 +90,12 @@ class Schedule:
         At tick t, ``updates[i]`` says whether user i updates and
         ``snapshots[i]`` is the tick whose start profile it reacts to, with
         t - max_staleness <= snapshots[i] <= t.  Each call replays the same
-        draws; ``run`` reads them for asynchronous schedules only.
+        draws.  A staleness of 0 forces every update, from tick t, so such a
+        schedule (every sequential and simultaneous one) draws nothing.
         """
+        if not self.max_staleness:
+            for t in itertools.count():
+                yield np.ones(num_users, dtype=bool), np.full(num_users, t)
         rng = np.random.default_rng(self.seed)
         last_update = [-1] * num_users
         for t in itertools.count():
@@ -169,8 +173,7 @@ def fixed_point_residual(profile: np.ndarray, scenario: Scenario) -> float:
     profile = np.asarray(profile, dtype=float)
     worst = 0.0
     for i in range(scenario.num_users):
-        reply = best_response(i, scenario.channel, profile, scenario.constraints,
-                              scenario.uncertainty).p
+        reply = best_response(scenario, i, profile).p
         worst = max(worst, float(np.abs(reply - profile[i]).max()))
     return worst
 
@@ -197,6 +200,7 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     step_residuals = [] if config.record_trajectory else None
     converged = False
     asynchronous = schedule.kind == "asynchronous"
+    sequential = schedule.kind == "sequential"
     rows = schedule.ticks(scenario.num_users)
     window = schedule.max_staleness + 1
     history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
@@ -214,20 +218,11 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
         if t == stop:
             break
         history.append(profile.copy())
-        if asynchronous:
-            updates, snapshots = next(rows)
+        updates, snapshots = next(rows)
         delta = 0.0
-        for i in range(scenario.num_users):
-            if schedule.kind == "sequential":
-                seen = profile
-            elif not asynchronous:
-                seen = history[-1]
-            elif updates[i]:
-                seen = history[snapshots[i] - t - 1]
-            else:
-                continue
-            reply = best_response(i, scenario.channel, seen,
-                                  scenario.constraints, scenario.uncertainty).p
+        for i in np.flatnonzero(updates).tolist():  # ints index faster than np.int64
+            seen = profile if sequential else history[snapshots[i] - t - 1]
+            reply = best_response(scenario, i, seen).p
             best_responses += 1
             delta = max(delta, float(np.abs(reply - profile[i]).max()))
             profile[i] = reply

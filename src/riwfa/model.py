@@ -73,7 +73,8 @@ class ChannelRealization:
     Construction also builds, read-only, ``cross_gains`` of shape (M, M, K)
     with ``cross_gains[i, j, k] = gains[j, i, k]`` for j != i and 0 for
     j == i (row i is what reaches receiver i), and ``direct_gains`` of shape
-    (M, K) with ``direct_gains[i, k] = gains[i, i, k]``.
+    (M, K) with ``direct_gains[i, k] = gains[i, i, k]``.  Every gain ratio
+    gains[j, i, k] / gains[i, i, k] must be finite in float64.
     """
 
     gains: np.ndarray
@@ -102,6 +103,10 @@ class ChannelRealization:
         if np.any(direct <= 0):
             raise ValueError("direct gains gains[i, i, k] must be strictly positive")
         cross[users, users] = 0.0
+        with np.errstate(over="ignore"):
+            ratios = cross / direct[:, None, :]
+        if not np.isfinite(ratios).all():
+            raise ValueError("gain ratios gains[j, i, k] / gains[i, i, k] overflow float64")
         for name, value in (("gains", gains), ("noise", noise),
                             ("cross_gains", cross), ("direct_gains", direct)):
             value.setflags(write=False)

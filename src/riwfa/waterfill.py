@@ -15,7 +15,7 @@ s[k] + mask[k].  One closed form, ``_waterfill``, sorts them once, accumulates
 the total along them and solves the segment that reaches the budget (Palomar
 and Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration and no
 input checks.  ``waterfill`` checks its input first; ``best_response`` trusts
-the validated model objects.
+the validated ``Scenario`` it replies in.
 """
 from __future__ import annotations
 
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ChannelRealization,
-    PowerConstraints,
-    UncertaintySpec,
-    effective_interference,
-    normalized_interference,
-)
+from .model import Scenario, effective_interference, normalized_interference
 
 
 @dataclass(frozen=True)
@@ -98,19 +92,16 @@ def _waterfill(s: np.ndarray, p_max: float, mask: np.ndarray) -> WaterfillSoluti
                              lam=1.0 / mu, budget_active=mu < np.inf)
 
 
-def best_response(user: int, channel: ChannelRealization, profile: np.ndarray,
-                  constraints: PowerConstraints,
-                  uncertainty: UncertaintySpec) -> WaterfillSolution:
+def best_response(scenario: Scenario, user: int, profile: np.ndarray) -> WaterfillSolution:
     """Water-filling against the interference the other users generate.
 
     ``profile`` is a full (M, K) power profile; the user's own row is ignored.
     The nominal interference, scaled by the user's uncertainty multipliers, is
-    water-filled without re-checking what a ``Scenario`` guarantees.
+    water-filled without re-checking what the ``Scenario`` guarantees.
     """
-    if constraints.mask.shape != (channel.num_users, channel.num_subchannels):
-        raise ValueError("constraints shapes do not match the channel")
-    s_bar = normalized_interference(channel, profile, user)
-    s_eff = effective_interference(s_bar, uncertainty, user)
+    s_bar = normalized_interference(scenario.channel, profile, user)
+    s_eff = effective_interference(s_bar, scenario.uncertainty, user)
     if not np.isfinite(s_eff).all():
         raise ValueError("the profile's effective interference must be finite")
+    constraints = scenario.constraints
     return _waterfill(s_eff, float(constraints.p_max[user]), constraints.mask[user])

@@ -28,7 +28,6 @@ from riwfa import (
     brute_force_best_response,
     check_async_convergence,
     check_rne_uniqueness,
-    interference_upper_bounds,
     load_bundled_scenario,
     operator_norm_2,
     profile_feasible,
@@ -72,10 +71,8 @@ def test_acceptance_01_worstcase_zero_eps_identity():
 
         probe = uniform_profile(sc.constraints)
         for user in range(m):
-            br_a = best_response(user, sc.channel, probe, sc.constraints,
-                                 nominal.uncertainty)
-            br_b = best_response(user, sc.channel, probe, sc.constraints,
-                                 hedged.uncertainty)
+            br_a = best_response(nominal, user, probe)
+            br_b = best_response(hedged, user, probe)
             assert np.array_equal(br_a.p, br_b.p)
 
         rep_a = run(nominal, Schedule(kind="sequential"), RunConfig(tol=1e-8))
@@ -219,7 +216,7 @@ def test_acceptance_06_utility_monotone_under_uncertainty():
     scenarios, seed = [], 100
     while len(scenarios) < 20:
         sc = random_scenario(8, 64, seed=seed, **ENSEMBLES["low"])
-        if check_rne_uniqueness(sc.channel, sc.uncertainty).passed:
+        if check_rne_uniqueness(sc).passed:
             scenarios.append(sc)
         seed += 1
     config = RunConfig(tol=1e-8)
@@ -258,8 +255,8 @@ def test_acceptance_07_uniqueness_certificate():
     """Closed-form certificate values, and the equilibrium it promises."""
     passing = _symmetric_scenario(0.3, 0.4)
     failing = _symmetric_scenario(0.3, 0.6)
-    cert_pass = check_rne_uniqueness(passing.channel, passing.uncertainty)
-    cert_fail = check_rne_uniqueness(failing.channel, failing.uncertainty)
+    cert_pass = check_rne_uniqueness(passing)
+    cert_fail = check_rne_uniqueness(failing)
     lhs_pass = cert_pass.margin + 1.0
     lhs_fail = cert_fail.margin + 1.0
     values_ok = (cert_pass.passed and not cert_fail.passed
@@ -290,8 +287,7 @@ def test_acceptance_08_asynchronous_convergence():
                          cross_range=(0.0, 0.002),
                          noise_range=(0.001, 0.005), seed=5)
     sc = sc.with_uncertainty(UncertaintySpec.uniform(3, 8, 0.1))
-    s_bar_max = interference_upper_bounds(sc.channel, sc.constraints)
-    cert = check_async_convergence(sc.channel, s_bar_max, sc.uncertainty)
+    cert = check_async_convergence(sc)
     assert cert.passed, "scenario must satisfy the asynchronous certificate"
 
     config = RunConfig(tol=1e-8)

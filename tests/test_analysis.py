@@ -22,8 +22,8 @@ from riwfa import (
     check_rne_uniqueness,
     interference_ratio_matrix,
     interference_ratio_matrix_max,
-    interference_upper_bounds,
     load_bundled_scenario,
+    normalized_interference,
     operator_norm_2,
     orthogonality_index,
     per_user_utilities,
@@ -34,17 +34,24 @@ from riwfa import (
     write_sweep_csv,
     zero_profile,
 )
+from riwfa.model import MODES
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def symmetric_channel(alpha: float, num_subchannels: int = 2,
-                      noise: float = 0.2) -> ChannelRealization:
+                      noise=0.2) -> ChannelRealization:
     gains = np.zeros((2, 2, num_subchannels))
     gains[0, 0] = gains[1, 1] = 1.0
     gains[0, 1] = gains[1, 0] = alpha
     return ChannelRealization(gains=gains,
-                              noise=np.full((2, num_subchannels), noise))
+                              noise=np.broadcast_to(noise, (2, num_subchannels)))
+
+
+def game(channel: ChannelRealization, uncertainty: UncertaintySpec) -> Scenario:
+    """The game a bare channel plays under unit budgets and unit masks."""
+    constraints = PowerConstraints.uniform(channel.num_users, channel.num_subchannels, 1.0)
+    return Scenario(channel=channel, constraints=constraints, uncertainty=uncertainty)
 
 
 def test_ratio_matrix_symmetric_construction():
@@ -126,7 +133,7 @@ def test_uniqueness_certificate_decoupled_passes():
     for i in range(3):
         gains[i, i] = 1.0
     channel = ChannelRealization(gains=gains, noise=np.full((3, 2), 0.1))
-    cert = check_rne_uniqueness(channel, UncertaintySpec.nominal(3, 2))
+    cert = check_rne_uniqueness(game(channel, UncertaintySpec.nominal(3, 2)))
     assert cert.passed
     assert abs(cert.margin + 1.0) < 1e-12  # LHS is exactly 0
     assert cert.per_subchannel_margins.shape == (2,)
@@ -134,24 +141,23 @@ def test_uniqueness_certificate_decoupled_passes():
 
 def test_uniqueness_certificate_two_user_closed_form():
     channel = symmetric_channel(0.3)
-    passing = check_rne_uniqueness(channel, UncertaintySpec.uniform(2, 2, 0.4))
+    passing = check_rne_uniqueness(game(channel, UncertaintySpec.uniform(2, 2, 0.4)))
     lhs = passing.margin + 1.0
     assert passing.passed
     assert abs(lhs - (0.3 + 0.4 * np.sqrt(2))) < 1e-10
     assert abs(lhs - 0.8657) < 1e-4
 
-    failing = check_rne_uniqueness(channel, UncertaintySpec.uniform(2, 2, 0.6))
+    failing = check_rne_uniqueness(game(channel, UncertaintySpec.uniform(2, 2, 0.6)))
     assert not failing.passed
     assert abs(failing.margin + 1.0 - 1.1485) < 1e-4
     # the nominal condition alone passes: uncertainty tightens it
-    assert check_rne_uniqueness(channel, UncertaintySpec.nominal(2, 2)).passed
+    assert check_rne_uniqueness(game(channel, UncertaintySpec.nominal(2, 2))).passed
 
 
 def test_uniqueness_certificate_monotone_in_eps():
     sc = random_scenario(3, 4, seed=14, cross_range=(0.001, 0.02),
                          noise_range=(0.001, 0.01))
-    margins = [check_rne_uniqueness(sc.channel,
-                                    UncertaintySpec.uniform(3, 4, eps)).margin
+    margins = [check_rne_uniqueness(sc.with_uncertainty(UncertaintySpec.uniform(3, 4, eps))).margin
                for eps in (0.0, 0.1, 0.2, 0.4)]
     assert np.all(np.diff(margins) > 0)
 
@@ -160,7 +166,7 @@ def test_uniqueness_certificate_symmetric_branches_agree():
     # on a symmetric W the spectral radius of the symmetric part equals the
     # operator norm, so the min is unambiguous
     channel = symmetric_channel(0.45)
-    cert = check_rne_uniqueness(channel, UncertaintySpec.nominal(2, 2))
+    cert = check_rne_uniqueness(game(channel, UncertaintySpec.nominal(2, 2)))
     rho = cert.components["rho_sym"]
     norm2 = cert.components["norm2"]
     assert np.allclose(rho, norm2, atol=1e-10)
@@ -170,19 +176,16 @@ def test_uniqueness_certificate_symmetric_branches_agree():
 def test_certificate_probabilistic_midpoint_matches_nominal():
     sc = random_scenario(3, 4, seed=15, cross_range=(0.001, 0.02),
                          noise_range=(0.001, 0.01))
-    nominal = check_rne_uniqueness(sc.channel, UncertaintySpec.nominal(3, 4))
-    mid = check_rne_uniqueness(
-        sc.channel,
-        UncertaintySpec.uniform(3, 4, 0.7, mode="probabilistic", delta0=0.5))
+    nominal = check_rne_uniqueness(sc.with_uncertainty(UncertaintySpec.nominal(3, 4)))
+    mid = check_rne_uniqueness(sc.with_uncertainty(
+        UncertaintySpec.uniform(3, 4, 0.7, mode="probabilistic", delta0=0.5)))
     assert nominal.margin == mid.margin
 
 
 def test_async_certificate_eps_zero_reduces_to_matrix_norm():
     sc = random_scenario(3, 4, seed=16, cross_range=(0.001, 0.02),
                          noise_range=(0.001, 0.01))
-    s_bar = interference_upper_bounds(sc.channel, sc.constraints)
-    cert = check_async_convergence(sc.channel, s_bar,
-                                   UncertaintySpec.nominal(3, 4))
+    cert = check_async_convergence(sc.with_uncertainty(UncertaintySpec.nominal(3, 4)))
     expected = operator_norm_2(interference_ratio_matrix_max(sc.channel))
     assert abs(cert.margin + 1.0 - expected) < 1e-12
     assert cert.components["staleness_term"] == 0.0
@@ -192,20 +195,18 @@ def test_async_certificate_decoupled_hand_value():
     gains = np.zeros((4, 4, 3))
     for i in range(4):
         gains[i, i] = 1.0
-    channel = ChannelRealization(gains=gains, noise=np.full((4, 3), 0.1))
+    # no cross gain, so the full-mask interference is the noise, 1.0:
     # max_k s_bar * eps = 0.1 per user -> sqrt(4) * ||w|| = 2 * 0.2 = 0.4
-    s_bar = np.full((4, 3), 1.0)
-    cert = check_async_convergence(channel, s_bar,
-                                   UncertaintySpec.uniform(4, 3, 0.1))
+    channel = ChannelRealization(gains=gains, noise=np.full((4, 3), 1.0))
+    cert = check_async_convergence(game(channel, UncertaintySpec.uniform(4, 3, 0.1)))
     assert cert.passed
     assert abs(cert.margin + 1.0 - 0.4) < 1e-12
 
 
 def test_async_certificate_two_user_hand_value():
-    channel = symmetric_channel(0.5)
-    s_bar = np.array([[3.0, 1.0], [4.0, 2.0]])
-    cert = check_async_convergence(channel, s_bar,
-                                   UncertaintySpec.uniform(2, 2, 0.1))
+    # full-mask interference 0.5 * 1.0 + noise = [[3, 1], [4, 2]]
+    channel = symmetric_channel(0.5, noise=[[2.5, 0.5], [3.5, 1.5]])
+    cert = check_async_convergence(game(channel, UncertaintySpec.uniform(2, 2, 0.1)))
     # w_max = [0.3, 0.4]; LHS = 0.5 + sqrt(2)*0.5
     assert not cert.passed
     assert abs(cert.margin + 1.0 - (0.5 + np.sqrt(2) * 0.5)) < 1e-10
@@ -223,11 +224,38 @@ def test_async_certificate_fails_just_above_unit_norm():
     gains[1, 0, 0] = 1 + d / 4
     gains[0, 1, 0] = (1 - d) * (1 + d / 4)
     channel = ChannelRealization(gains=gains, noise=np.full((3, 1), 0.1))
-    cert = check_async_convergence(channel, np.ones((3, 1)),
-                                   UncertaintySpec.nominal(3, 1))
+    cert = check_async_convergence(game(channel, UncertaintySpec.nominal(3, 1)))
     w_max = interference_ratio_matrix_max(channel)
     assert not cert.passed
     assert abs(cert.margin - (np.linalg.norm(w_max, 2) - 1.0)) <= 1e-12
+
+
+@st.composite
+def async_games(draw):
+    """A draw of either ensemble with random budgets, masks below and above
+    1, and a spec of any mode."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(MODES))
+    spec = UncertaintySpec(eps=draw(arrays(float, (m, k), elements=st.floats(0.0, 3.0))),
+                           mode=mode,
+                           delta0=draw(st.floats(0.0, 1.0)) if mode == "probabilistic" else None)
+    sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)),
+                         p_max=draw(arrays(float, (m,), elements=st.floats(0.1, 3.0))),
+                         mask=draw(arrays(float, (m, k), elements=st.floats(0.05, 3.0))),
+                         **ENSEMBLES[draw(st.sampled_from(sorted(ENSEMBLES)))])
+    return sc.with_uncertainty(spec)
+
+
+@PROPERTY
+@given(async_games())
+def test_async_certificate_bounds_interference_at_full_mask(sc):
+    # the certificate's own s_bar_max is the interference at full mask power,
+    # the largest any feasible profile induces
+    cert = check_async_convergence(sc)
+    s_bar_max = normalized_interference(sc.channel, sc.constraints.mask)
+    w_max = (s_bar_max * sc.uncertainty.effective_eps()).max(axis=1)
+    assert cert.components["w_max"].tobytes() == w_max.tobytes()
+    assert cert.components["staleness_term"] == np.sqrt(sc.num_users) * np.linalg.norm(w_max)
 
 
 @st.composite
@@ -246,8 +274,7 @@ def channels(draw):
 @given(channels())
 def test_uniqueness_components_equal_per_subchannel_calls(channel):
     num_k = channel.num_subchannels
-    cert = check_rne_uniqueness(channel,
-                                UncertaintySpec.nominal(channel.num_users, num_k))
+    cert = check_rne_uniqueness(game(channel, UncertaintySpec.nominal(channel.num_users, num_k)))
     for k in range(num_k):
         w = interference_ratio_matrix(channel, k)
         assert cert.components["rho_sym"][k] == spectral_radius(w)
@@ -256,7 +283,7 @@ def test_uniqueness_components_equal_per_subchannel_calls(channel):
 
 def test_certificate_result_serializes():
     channel = symmetric_channel(0.3)
-    cert = check_rne_uniqueness(channel, UncertaintySpec.uniform(2, 2, 0.4))
+    cert = check_rne_uniqueness(game(channel, UncertaintySpec.uniform(2, 2, 0.4)))
     doc = cert.to_dict()
     assert doc["passed"] is True
     assert len(doc["per_subchannel_margins"]) == 2
@@ -355,7 +382,7 @@ def test_sweep_pairs_seeds_across_grid():
 def test_sweep_monotone_in_eps_on_certified_channel():
     sc = random_scenario(3, 8, direct_range=(0.05, 0.1), cross_range=(0.0, 0.0003),
                          noise_range=(0.001, 0.01), seed=33)
-    assert check_rne_uniqueness(sc.channel, sc.uncertainty).passed
+    assert check_rne_uniqueness(sc).passed
     reports = sweep_reports([sc], _eps_specs(3, 8, [0.1, 0.2]))
     sweep = SweepResult.from_reports("epsilon", [0.1, 0.2], reports)
     assert sweep.utilities[1, 0] <= sweep.utilities[0, 0]
@@ -511,9 +538,9 @@ def test_write_sweep_csv_schema_and_blanks(tmp_path):
 def test_interference_upper_bounds_dominate():
     sc = random_scenario(3, 5, seed=22, cross_range=(0.001, 0.02),
                          noise_range=(0.001, 0.01))
-    bounds = interference_upper_bounds(sc.channel, sc.constraints)
+    # the bound check_async_convergence takes: interference at full mask power
+    bounds = normalized_interference(sc.channel, sc.constraints.mask)
     rng = np.random.default_rng(0)
-    from riwfa import normalized_interference
     for _ in range(20):
         profile = rng.uniform(0.0, 1.0, size=(3, 5))
         profile = np.minimum(profile, sc.constraints.mask)

@@ -294,6 +294,26 @@ def test_scenario_whose_interference_overflows_is_malformed(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+RATIO_OVERFLOW = {"M": 2, "K": 1, "gains": [[[1e-300], [1e10]], [[1e10], [1e-300]]],
+                  "noise": [[0.0], [0.0]], "p_max": [1.0, 1.0], "mask": [[1e-10], [1e-10]],
+                  "eps": [[0.0], [0.0]], "mode": "nominal", "seed": None}
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_scenario_whose_gain_ratio_overflows_is_malformed(tmp_path, command):
+    # the tiny mask keeps the interference finite; the ratio 1e10 / 1e-300 is not
+    path = tmp_path / "ratio.json"
+    path.write_text(json.dumps(RATIO_OVERFLOW))
+    src = os.path.dirname(os.path.dirname(riwfa.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "riwfa", command, "--scenario", str(path)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INPUT and done.stdout == ""
+    assert done.stderr.startswith("error: malformed scenario file: ")
+    assert "gain ratios" in done.stderr and done.stderr.count("\n") == 1
+
+
 def test_run_byte_identical_reruns(capsys, tmp_path):
     args = ["run", "--generate", "low", "--users", "3", "--subchannels", "8",
             "--seed", "11", "--eps", "0.5"]
@@ -506,7 +526,7 @@ def test_every_low_interference_draw_passes_the_uniqueness_certificate(seed):
     low = ENSEMBLES["low"]
     bound = np.sqrt(m * (m - 1)) * low["cross_range"][1] / low["direct_range"][0]
     sc = random_scenario(m, k, seed=seed, **low)
-    result = check_rne_uniqueness(sc.channel, sc.uncertainty)
+    result = check_rne_uniqueness(sc)
     assert result.passed
     assert result.margin + 1.0 <= bound
 

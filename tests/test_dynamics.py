@@ -44,7 +44,7 @@ TABLE4_REFERENCE_PROFILE = np.array([
 def certified_scenario(seed: int = 12) -> Scenario:
     sc = random_scenario(3, 8, direct_range=(0.05, 0.1), cross_range=(0.0, 0.002),
                          noise_range=(0.001, 0.005), seed=seed)
-    assert check_rne_uniqueness(sc.channel, sc.uncertainty).passed
+    assert check_rne_uniqueness(sc).passed
     return sc
 
 
@@ -213,7 +213,7 @@ def reference_run(sc, schedule, config):
     trajectory = [profile.copy()]
 
     def reply(i, seen):
-        return best_response(i, sc.channel, seen, sc.constraints, sc.uncertainty).p
+        return best_response(sc, i, seen).p
 
     if schedule.kind == "asynchronous":
         recent = {0: profile.copy()}

@@ -279,7 +279,7 @@ def test_uncertainty_spec_applies_one_rule_per_mode(instance):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
             s_eff = effective_interference(s_bar[i], spec, i)
-            reply = best_response(i, sc.channel, profile, sc.constraints, spec).p
+            reply = best_response(sc, i, profile).p
         assert np.all(s_eff >= EFFECTIVE_INTERFERENCE_FLOOR)
         replied = profile.copy()
         replied[i] = reply
@@ -369,6 +369,30 @@ def test_scenario_shape_consistency():
     with pytest.raises(ValueError):
         Scenario(channel=channel, constraints=good,
                  uncertainty=UncertaintySpec.nominal(2, 4))
+    # a one-column mask would broadcast and a short p_max would lend another
+    # user's budget, so no reply ever sees constraints of another shape
+    channel = random_scenario(3, 4, seed=5).channel
+    for shape in [(3, 1), (2, 4), (4, 4), (3, 5)]:
+        with pytest.raises(ValueError, match="constraints"):
+            Scenario(channel=channel, constraints=PowerConstraints.uniform(*shape, 1.0),
+                     uncertainty=UncertaintySpec.nominal(3, 4))
+
+
+def test_channel_rejects_a_gain_ratio_that_overflows():
+    # a mask small enough keeps the interference finite, but the certificates
+    # divide cross gains by direct gains: 1e10 / 1e-300
+    gains = np.array([[[1e-300], [1e10]], [[1e10], [1e-300]]])
+    with pytest.raises(ValueError, match="gain ratios"):
+        ChannelRealization(gains=gains, noise=np.zeros((2, 1)))
+    doc = {"M": 2, "K": 1, "gains": gains.tolist(), "noise": [[0.0], [0.0]],
+           "p_max": [1.0, 1.0], "mask": [[1e-10], [1e-10]], "eps": [[0.0], [0.0]],
+           "mode": "nominal", "seed": None}
+    with pytest.raises(ValueError, match="gain ratios"):
+        scenario_from_dict(doc)
+    # ratios of 1e308 are still finite, and construct
+    gains[1, 0, 0] = gains[0, 1, 0] = 1e8
+    channel = ChannelRealization(gains=gains, noise=np.zeros((2, 1)))
+    assert _ratio_matrices(channel).max() == 1e8 / 1e-300
 
 
 def test_scenario_rejects_interference_that_overflows():

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from riwfa import (
     DegenerateUncertaintyWarning,
-    PowerConstraints,
     UncertaintySpec,
     best_response,
     effective_interference,
@@ -182,8 +181,8 @@ def test_best_response_eps_zero_matches_nominal_bitwise():
         nominal = UncertaintySpec.nominal(3, 6)
         worst = UncertaintySpec.uniform(3, 6, 0.0)
         for i in range(3):
-            a = best_response(i, sc.channel, profile, sc.constraints, nominal)
-            b = best_response(i, sc.channel, profile, sc.constraints, worst)
+            a = best_response(sc.with_uncertainty(nominal), i, profile)
+            b = best_response(sc.with_uncertainty(worst), i, profile)
             assert np.array_equal(a.p, b.p)
 
 
@@ -194,18 +193,15 @@ def test_best_response_worstcase_never_better_off():
     profile = uniform_profile(sc.constraints)
     from riwfa import normalized_interference
     s_true = normalized_interference(sc.channel, profile, 0)
-    nominal = best_response(0, sc.channel, profile, sc.constraints,
-                            UncertaintySpec.nominal(2, 8))
-    hedged = best_response(0, sc.channel, profile, sc.constraints,
-                           UncertaintySpec.uniform(2, 8, 1.0))
+    nominal = best_response(sc.with_uncertainty(UncertaintySpec.nominal(2, 8)), 0, profile)
+    hedged = best_response(sc.with_uncertainty(UncertaintySpec.uniform(2, 8, 1.0)), 0, profile)
     assert user_utility(hedged.p, s_true) <= user_utility(nominal.p, s_true) + 1e-12
 
 
 def test_best_response_respects_constraints():
     sc = random_scenario(3, 5, seed=8, mask=0.3, noise_range=(0.001, 0.01))
     profile = uniform_profile(sc.constraints)
-    sol = best_response(1, sc.channel, profile, sc.constraints,
-                        UncertaintySpec.uniform(3, 5, 0.5))
+    sol = best_response(sc.with_uncertainty(UncertaintySpec.uniform(3, 5, 0.5)), 1, profile)
     assert np.all(sol.p <= 0.3 + 1e-12)
     assert sol.p.sum() <= 1.0 + 1e-9
 
@@ -236,7 +232,7 @@ def test_best_response_is_the_checked_waterfill_of_its_interference(instance):
     for i in range(sc.num_users):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
-            got = best_response(i, sc.channel, x, sc.constraints, sc.uncertainty)
+            got = best_response(sc, i, x)
             s_eff = effective_interference(normalized_interference(sc.channel, x, i),
                                            sc.uncertainty, i)
         want = waterfill(s_eff, sc.constraints.p_max[i], sc.constraints.mask[i])
@@ -252,18 +248,7 @@ def test_reply_to_a_profile_that_is_not_finite_is_a_value_error(bad):
     profile = uniform_profile(sc.constraints)
     profile[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        best_response(0, sc.channel, profile, sc.constraints, sc.uncertainty)
+        best_response(sc, 0, profile)
     with pytest.raises(ValueError, match="finite"):
         fixed_point_residual(profile, sc)
 
-
-@pytest.mark.parametrize("shape", [(3, 1), (2, 4), (4, 4), (3, 5)])
-def test_best_response_rejects_constraints_of_another_shape(shape):
-    # a one-column mask would broadcast and a short p_max would lend another
-    # user's budget; both are errors, as they are in a Scenario
-    sc = random_scenario(3, 4, seed=5)
-    constraints = PowerConstraints.uniform(*shape, 1.0)
-    for user in range(3):
-        with pytest.raises(ValueError, match="constraints"):
-            best_response(user, sc.channel, uniform_profile(sc.constraints), constraints,
-                          sc.uncertainty)
