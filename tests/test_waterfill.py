@@ -1,5 +1,6 @@
 """Water-filling solver tests against closed forms and KKT conditions."""
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from riwfa import (
     DegenerateUncertaintyWarning,
+    PowerConstraints,
+    Scenario,
     UncertaintySpec,
     best_response,
     effective_interference,
@@ -252,3 +255,15 @@ def test_reply_to_a_profile_that_is_not_finite_is_a_value_error(bad):
     with pytest.raises(ValueError, match="finite"):
         fixed_point_residual(profile, sc)
 
+
+@pytest.mark.parametrize("shape", [(3, 1), (2, 4), (4, 4), (3, 5)])
+def test_best_response_rejects_constraints_of_another_shape(shape):
+    # a one-column mask would broadcast and a short p_max would lend another
+    # user's budget; the Scenario a reply takes refuses both, whether built
+    # anew or with its constraints swapped
+    sc = random_scenario(3, 4, seed=5)
+    constraints = PowerConstraints.uniform(*shape, 1.0)
+    with pytest.raises(ValueError, match="constraints"):
+        Scenario(channel=sc.channel, constraints=constraints, uncertainty=sc.uncertainty)
+    with pytest.raises(ValueError, match="constraints"):
+        replace(sc, constraints=constraints)
