@@ -81,13 +81,13 @@ def _waterfill(s: np.ndarray, p_max: float, mask: np.ndarray) -> WaterfillSoluti
         lo = levels[np.searchsorted(spent, p_max)]
         saturated = top <= lo
         interior = (s <= lo) & ~saturated    # empty only if capped >= p_max
-        capped = mask[saturated].sum()
+        capped = np.where(saturated, mask, 0.0).sum()
         if capped >= p_max:
             # The saturated masks alone spend the budget: a running total an ulp
             # short stepped over the flat stretch they end on.  Take its lower end.
             mu = float(top[saturated].max())
         else:
-            mu = float((p_max - capped + s[interior].sum()) / interior.sum())
+            mu = float((p_max - capped + np.where(interior, s, 0.0).sum()) / interior.sum())
     return WaterfillSolution(p=np.clip(mu - s, 0.0, mask), water_level=mu,
                              lam=1.0 / mu, budget_active=mu < np.inf)
 
