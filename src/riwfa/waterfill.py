@@ -92,6 +92,31 @@ def _waterfill(s: np.ndarray, p_max: float, mask: np.ndarray) -> WaterfillSoluti
                              lam=1.0 / mu, budget_active=mu < np.inf)
 
 
+def _waterfill_rows(s: np.ndarray, p_max: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``_waterfill(s[b], p_max[b], mask[b]).p`` for every row b of the (B, K)
+    stacks, bitwise: each step runs along axis 1, and C-contiguous rows sum
+    as a lone row does.  One row is cheaper through ``_waterfill`` itself."""
+    if len(s) == 1:
+        return _waterfill(s[0], float(p_max[0]), mask[0]).p[None]
+    top = s + mask
+    levels = np.concatenate((s, top), axis=1)
+    order = np.argsort(levels, axis=1)
+    levels = np.take_along_axis(levels, order, axis=1)
+    slope = np.cumsum(np.where(order < s.shape[1], 1, -1), axis=1)[:, :-1]
+    spent = np.cumsum(slope * np.diff(levels, axis=1), axis=1)
+    # spent is nondecreasing, so counting its entries below the budget is searchsorted
+    reached = (spent < p_max[:, None]).sum(axis=1)
+    lo = np.take_along_axis(levels, reached[:, None], axis=1)
+    saturated = top <= lo
+    interior = (s <= lo) & ~saturated
+    capped = np.where(saturated, mask, 0.0).sum(axis=1)
+    level = p_max - capped + np.where(interior, s, 0.0).sum(axis=1)
+    level /= np.maximum(interior.sum(axis=1), 1)  # no interior: the next line drops it
+    mu = np.where(capped >= p_max, np.where(saturated, top, -np.inf).max(axis=1), level)
+    mu[mask.sum(axis=1) <= p_max] = np.inf
+    return np.clip(mu[:, None] - s, 0.0, mask)
+
+
 def best_response(scenario: Scenario, user: int, profile: np.ndarray) -> WaterfillSolution:
     """Water-filling against the interference the other users generate.
 

@@ -23,6 +23,7 @@ from riwfa import (
     waterfill,
 )
 from riwfa.model import MODES
+from riwfa.waterfill import _waterfill, _waterfill_rows
 
 PROPERTY = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
@@ -120,6 +121,44 @@ def test_kkt_conditions_on_random_instances(instance):
         assert mask.sum() <= p_max
         assert np.array_equal(sol.p, mask)
         assert sol.lam == 0.0 and sol.water_level == np.inf
+
+
+@st.composite
+def waterfill_row_stacks(draw):
+    """(s, p_max, mask): B rows of one K.  Each row's budget is a random one,
+    at least its masks' total (every channel saturates), an ulp under it, or
+    exactly the masks of its cheapest channels (the flat-stretch branch)."""
+    b, k = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    s = draw(arrays(float, (b, k), elements=st.floats(0.01, 2.0)))
+    mask = draw(arrays(float, (b, k), elements=st.one_of(st.floats(0.05, 1.5),
+                                                          st.floats(1e-18, 1e-6))))
+    p_max = np.empty(b)
+    for row, kind in enumerate(draw(st.lists(st.sampled_from(
+            ["budget", "saturated", "below_total", "prefix"]), min_size=b, max_size=b))):
+        total = mask[row].sum()
+        if kind == "budget":
+            p_max[row] = draw(st.floats(0.05, 3.0))
+        elif kind == "saturated":
+            p_max[row] = total * draw(st.floats(1.0, 2.0))
+        elif kind == "below_total":
+            p_max[row] = np.nextafter(total, 0.0)
+        else:
+            cheap = np.argsort(s[row] + mask[row], kind="stable")[:draw(st.integers(1, k))]
+            p_max[row] = mask[row][cheap].sum()
+    return s, p_max, mask
+
+
+@PROPERTY
+@given(waterfill_row_stacks())
+def test_row_kernel_rows_equal_the_scalar_kernel_bitwise(stack):
+    # whatever the batch size and the rows beside it, a row solves as it
+    # does alone; sums over compressed rows would differ in the last bit
+    s, p_max, mask = stack
+    rows = _waterfill_rows(s, p_max, mask)
+    flipped = _waterfill_rows(s[::-1].copy(), p_max[::-1].copy(), mask[::-1].copy())[::-1]
+    for b in range(len(s)):
+        alone = _waterfill(s[b], float(p_max[b]), mask[b]).p
+        assert rows[b].tobytes() == alone.tobytes() == flipped[b].tobytes()
 
 
 def test_permutation_equivariance():
