@@ -1,33 +1,33 @@
 """Best-response iteration until a fixed point: sequential, simultaneous, async.
 
-One loop runs all three schedules.  Each tick visits the users in index
-order; a user's reply overwrites its row of the profile at once, and the
-profile it replies to depends on the schedule: the live profile
+One loop, ``_play``, runs all three schedules, for a batch of games of one
+(M, K) at once; ``run`` is a batch of one.  Each tick visits the users in
+index order; a user's reply overwrites its row of the profile at once, and
+the profile it replies to depends on the schedule: the live profile
 (sequential, a Gauss-Seidel sweep), the copy taken at the start of the
 tick (simultaneous, a Jacobi round), or, for a user the asynchronous
 schedule picks, the start-of-tick copy of the tick it names, at most
-max_staleness ticks old; every schedule's ticks come from ``Schedule.ticks``,
-drawn only when the loop reaches them.  Iteration stops once the largest
-power change of a tick stays at or below ``tol`` for max_staleness + 1
-consecutive ticks: one tick for sequential and simultaneous play, and for
-asynchronous play enough ticks that the schedule guarantees every user updated.
+max_staleness ticks old.  Every game plays the same rows of
+``Schedule.ticks``, drawn only when the loop reaches them, and a user's
+replies in all live games are one row-kernel call.  A game stops once the
+largest power change of a tick stays at or below ``tol`` for
+max_staleness + 1 consecutive ticks, and then leaves the batch.
 
 Sequential and simultaneous ticks are a fixed map of the tick-start
-profile, so once a tick-start profile repeats exactly the run cycles
+profile, so once a tick-start profile repeats exactly the game cycles
 forever: every tick of the cycle moved more than ``tol``, or it would have
-stopped there.  ``run`` looks for such a repeat with Brent's algorithm (one
-anchor copy, moved to ticks 1, 2, 4, ...), then plays only the ticks that
-bring it to the cap's place in the cycle; a recorded log repeats the
+stopped there.  Each game looks for such a repeat with Brent's algorithm
+(one anchor copy, moved to ticks 1, 2, 4, ...), then plays only the ticks
+that bring it to the cap's place in the cycle; a recorded log repeats the
 cycle's read-only entries to the cap.  Its report is bitwise the one that
-playing all ``max_iter`` ticks gives, and says why the run stopped:
+playing all ``max_iter`` ticks alone gives, and says why it stopped:
 ``"converged"``, ``"cycle"`` (with the cycle's period) or ``"max_iter"``.
 Asynchronous schedules are not periodic and are never checked.
 
 ``sweep_reports`` is the sweep engine: it plays a list of realized
 scenarios under every uncertainty spec of a grid, so every grid point sees
 the same channels, and ``SweepResult.from_reports`` turns its reports into
-social utilities along the grid.  Which channels a sweep plays is the
-caller's choice alone.
+social utilities along the grid.
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import orthogonality_index, per_user_utilities
-from .model import Scenario, check_profile, uniform_profile, zero_profile
-from .waterfill import best_response
+from .model import Scenario, _interference, check_profile, uniform_profile, zero_profile
+from .waterfill import _replies
 
 SCHEDULE_KINDS = ("sequential", "simultaneous", "asynchronous")
 STOP_REASONS = ("converged", "cycle", "max_iter")
@@ -171,11 +171,36 @@ def fixed_point_residual(profile: np.ndarray, scenario: Scenario) -> float:
     """max_i || best_response_i(profile) - profile_i ||_inf; 0 exactly at
     an equilibrium of the (robust) game."""
     profile = np.asarray(profile, dtype=float)
-    worst = 0.0
-    for i in range(scenario.num_users):
-        reply = best_response(scenario, i, profile).p
-        worst = max(worst, float(np.abs(reply - profile[i]).max()))
-    return worst
+    if profile.shape != scenario.constraints.mask.shape or not np.isfinite(profile).all():
+        raise ValueError(f"profile must be a finite {scenario.constraints.mask.shape} array")
+    return float(_residuals([scenario], profile[None])[0])
+
+
+def _stacks(scenarios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multipliers, budgets and masks of ``scenarios``, stacked."""
+    return tuple(np.stack(a) for a in zip(*[(sc.uncertainty.multipliers(), sc.constraints.p_max,
+                                             sc.constraints.mask) for sc in scenarios]))
+
+
+def _runs(games) -> list[tuple]:
+    """``(channel, start, stop)`` of each run of neighbouring games that share
+    a channel: one interference call per run copies no channel."""
+    starts = [b for b, sc in enumerate(games) if not b or sc.channel is not games[b - 1].channel]
+    return [(games[a].channel, a, b) for a, b in zip(starts, starts[1:] + [len(games)])]
+
+
+def _interference_rows(runs, stack: np.ndarray, user: int | None = None) -> np.ndarray:
+    """Nominal interference of each row of ``stack`` on the channel of its run."""
+    parts = [_interference(channel, stack[a:b], user) for channel, a, b in runs]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _residuals(games, profiles: np.ndarray) -> np.ndarray:
+    """Each game's fixed-point residual at its row of ``profiles``, from one
+    row-kernel call over every (game, user) row."""
+    rows = [a.reshape(-1, *a.shape[2:]) for a in (
+        _interference_rows(_runs(games), profiles), *_stacks(games))]
+    return np.abs(_replies(*rows).reshape(profiles.shape) - profiles).max(axis=(1, 2))
 
 
 def _initial_profile(scenario: Scenario, config: RunConfig) -> np.ndarray:
@@ -187,79 +212,91 @@ def _initial_profile(scenario: Scenario, config: RunConfig) -> np.ndarray:
 
 
 def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig()) -> EquilibriumReport:
-    """Iterate best responses under ``schedule`` until the stopping rule fires.
+    """Iterate best responses under ``schedule`` until the stopping rule fires
+    (see the module docstring).  Equal scenarios, schedules and configs give
+    bitwise-equal reports, and every intermediate profile is feasible."""
+    return _play([scenario], schedule, config)[0]
 
-    Deterministic: equal scenarios, schedules and configs give bitwise-equal
-    reports.  Every intermediate profile is feasible because water-filling
-    respects budgets and masks.  A sequential or simultaneous run that falls
-    into an exact cycle plays only what fixes its state at ``max_iter`` and
-    repeats the cycle for the rest (see the module docstring).
-    """
-    profile = _initial_profile(scenario, config)
-    trajectory = [profile.copy()] if config.record_trajectory else None
-    step_residuals = [] if config.record_trajectory else None
-    converged = False
-    asynchronous = schedule.kind == "asynchronous"
-    sequential = schedule.kind == "sequential"
-    rows = schedule.ticks(scenario.num_users)
+
+def _play(scenarios: list[Scenario], schedule: Schedule,
+          config: RunConfig) -> list[EquilibriumReport]:
+    """``[run(scenario, schedule, config) for scenario in scenarios]``, bitwise,
+    for scenarios of one (M, K) played in lockstep (see the module docstring)."""
+    profile = np.stack([_initial_profile(sc, config) for sc in scenarios])
+    mult, p_max, mask = _stacks(scenarios)
+    logs = [([x.copy()], []) for x in profile] if config.record_trajectory else None
+    # per stack row: its index in scenarios, quiet ticks, cycle period, stop tick
+    live, quiet, period, stop = (list(range(len(scenarios))), [0] * len(scenarios),
+                                 [None] * len(scenarios), [config.max_iter] * len(scenarios))
+    ends: list = [None] * len(scenarios)  # (profile, converged, iterations, period, replies)
+    rows = schedule.ticks(scenarios[0].num_users)
     window = schedule.max_staleness + 1
     history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
-    quiet = best_responses = 0
-    stop, anchor, cycle_period = config.max_iter, None, None  # play ticks [0, stop)
-    for t in range(config.max_iter):
+    anchor, runs, replies = None, _runs(scenarios), 0
+    for t in range(config.max_iter + 1):
         # Brent's search: each tick-start profile against the one at the
         # last power of two; the first match gives the least period
-        if not asynchronous and cycle_period is None and t:
-            if anchor is not None and np.array_equal(profile, anchor):
-                cycle_period = t - anchor_tick
-                stop = t + (config.max_iter - t) % cycle_period
-            elif t & (t - 1) == 0:
+        if schedule.kind != "asynchronous" and 0 < t < config.max_iter:
+            for r in np.flatnonzero((profile == anchor).all(axis=(1, 2)) if t > 1 else ()).tolist():
+                if period[r] is None and quiet[r] < window:
+                    period[r] = t - anchor_tick
+                    stop[r] = t + (config.max_iter - t) % period[r]
+            if t & (t - 1) == 0:
                 anchor, anchor_tick = profile.copy(), t
-        if t == stop:
-            break
+        keep = [r for r in range(len(live)) if quiet[r] < window and stop[r] != t]
+        if len(keep) < len(live):  # everyone leaves at t = max_iter
+            for r in sorted(set(range(len(live))) - set(keep)):
+                converged = quiet[r] >= window
+                ends[live[r]] = (profile[r].copy(), converged,
+                                 t if converged else config.max_iter, period[r], replies)
+            live, quiet, period, stop = ([a[r] for r in keep] for a in (live, quiet, period, stop))
+            profile, mult, p_max, mask = (a[keep] for a in (profile, mult, p_max, mask))
+            history = deque((x[keep] for x in history), maxlen=window)
+            anchor = None if anchor is None else anchor[keep]
+            if not live:
+                break
+            runs = _runs([scenarios[e] for e in live])
         history.append(profile.copy())
         updates, snapshots = next(rows)
-        delta = 0.0
-        for i in np.flatnonzero(updates).tolist():  # ints index faster than np.int64
-            seen = profile if sequential else history[snapshots[i] - t - 1]
-            reply = best_response(scenario, i, seen).p
-            best_responses += 1
-            delta = max(delta, float(np.abs(reply - profile[i]).max()))
-            profile[i] = reply
-        if config.record_trajectory:
-            step_residuals.append(delta)
-            trajectory.append(profile.copy())
-        quiet = quiet + 1 if delta <= config.tol else 0
-        if quiet >= window:
-            converged = True
-            break
-    if cycle_period is not None and config.record_trajectory:
-        # the max_iter - stop ticks not played are whole periods that repeat
-        # the last one exactly; every lap shares the cycle's read-only arrays
-        laps = (config.max_iter - stop) // cycle_period
-        for x in trajectory[-cycle_period:]:
-            x.setflags(write=False)
-        step_residuals += step_residuals[-cycle_period:] * laps
-        trajectory += trajectory[-cycle_period:] * laps
+        delta = np.zeros(len(live))
+        users = np.flatnonzero(updates).tolist()  # ints index faster than np.int64
+        for i in users:
+            seen = profile if schedule.kind == "sequential" else history[snapshots[i] - t - 1]
+            reply = _replies(_interference_rows(runs, seen, i), mult[:, i], p_max[:, i],
+                             mask[:, i])
+            np.maximum(delta, np.abs(reply - profile[:, i]).max(axis=1), out=delta)
+            profile[:, i] = reply
+        replies += len(users)
+        quiet = [q + 1 if d <= config.tol else 0 for q, d in zip(quiet, delta.tolist())]
+        for r, e in enumerate(live if logs else ()):
+            logs[e][0].append(profile[r].copy())
+            logs[e][1].append(float(delta[r]))
 
-    utilities = per_user_utilities(profile, scenario.channel)
-    threshold = SUPPORT_THRESHOLD_FRACTION * float(scenario.constraints.p_max.min())
-    return EquilibriumReport(
-        profile=profile,
-        converged=converged,
-        iterations=config.max_iter if cycle_period else t + 1,  # ticks played
-        residual=fixed_point_residual(profile, scenario),
-        per_user_utility=utilities,
-        social_utility=float(utilities.sum()),
-        orthogonality_index=orthogonality_index(profile, threshold),
-        supports=[row.nonzero()[0].tolist() for row in profile > threshold],
-        degenerate_uncertainty=scenario.uncertainty.is_degenerate(),
-        stop_reason="converged" if converged else "cycle" if cycle_period else "max_iter",
-        cycle_period=cycle_period,
-        best_responses=best_responses,
-        trajectory=trajectory,
-        step_residuals=step_residuals,
-    )
+    residuals = _residuals(scenarios, np.stack([end[0] for end in ends]))
+    reports = []
+    for sc, (final, converged, iterations, cycle_period, work), residual, log in zip(
+            scenarios, ends, residuals.tolist(), logs or [(None, None)] * len(ends)):
+        trajectory, step_residuals = log
+        if cycle_period is not None and log[0]:
+            # the ticks not played are whole periods that repeat the last one
+            # exactly; every lap shares the cycle's read-only arrays
+            laps = (config.max_iter - len(step_residuals)) // cycle_period
+            for x in trajectory[-cycle_period:]:
+                x.setflags(write=False)
+            step_residuals += step_residuals[-cycle_period:] * laps
+            trajectory += trajectory[-cycle_period:] * laps
+        utilities = per_user_utilities(final, sc.channel)
+        threshold = SUPPORT_THRESHOLD_FRACTION * float(sc.constraints.p_max.min())
+        reports.append(EquilibriumReport(
+            profile=final, converged=converged, iterations=iterations, residual=residual,
+            per_user_utility=utilities, social_utility=float(utilities.sum()),
+            orthogonality_index=orthogonality_index(final, threshold),
+            supports=[row.nonzero()[0].tolist() for row in final > threshold],
+            degenerate_uncertainty=sc.uncertainty.is_degenerate(),
+            stop_reason="converged" if converged else "cycle" if cycle_period else "max_iter",
+            cycle_period=cycle_period, best_responses=work,
+            trajectory=trajectory, step_residuals=step_residuals))
+    return reports
 
 
 @contextlib.contextmanager
@@ -345,32 +382,35 @@ class SweepResult:
             return np.nanstd(self.utilities, axis=1)
 
 
-def _sweep_run(task) -> EquilibriumReport:
-    scenario, spec, schedule_kind, config = task
-    return run(scenario.with_uncertainty(spec), Schedule(kind=schedule_kind), config)
+def _play_chunk(task) -> list[EquilibriumReport]:
+    return _play(*task)
 
 
 def sweep_reports(scenarios, specs, schedule_kind: str = "sequential",
                   config: RunConfig = RunConfig(), jobs: int = 1) -> list[list[EquilibriumReport]]:
     """Play every scenario under every uncertainty spec: ``reports[g][r]`` is
-    ``run(scenarios[r].with_uncertainty(specs[g]))``.  The runs are spread
-    over at most ``jobs`` worker processes, never more than there are runs,
-    and the reports do not depend on ``jobs``."""
+    ``run(scenarios[r].with_uncertainty(specs[g]))``.  The runs are split into
+    at most ``jobs`` contiguous chunks, never more than there are runs, and
+    each chunk plays in lockstep in one worker process (in this process when
+    there is one chunk); the reports do not depend on ``jobs``."""
     scenarios = list(scenarios)
     if not all(isinstance(scenario, Scenario) for scenario in scenarios):
         raise ValueError("scenarios must be realized Scenario objects")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tasks = [(scenario, spec, schedule_kind, config) for spec in specs for scenario in scenarios]
-    workers = min(jobs, len(tasks))
+    # channel-major, so each chunk holds its channels' games side by side and
+    # pickles a channel once
+    games = [scenario.with_uncertainty(spec) for scenario in scenarios for spec in specs]
+    workers = min(jobs, len(games))
+    chunks = [(games[w * len(games) // workers:(w + 1) * len(games) // workers],
+               Schedule(kind=schedule_kind), config) for w in range(workers)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_sweep_run, tasks))
+            flat = [report for chunk in pool.map(_play_chunk, chunks) for report in chunk]
     else:
-        flat = [_sweep_run(task) for task in tasks]
-    n = len(scenarios)
-    return [flat[g * n:(g + 1) * n] for g in range(len(specs))]
+        flat = [report for chunk in chunks for report in _play_chunk(chunk)]
+    return [flat[g::len(specs)] for g in range(len(specs))]
 
 
 def write_sweep_csv(result: SweepResult, path, preamble: str | None = None) -> None:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, effective_interference, normalized_interference
+from .model import (Scenario, _effective_interference, effective_interference,
+                    normalized_interference)
 
 
 @dataclass(frozen=True)
@@ -74,21 +75,21 @@ def _waterfill(s: np.ndarray, p_max: float, mask: np.ndarray) -> WaterfillSoluti
         # slope[j] channels fill on segment j, from levels[j] to levels[j + 1];
         # spent[j] is the total allocated at its upper end.
         slope = np.cumsum(np.where(order < s.size, 1, -1))[:-1]
-        spent = np.cumsum(slope * np.diff(levels))
+        spent = np.cumsum(slope * (levels[1:] - levels[:-1]))
         # Lower end of the first segment to reach the budget (the last breakpoint
         # if rounding leaves spent[-1] an ulp below it).  No breakpoint lies
         # inside that segment, so the levels classify every channel.
         lo = levels[np.searchsorted(spent, p_max)]
         saturated = top <= lo
         interior = (s <= lo) & ~saturated    # empty only if capped >= p_max
-        capped = np.where(saturated, mask, 0.0).sum()
+        capped = (mask * saturated).sum()
         if capped >= p_max:
             # The saturated masks alone spend the budget: a running total an ulp
             # short stepped over the flat stretch they end on.  Take its lower end.
             mu = float(top[saturated].max())
         else:
-            mu = float((p_max - capped + np.where(interior, s, 0.0).sum()) / interior.sum())
-    return WaterfillSolution(p=np.clip(mu - s, 0.0, mask), water_level=mu,
+            mu = float((p_max - capped + (s * interior).sum()) / interior.sum())
+    return WaterfillSolution(p=np.minimum(np.maximum(mu - s, 0.0), mask), water_level=mu,
                              lam=1.0 / mu, budget_active=mu < np.inf)
 
 
@@ -101,20 +102,30 @@ def _waterfill_rows(s: np.ndarray, p_max: np.ndarray, mask: np.ndarray) -> np.nd
     top = s + mask
     levels = np.concatenate((s, top), axis=1)
     order = np.argsort(levels, axis=1)
-    levels = np.take_along_axis(levels, order, axis=1)
+    index = np.arange(len(s))[:, None]
+    levels = levels[index, order]
     slope = np.cumsum(np.where(order < s.shape[1], 1, -1), axis=1)[:, :-1]
-    spent = np.cumsum(slope * np.diff(levels, axis=1), axis=1)
+    spent = np.cumsum(slope * (levels[:, 1:] - levels[:, :-1]), axis=1)
     # spent is nondecreasing, so counting its entries below the budget is searchsorted
-    reached = (spent < p_max[:, None]).sum(axis=1)
-    lo = np.take_along_axis(levels, reached[:, None], axis=1)
+    lo = levels[index, (spent < p_max[:, None]).sum(axis=1, keepdims=True)]
     saturated = top <= lo
     interior = (s <= lo) & ~saturated
-    capped = np.where(saturated, mask, 0.0).sum(axis=1)
-    level = p_max - capped + np.where(interior, s, 0.0).sum(axis=1)
+    capped = (mask * saturated).sum(axis=1)
+    level = p_max - capped + (s * interior).sum(axis=1)
     level /= np.maximum(interior.sum(axis=1), 1)  # no interior: the next line drops it
     mu = np.where(capped >= p_max, np.where(saturated, top, -np.inf).max(axis=1), level)
     mu[mask.sum(axis=1) <= p_max] = np.inf
-    return np.clip(mu[:, None] - s, 0.0, mask)
+    return np.minimum(np.maximum(mu[:, None] - s, 0.0), mask)
+
+
+def _replies(s_bar: np.ndarray, mult: np.ndarray, p_max: np.ndarray,
+             mask: np.ndarray) -> np.ndarray:
+    """Every row's reply in one row-kernel call: (B, K) rows of nominal
+    interference, multipliers and masks, and one budget per row."""
+    s_eff = _effective_interference(s_bar, mult)
+    if not np.isfinite(s_eff).all():
+        raise ValueError("the profile's effective interference must be finite")
+    return _waterfill_rows(s_eff, p_max, mask)
 
 
 def best_response(scenario: Scenario, user: int, profile: np.ndarray) -> WaterfillSolution:

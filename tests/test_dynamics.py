@@ -1,5 +1,7 @@
 """Best-response iteration tests: schedules, convergence, reports, CSV export."""
+import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from riwfa import (
     write_trajectory_csv,
     zero_profile,
 )
+from riwfa.dynamics import SCHEDULE_KINDS, _play
+from riwfa.model import MODES, DegenerateUncertaintyWarning
 
 # Reference allocations the table3/table4 presets compare against
 # (channels 0-based; rows are users).
@@ -354,6 +358,69 @@ def test_cycle_fast_forward_matches_playing_every_tick(instance):
     if instance is KNOWN_CYCLE:
         assert report.stop_reason == "cycle" and report.cycle_period == 5
         assert report.best_responses == 15 * 6
+
+
+@st.composite
+def lockstep_batches(draw):
+    """1-5 games of one (M, K) on 1-3 shared channels, of every mode (eps 1.5
+    at delta0 0 clamps), one schedule of any kind, and caps low enough that
+    runs stop at a cycle or at max_iter as well as converge; plus an order."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):  # beside a draw on which sequential play cycles
+        m, k, seed = draw(st.sampled_from(SEQUENTIAL_CYCLES))
+        channels = [random_scenario(m, k, seed=s, **ENSEMBLES["high"])
+                    for s in [seed] + draw(st.lists(st.integers(0, 10_000), max_size=2))]
+    else:
+        m, k = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+        channels = [random_scenario(m, k, seed=draw(st.integers(0, 10_000)),
+                                    cross_range=(0.0, draw(st.sampled_from([0.05, 0.5, 1.0]))),
+                                    noise_range=(0.0, 0.01))
+                    for _ in range(draw(st.integers(1, 3)))]
+    games = []
+    for _ in range(n):
+        mode, eps = draw(st.sampled_from(MODES)), draw(st.sampled_from([0.5, 1.5]))
+        spec = (UncertaintySpec.nominal(m, k) if mode == "nominal" else UncertaintySpec.uniform(
+            m, k, eps, mode=mode,
+            delta0=draw(st.sampled_from([0.0, 0.3, 1.0])) if mode == "probabilistic" else None))
+        games.append(draw(st.sampled_from(channels)).with_uncertainty(spec))
+    kind = draw(st.sampled_from(SCHEDULE_KINDS))
+    schedule = Schedule(kind)
+    if kind == "asynchronous":
+        schedule = Schedule(kind, update_probability=draw(st.sampled_from([0.4, 1.0])),
+                            max_staleness=draw(st.integers(0, 3)),
+                            seed=draw(st.integers(0, 10_000)))
+    config = RunConfig(tol=draw(st.sampled_from([1e-3, 1e-8])), max_iter=draw(st.integers(1, 80)),
+                       record_trajectory=draw(st.booleans()))
+    return games, schedule, config, draw(st.permutations(range(n)))
+
+
+def assert_same_report(a, b):
+    """Every field bitwise equal, the per-tick log included."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "trajectory" and x is not None:
+            assert len(x) == len(y) and all(p.tobytes() == q.tobytes() for p, q in zip(x, y))
+        elif isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(lockstep_batches())
+def test_lockstep_play_matches_each_run_alone(batch):
+    # a game played beside others, in any order, reports what it does alone
+    games, schedule, config, order = batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
+        alone = [run(sc, schedule, config) for sc in games]
+        together = _play(games, schedule, config)
+        shuffled = _play([games[b] for b in order], schedule, config)
+    for b, report in enumerate(alone):
+        assert_same_report(report, together[b])
+        assert_same_report(report, shuffled[order.index(b)])
+    if any(report.stop_reason == "cycle" for report in alone):
+        assert schedule.kind != "asynchronous"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
