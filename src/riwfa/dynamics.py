@@ -1,33 +1,29 @@
 """Best-response iteration until a fixed point: sequential, simultaneous, async.
 
-One loop, ``_play``, runs all three schedules, for a batch of games of one
-(M, K) at once; ``run`` is a batch of one.  Each tick visits the users in
-index order; a user's reply overwrites its row of the profile at once, and
-the profile it replies to depends on the schedule: the live profile
-(sequential, a Gauss-Seidel sweep), the copy taken at the start of the
-tick (simultaneous, a Jacobi round), or, for a user the asynchronous
-schedule picks, the start-of-tick copy of the tick it names, at most
-max_staleness ticks old.  Every game plays the same rows of
-``Schedule.ticks``, drawn only when the loop reaches them, and a user's
-replies in all live games are one row-kernel call.  A game stops once the
-largest power change of a tick stays at or below ``tol`` for
-max_staleness + 1 consecutive ticks, and then leaves the batch.
+One loop, ``_play``, plays a batch of games of one (M, K) in lockstep, and
+``run`` is a batch of one.  Each tick visits the users in index order; a
+user's replies in all live games are one row-kernel call and overwrite its
+rows at once.  A user replies to the live profile (sequential, a
+Gauss-Seidel sweep), the copy taken at the start of the tick (simultaneous,
+a Jacobi round), or, if the asynchronous schedule picks it, the tick-start
+copy of the tick it names, at most max_staleness ticks old.  Every game
+plays the same rows of ``Schedule.ticks``, drawn only when the loop reaches
+them.  A game stops, and leaves the batch, once the largest power change of
+a tick stays at or below ``tol`` for max_staleness + 1 consecutive ticks.
 
 Sequential and simultaneous ticks are a fixed map of the tick-start
-profile, so once a tick-start profile repeats exactly the game cycles
-forever: every tick of the cycle moved more than ``tol``, or it would have
-stopped there.  Each game looks for such a repeat with Brent's algorithm
-(one anchor copy, moved to ticks 1, 2, 4, ...), then plays only the ticks
-that bring it to the cap's place in the cycle; a recorded log repeats the
-cycle's read-only entries to the cap.  Its report is bitwise the one that
-playing all ``max_iter`` ticks alone gives, and says why it stopped:
-``"converged"``, ``"cycle"`` (with the cycle's period) or ``"max_iter"``.
-Asynchronous schedules are not periodic and are never checked.
+profile, so once a game's tick-start profile repeats exactly it cycles
+forever: every tick of the cycle moved more than ``tol``.  Each game looks
+for such a repeat with Brent's algorithm (one anchor copy, moved to ticks
+1, 2, 4, ...), then plays only the ticks that bring it to the cap's place
+in the cycle; a recorded log repeats the cycle's read-only entries to the
+cap.  Its report is bitwise the one that playing all ``max_iter`` ticks
+alone gives, and says why it stopped: ``"converged"``, ``"cycle"`` (with
+the cycle's period) or ``"max_iter"``.  Asynchronous play is never checked.
 
-``sweep_reports`` is the sweep engine: it plays a list of realized
-scenarios under every uncertainty spec of a grid, so every grid point sees
-the same channels, and ``SweepResult.from_reports`` turns its reports into
-social utilities along the grid.
+``sweep_reports`` plays a list of realized scenarios under every
+uncertainty spec of a grid, and ``SweepResult.from_reports`` turns its
+reports into social utilities along the grid.
 """
 from __future__ import annotations
 
@@ -183,21 +179,19 @@ def _stacks(scenarios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _runs(games) -> list[tuple]:
-    """``(channel, start, stop)`` of each run of neighbouring games that share
-    a channel: one interference call per run copies no channel."""
+    """``(channel, start, stop)`` of each run of neighbours on one channel."""
     starts = [b for b, sc in enumerate(games) if not b or sc.channel is not games[b - 1].channel]
     return [(games[a].channel, a, b) for a, b in zip(starts, starts[1:] + [len(games)])]
 
 
 def _interference_rows(runs, stack: np.ndarray, user: int | None = None) -> np.ndarray:
-    """Nominal interference of each row of ``stack`` on the channel of its run."""
+    """Nominal interference of ``stack``, one call per run: no channel is copied."""
     parts = [_interference(channel, stack[a:b], user) for channel, a, b in runs]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _residuals(games, profiles: np.ndarray) -> np.ndarray:
-    """Each game's fixed-point residual at its row of ``profiles``, from one
-    row-kernel call over every (game, user) row."""
+    """Each game's fixed-point residual, from one row-kernel call on every user."""
     rows = [a.reshape(-1, *a.shape[2:]) for a in (
         _interference_rows(_runs(games), profiles), *_stacks(games))]
     return np.abs(_replies(*rows).reshape(profiles.shape) - profiles).max(axis=(1, 2))
@@ -225,9 +219,8 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
     profile = np.stack([_initial_profile(sc, config) for sc in scenarios])
     mult, p_max, mask = _stacks(scenarios)
     logs = [([x.copy()], []) for x in profile] if config.record_trajectory else None
-    # per stack row: its index in scenarios, quiet ticks, cycle period, stop tick
-    live, quiet, period, stop = (list(range(len(scenarios))), [0] * len(scenarios),
-                                 [None] * len(scenarios), [config.max_iter] * len(scenarios))
+    # per stack row: its index in scenarios, quiet ticks and cycle period
+    live, quiet, period = list(range(len(scenarios))), [0] * len(scenarios), [None] * len(scenarios)
     ends: list = [None] * len(scenarios)  # (profile, converged, iterations, period, replies)
     rows = schedule.ticks(scenarios[0].num_users)
     window = schedule.max_staleness + 1
@@ -240,16 +233,18 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
             for r in np.flatnonzero((profile == anchor).all(axis=(1, 2)) if t > 1 else ()).tolist():
                 if period[r] is None and quiet[r] < window:
                     period[r] = t - anchor_tick
-                    stop[r] = t + (config.max_iter - t) % period[r]
             if t & (t - 1) == 0:
                 anchor, anchor_tick = profile.copy(), t
-        keep = [r for r in range(len(live)) if quiet[r] < window and stop[r] != t]
-        if len(keep) < len(live):  # everyone leaves at t = max_iter
+        # a cycling game plays on until the cap's place in its cycle, and every
+        # game leaves at the cap
+        keep = [r for r in range(len(live)) if quiet[r] < window and t < config.max_iter
+                and not (period[r] and (config.max_iter - t) % period[r] == 0)]
+        if len(keep) < len(live):
             for r in sorted(set(range(len(live))) - set(keep)):
                 converged = quiet[r] >= window
                 ends[live[r]] = (profile[r].copy(), converged,
                                  t if converged else config.max_iter, period[r], replies)
-            live, quiet, period, stop = ([a[r] for r in keep] for a in (live, quiet, period, stop))
+            live, quiet, period = ([a[r] for r in keep] for a in (live, quiet, period))
             profile, mult, p_max, mask = (a[keep] for a in (profile, mult, p_max, mask))
             history = deque((x[keep] for x in history), maxlen=window)
             anchor = None if anchor is None else anchor[keep]

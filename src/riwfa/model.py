@@ -336,15 +336,14 @@ def normalized_interference(channel: ChannelRealization, profile: np.ndarray,
     s[k] = (sum_{j != user} profile[j, k] * gains[j, user, k] + noise[user, k])
            / gains[user, user, k].
     The user's own row of ``profile`` does not enter.  With ``user`` None it
-    returns all M rows as one (M, K) array.  A stack of (M, K) profiles gives
-    a stack of results.  Every row sums the same terms in the same order, so
-    row i of any of these equals the call for user i on its profile bitwise.
+    returns all M rows as one (M, K) array; row i equals the call for user i
+    bitwise, since both sum the same terms in the same order.
     """
     num_users = channel.num_users
     if user is not None and not 0 <= user < num_users:
         raise ValueError(f"user index {user} out of range for M={num_users}")
     profile = np.asarray(profile, dtype=float)
-    if profile.shape[-2:] != (num_users, channel.num_subchannels):
+    if profile.shape != (num_users, channel.num_subchannels):
         raise ValueError(
             f"profile must have shape ({num_users}, {channel.num_subchannels}),"
             f" got {profile.shape}"
@@ -354,7 +353,7 @@ def normalized_interference(channel: ChannelRealization, profile: np.ndarray,
 
 def _interference(channel: ChannelRealization, profile: np.ndarray,
                   user: int | None = None) -> np.ndarray:
-    """``normalized_interference`` without its checks."""
+    """``normalized_interference`` without its checks, for any leading batch axes."""
     if user is None:
         received = (channel.cross_gains * profile[..., None, :, :]).sum(axis=-2)
         return (received + channel.noise) / channel.direct_gains
@@ -397,8 +396,7 @@ def effective_interference(s_nominal: np.ndarray, uncertainty: UncertaintySpec,
 
 
 def _effective_interference(s_nominal: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """``effective_interference`` on stacks of matching shape; the warning
-    names the line that called its caller."""
+    """``effective_interference`` on stacks; the warning names its caller's caller."""
     if mult.min() <= 0:
         warnings.warn(
             "uncertainty multiplier <= 0; effective interference clamped to floor",

@@ -11,11 +11,12 @@ when the caps alone sum to at most the budget (then every channel saturates,
 the budget is slack and its dual variable lam = 1/mu is 0).
 
 The total is piecewise linear in mu, with breakpoints at s[k] and
-s[k] + mask[k].  One closed form, ``_waterfill``, sorts them once, accumulates
-the total along them and solves the segment that reaches the budget (Palomar
-and Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration and no
-input checks.  ``waterfill`` checks its input first; ``best_response`` trusts
-the validated ``Scenario`` it replies in.
+s[k] + mask[k].  The closed form sorts them once, accumulates the total
+along them and solves the segment that reaches the budget (Palomar and
+Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration and no input
+checks.  ``_waterfill`` solves one row and ``_waterfill_rows`` a (B, K) stack,
+each row bitwise as alone.  ``waterfill`` checks its input first;
+``best_response`` and ``_replies`` trust the validated ``Scenario``.
 """
 from __future__ import annotations
 
