@@ -121,3 +121,17 @@ cat >"$out/cli-check-ratio-overflow/ratio.json" <<'JSON'
  "seed": null}
 JSON
 cli check-ratio-overflow check --scenario ratio.json
+# an eps whose squares overflow float64 while its certificate terms, about
+# sqrt(8) * 1e200, do not
+cli check-huge-eps check --generate low --eps 1e200 --out check.json
+# perfbench's high-cycle-00 draw at seed 7, on which sequential play cycles
+# with period 4, logged to a cap of 20000 ticks: the summary computes each
+# distinct tick's utility once, however many laps repeat it
+draws=$(mktemp -d)
+(cd "$draws" && python3 -c 'import sys; sys.path.insert(0, sys.argv[1])
+import workloads; workloads.BUILDERS["high-cycle"](7, ".")' "$root/perfbench")
+mkdir -p "$out/cli-summary-cycle"
+cp "$draws/high-cycle-00.json" "$out/cli-summary-cycle/"
+rm -r "$draws"
+cli summary-cycle run --scenario high-cycle-00.json --max-iter 20000 --out report.json \
+    --summary summary.csv

@@ -57,6 +57,17 @@ def spectral_radius(w) -> float | np.ndarray:
     return np.abs(np.linalg.eigvalsh(sym)).max(axis=-1)
 
 
+def _norm2(x: np.ndarray, axis: int | None = None) -> float | np.ndarray:
+    """``np.linalg.norm(x, axis=axis)``, or ``m * norm(x / m)`` with m = max|x|
+    where squaring the entries overflows: no finite value moves."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a zero m has a finite norm
+        norm = np.linalg.norm(x, axis=axis)
+        if np.isfinite(norm).all():
+            return norm
+        m = np.abs(x).max(axis=axis, keepdims=True)
+        return np.where(np.isfinite(norm), norm, m.squeeze(axis) * np.linalg.norm(x / m, axis=axis))
+
+
 def operator_norm_2(w) -> float | np.ndarray:
     """Largest singular value of W, from its singular value decomposition:
     exact to rounding, never an iterative estimate."""
@@ -80,6 +91,10 @@ class CertificateResult:
     margin: float
     per_subchannel_margins: np.ndarray | None = None
     components: dict | None = None
+
+    def __post_init__(self):
+        if not all(np.isfinite(v).all() for v in (self.components or {}).values()):
+            raise ValueError("a certificate term exceeds float64")
 
     def to_dict(self) -> dict:
         out = {"passed": self.passed, "margin": self.margin}
@@ -105,7 +120,7 @@ def check_rne_uniqueness(scenario: Scenario) -> CertificateResult:
     w = _ratio_matrices(scenario.channel)
     rho = spectral_radius(w)
     norm2 = operator_norm_2(w)
-    eps_norm = np.linalg.norm(scenario.uncertainty.effective_eps(), axis=0)
+    eps_norm = _norm2(scenario.uncertainty.effective_eps(), axis=0)
     margins = np.minimum(rho, norm2) + eps_norm - 1.0
     return CertificateResult(
         passed=bool(np.all(margins < 0.0)),
@@ -129,7 +144,8 @@ def check_async_convergence(scenario: Scenario) -> CertificateResult:
     s_bar_max = normalized_interference(channel, scenario.constraints.mask)
     w_matrix_norm = operator_norm_2(interference_ratio_matrix_max(channel))
     w_vec = (s_bar_max * scenario.uncertainty.effective_eps()).max(axis=1)
-    staleness_term = float(np.sqrt(scenario.num_users) * np.linalg.norm(w_vec))
+    with np.errstate(over="ignore"):  # CertificateResult rejects a term that overflows
+        staleness_term = float(np.sqrt(scenario.num_users) * _norm2(w_vec))
     margin = w_matrix_norm + staleness_term - 1.0
     return CertificateResult(
         passed=bool(margin < 0.0),

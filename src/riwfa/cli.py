@@ -365,12 +365,12 @@ def cmd_check(args) -> int:
     _check_output_path(args.out)
     with _input_errors():
         scenario = _resolve_scenario(args, scenario)
-    resolved = {"command": "check", **source_desc,
-                "mode": scenario.uncertainty.mode,
-                "eps": args.eps, "delta0": args.delta0}
-    payload = {"config": resolved,
-               "uniqueness": check_rne_uniqueness(scenario).to_dict(),
-               "async_convergence": check_async_convergence(scenario).to_dict()}
+        resolved = {"command": "check", **source_desc,
+                    "mode": scenario.uncertainty.mode,
+                    "eps": args.eps, "delta0": args.delta0}
+        payload = {"config": resolved,
+                   "uniqueness": check_rne_uniqueness(scenario).to_dict(),
+                   "async_convergence": check_async_convergence(scenario).to_dict()}
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -485,7 +485,8 @@ def _preset_fig1(args):
     config = {"realizations": count, "eps_grid": list(FIG_EPS_GRID),
               "accepted_seeds": [sc.seed for sc in scenarios]}
     data = {"mean_social_utility": means.tolist(), "utilities": utilities.tolist(),
-            "stop_reasons": [_stop_counts(row) for row in reports]}
+            "stop_reasons": [_stop_counts(row) for row in reports],
+            "best_responses": [sum(rep.best_responses for rep in row) for row in reports]}
     return config, checks, data, result
 
 
@@ -507,7 +508,8 @@ def _preset_fig2(args):
     config = {"realizations": count, "eps_grid": grid, "seed": 900, "max_iter": 2000}
     data = {"mean_social_utility": means.tolist(),
             "num_converged": result.num_converged.tolist(),
-            "stop_reasons": [_stop_counts(row) for row in reports]}
+            "stop_reasons": [_stop_counts(row) for row in reports],
+            "best_responses": [sum(rep.best_responses for rep in row) for row in reports]}
     return config, checks, data, result
 
 
@@ -562,7 +564,9 @@ def _delta0_comparison(args, preset: str, ensemble: str, base_seed: int,
             "wc_mean": float(np.nanmean(wc_utilities)),
             "num_converged": result.num_converged.tolist(),
             "stop_reasons": [_stop_counts(row) for row in prob],
-            "wc_stop_reasons": _stop_counts(wc)}
+            "wc_stop_reasons": _stop_counts(wc),
+            "best_responses": [sum(rep.best_responses for rep in row) for row in prob],
+            "wc_best_responses": sum(rep.best_responses for rep in wc)}
     return config, checks, data, result
 
 

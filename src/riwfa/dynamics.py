@@ -325,11 +325,14 @@ def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
     ``preamble`` becomes a leading '#' comment line."""
     if report.trajectory is None:
         raise ValueError("run was not configured with record_trajectory=True")
+    socials: dict[int, str] = {}  # a cycle's laps share their arrays: one sum per tick played
     with _csv_writer(path, ["iteration", "residual", "social_utility"], preamble) as (_, writer):
         for t in range(1, len(report.trajectory)):
-            # summed as run() sums it, so the last row equals report.social_utility
-            social = per_user_utilities(report.trajectory[t], scenario.channel).sum()
-            writer.writerow([t, repr(report.step_residuals[t - 1]), repr(float(social))])
+            x = report.trajectory[t]
+            if id(x) not in socials:
+                # summed as run() sums it, so the last row equals report.social_utility
+                socials[id(x)] = repr(float(per_user_utilities(x, scenario.channel).sum()))
+            writer.writerow([t, repr(report.step_residuals[t - 1]), socials[id(x)]])
 
 
 # ---------------------------------------------------------------------------

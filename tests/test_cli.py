@@ -314,6 +314,28 @@ def test_scenario_whose_gain_ratio_overflows_is_malformed(tmp_path, command):
     assert "gain ratios" in done.stderr and done.stderr.count("\n") == 1
 
 
+def riwfa_subprocess(tmp_path, argv):
+    src = os.path.dirname(os.path.dirname(riwfa.__file__))
+    return subprocess.run([sys.executable, "-m", "riwfa", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_check_norms_of_a_huge_eps_are_finite_or_an_input_error(tmp_path):
+    # eps = 1e200 squares past float64, but each norm is about sqrt(8) * 1e200
+    done = riwfa_subprocess(tmp_path, ["check", "--generate", "low", "--eps", "1e200"])
+    assert done.returncode == EXIT_OK and done.stderr == ""
+    payload = json.loads(done.stdout)
+    assert "Infinity" not in done.stdout
+    eps_norm = payload["uniqueness"]["components"]["eps_norm"]
+    assert eps_norm == pytest.approx([8 ** 0.5 * 1e200] * 64, rel=1e-15)
+    assert 0 < payload["async_convergence"]["components"]["staleness_term"] < 1e201
+    # at eps = 1e308 the interference still fits, but sqrt(8) * 1e308 does not
+    done = riwfa_subprocess(tmp_path, ["check", "--generate", "low", "--eps", "1e308"])
+    assert done.returncode == EXIT_INPUT and done.stdout == ""
+    assert done.stderr == "error: a certificate term exceeds float64\n"
+
+
 def test_run_byte_identical_reruns(capsys, tmp_path):
     args = ["run", "--generate", "low", "--users", "3", "--subchannels", "8",
             "--seed", "11", "--eps", "0.5"]
