@@ -16,7 +16,8 @@
 # so no absolute path enters its output. The fixed commands run the same way,
 # each in OUT_DIR/cli-<name>. Running the script in two checkouts
 # and then `diff -r OUT_A OUT_B` shows every output byte the change between
-# them moved. fig2 and fig4 take about 25 s together.
+# them moved. fig2 and fig4 take 6-7 s together on a 2-core VM, where the
+# whole script takes about 22 s.
 set -u
 
 if [ $# -ne 1 ]; then

@@ -237,10 +237,12 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
                 anchor, anchor_tick = profile.copy(), t
         # a cycling game plays on until the cap's place in its cycle, and every
         # game leaves at the cap
-        keep = [r for r in range(len(live)) if quiet[r] < window and t < config.max_iter
-                and not (period[r] and (config.max_iter - t) % period[r] == 0)]
-        if len(keep) < len(live):
-            for r in sorted(set(range(len(live))) - set(keep)):
+        leaving = [quiet[r] >= window or t == config.max_iter
+                   or bool(period[r]) and (config.max_iter - t) % period[r] == 0
+                   for r in range(len(live))]
+        if any(leaving):
+            keep = [r for r, gone in enumerate(leaving) if not gone]
+            for r in itertools.compress(range(len(live)), leaving):
                 converged = quiet[r] >= window
                 ends[live[r]] = (profile[r].copy(), converged,
                                  t if converged else config.max_iter, period[r], replies)

@@ -396,12 +396,13 @@ def effective_interference(s_nominal: np.ndarray, uncertainty: UncertaintySpec,
 
 
 def _effective_interference(s_nominal: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """``effective_interference`` on stacks; the warning names its caller's caller."""
+    """``effective_interference`` on stacks.  The warning names the line that
+    calls this kernel, so a batch's replies share one warning location."""
     if mult.min() <= 0:
         warnings.warn(
             "uncertainty multiplier <= 0; effective interference clamped to floor",
             DegenerateUncertaintyWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return np.maximum(s_nominal * mult, EFFECTIVE_INTERFERENCE_FLOOR)
 
