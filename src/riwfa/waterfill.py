@@ -96,8 +96,8 @@ def _waterfill(s: np.ndarray, p_max: float, mask: np.ndarray) -> WaterfillSoluti
 
 def _waterfill_rows(s: np.ndarray, p_max: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``_waterfill(s[b], p_max[b], mask[b]).p`` for every row b of the (B, K)
-    stacks, bitwise: each step runs along axis 1, and C-contiguous rows sum
-    as a lone row does.  One row is cheaper through ``_waterfill`` itself."""
+    stacks, bitwise: each step runs along axis 1, and a row of unit stride
+    sums as a lone row does.  One row is cheaper through ``_waterfill``."""
     if len(s) == 1:
         return _waterfill(s[0], float(p_max[0]), mask[0]).p[None]
     top = s + mask

@@ -1,6 +1,8 @@
 """Best-response iteration tests: schedules, convergence, reports, CSV export."""
 import dataclasses
+import io
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from riwfa import (
     check_rne_uniqueness,
     fixed_point_residual,
     load_bundled_scenario,
+    per_user_utilities,
     profile_feasible,
     random_scenario,
     run,
@@ -604,6 +607,24 @@ def test_summary_csv_schema(tmp_path):
     write_summary_csv(report, sc, path)
     last = path.read_text().splitlines()[-1].split(",")
     assert float(last[2]) == report.social_utility
+
+
+def test_summary_of_a_cycle_sums_each_played_tick_once(monkeypatch):
+    # the laps a cycle's fast-forward fills in share their arrays, so the
+    # summary's cost must not grow with the cap
+    sc, kind, _ = KNOWN_CYCLE
+    report = run(sc, Schedule(kind=kind), RunConfig(max_iter=5000, record_trajectory=True))
+    assert report.stop_reason == "cycle"
+    expected = io.StringIO()
+    write_summary_csv(report, sc, expected)
+    dynamics = sys.modules["riwfa.dynamics"]
+    counted = []
+    monkeypatch.setattr(dynamics, "per_user_utilities",
+                        lambda x, channel: counted.append(x) or per_user_utilities(x, channel))
+    written = io.StringIO()
+    write_summary_csv(report, sc, written)
+    assert written.getvalue() == expected.getvalue()
+    assert len(counted) == len({id(x) for x in report.trajectory[1:]}) < 30
 
 
 def test_csv_writers_require_trajectory(tmp_path):
