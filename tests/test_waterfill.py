@@ -148,7 +148,7 @@ def waterfill_row_stacks(draw):
     return s, p_max, mask
 
 
-@PROPERTY
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(waterfill_row_stacks())
 def test_row_kernel_rows_equal_the_scalar_kernel_bitwise(stack):
     # whatever the batch size and the rows beside it, a row solves as it
