@@ -156,9 +156,11 @@ def test_row_kernel_rows_equal_the_scalar_kernel_bitwise(stack):
     s, p_max, mask = stack
     rows = _waterfill_rows(s, p_max, mask)
     flipped = _waterfill_rows(s[::-1].copy(), p_max[::-1].copy(), mask[::-1].copy())[::-1]
+    # rows a stride apart, as the tick loop's per-user views of its stacks
+    spread = _waterfill_rows(s, *(np.stack([a, a], axis=1)[:, 0] for a in (p_max, mask)))
     for b in range(len(s)):
-        alone = _waterfill(s[b], float(p_max[b]), mask[b]).p
-        assert rows[b].tobytes() == alone.tobytes() == flipped[b].tobytes()
+        alone = _waterfill(s[b], float(p_max[b]), mask[b]).p.tobytes()
+        assert rows[b].tobytes() == flipped[b].tobytes() == spread[b].tobytes() == alone
 
 
 def test_permutation_equivariance():
