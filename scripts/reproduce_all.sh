@@ -9,15 +9,16 @@
 # All six presets run at --jobs 1; fig1 and fig3 run once more at
 # --realizations 2 --jobs 2, and table3 at --jobs 4, which plays its one run
 # without a worker process. `sweep-eps-jobs2` and `sweep-delta0-jobs2` are
-# `sweep-eps` and `sweep-delta0` at --jobs 2, so their files must equal those
-# of their --jobs 1 twins byte for byte; the second sends probabilistic specs
-# to the workers. Each demo runs inside its own directory, where
-# uncertainty_sweeps.py also writes its CSVs to the relative directory csv/,
-# so no absolute path enters its output. The fixed commands run the same way,
-# each in OUT_DIR/cli-<name>. Running the script in two checkouts
+# `sweep-eps` and `sweep-delta0` at --jobs 2; the second sends probabilistic
+# specs to the workers. After all runs the script compares those two and
+# table3-jobs4 with their --jobs 1 twins, prints one line per pair and exits
+# 1 if any pair differs by a byte. Each demo runs inside its own directory,
+# where uncertainty_sweeps.py also writes its CSVs to the relative directory
+# csv/, so no absolute path enters its output. The fixed commands run the
+# same way, each in OUT_DIR/cli-<name>. Running the script in two checkouts
 # and then `diff -r OUT_A OUT_B` shows every output byte the change between
-# them moved. fig2 and fig4 take 6-7 s together on a 2-core VM, where the
-# whole script takes about 22 s.
+# them moved. fig2 and fig4 take 4-5 s together on a 2-core VM, where the
+# whole script takes about 20 s.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -136,3 +137,17 @@ cp "$draws/high-cycle-00.json" "$out/cli-summary-cycle/"
 rm -r "$draws"
 cli summary-cycle run --scenario high-cycle-00.json --max-iter 20000 --out report.json \
     --summary summary.csv
+
+# output does not depend on --jobs: each --jobs twin must equal its --jobs 1 run
+status=0
+for pair in "cli-sweep-eps cli-sweep-eps-jobs2" "cli-sweep-delta0 cli-sweep-delta0-jobs2" \
+        "table3 table3-jobs4"; do
+    set -- $pair
+    if diff -r "$out/$1" "$out/$2" >/dev/null; then
+        echo "jobs twins $1 $2: identical"
+    else
+        echo "jobs twins $1 $2: DIFFER"
+        status=1
+    fi
+done
+exit $status

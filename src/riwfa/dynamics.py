@@ -1,15 +1,18 @@
 """Best-response iteration until a fixed point: sequential, simultaneous, async.
 
 One loop, ``_play``, plays a batch of games of one (M, K) in lockstep, and
-``run`` is a batch of one.  Each tick visits the users in index order; a
-user's replies in all live games are one row-kernel call and overwrite its
-rows at once.  A user replies to the live profile (sequential, a
-Gauss-Seidel sweep), the copy taken at the start of the tick (simultaneous,
-a Jacobi round), or, if the asynchronous schedule picks it, the tick-start
-copy of the tick it names, at most max_staleness ticks old.  Every game
-plays the same rows of ``Schedule.ticks``, drawn only when the loop reaches
-them.  A game stops, and leaves the batch, once the largest power change of
-a tick stays at or below ``tol`` for max_staleness + 1 consecutive ticks.
+``run`` is a batch of one.  The batch is one stack of each game's channel,
+multipliers, budgets and masks.  Each tick visits the users in index order;
+a user's replies in all live games are one interference call and one
+row-kernel call on that stack, whatever channels the games are on, and
+overwrite its rows at once.  A user replies to the live profile
+(sequential, a Gauss-Seidel sweep), the copy taken at the start of the tick
+(simultaneous, a Jacobi round), or, if the asynchronous schedule picks it,
+the tick-start copy of the tick it names, at most max_staleness ticks old.
+Every game plays the same rows of ``Schedule.ticks``, drawn only when the
+loop reaches them.  A game stops, and leaves the batch, once the largest
+power change of a tick stays at or below ``tol`` for max_staleness + 1
+consecutive ticks.
 
 Sequential and simultaneous ticks are a fixed map of the tick-start
 profile, so once a game's tick-start profile repeats exactly it cycles
@@ -172,28 +175,20 @@ def fixed_point_residual(profile: np.ndarray, scenario: Scenario) -> float:
     return float(_residuals([scenario], profile[None])[0])
 
 
-def _stacks(scenarios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The multipliers, budgets and masks of ``scenarios``, stacked."""
-    return tuple(np.stack(a) for a in zip(*[(sc.uncertainty.multipliers(), sc.constraints.p_max,
-                                             sc.constraints.mask) for sc in scenarios]))
-
-
-def _runs(games) -> list[tuple]:
-    """``(channel, start, stop)`` of each run of neighbours on one channel."""
-    starts = [b for b, sc in enumerate(games) if not b or sc.channel is not games[b - 1].channel]
-    return [(games[a].channel, a, b) for a, b in zip(starts, starts[1:] + [len(games)])]
-
-
-def _interference_rows(runs, stack: np.ndarray, user: int | None = None) -> np.ndarray:
-    """Nominal interference of ``stack``, one call per run: no channel is copied."""
-    parts = [_interference(channel, stack[a:b], user) for channel, a, b in runs]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _stacks(scenarios) -> list[np.ndarray]:
+    """The cross gains, noise and direct gains of each game's channel, then
+    its multipliers, budgets and masks, stacked: one entry per game."""
+    return [np.stack(a) for a in zip(*[
+        (sc.channel.cross_gains, sc.channel.noise, sc.channel.direct_gains,
+         sc.uncertainty.multipliers(), sc.constraints.p_max, sc.constraints.mask)
+        for sc in scenarios])]
 
 
 def _residuals(games, profiles: np.ndarray) -> np.ndarray:
     """Each game's fixed-point residual, from one row-kernel call on every user."""
-    rows = [a.reshape(-1, *a.shape[2:]) for a in (
-        _interference_rows(_runs(games), profiles), *_stacks(games))]
+    cross, noise, direct, *game = _stacks(games)
+    rows = [a.reshape(-1, *a.shape[2:])
+            for a in (_interference(cross, noise, direct, profiles), *game)]
     return np.abs(_replies(*rows).reshape(profiles.shape) - profiles).max(axis=(1, 2))
 
 
@@ -217,7 +212,7 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
     """``[run(scenario, schedule, config) for scenario in scenarios]``, bitwise,
     for scenarios of one (M, K) played in lockstep (see the module docstring)."""
     profile = np.stack([_initial_profile(sc, config) for sc in scenarios])
-    mult, p_max, mask = _stacks(scenarios)
+    cross, noise, direct, mult, p_max, mask = _stacks(scenarios)
     logs = [([x.copy()], []) for x in profile] if config.record_trajectory else None
     # per stack row: its index in scenarios, quiet ticks and cycle period
     live, quiet, period = list(range(len(scenarios))), [0] * len(scenarios), [None] * len(scenarios)
@@ -225,7 +220,7 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
     rows = schedule.ticks(scenarios[0].num_users)
     window = schedule.max_staleness + 1
     history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
-    anchor, runs, replies = None, _runs(scenarios), 0
+    anchor, replies = None, 0
     for t in range(config.max_iter + 1):
         # Brent's search: each tick-start profile against the one at the
         # last power of two; the first match gives the least period
@@ -247,20 +242,20 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
                 ends[live[r]] = (profile[r].copy(), converged,
                                  t if converged else config.max_iter, period[r], replies)
             live, quiet, period = ([a[r] for r in keep] for a in (live, quiet, period))
-            profile, mult, p_max, mask = (a[keep] for a in (profile, mult, p_max, mask))
+            profile, cross, noise, direct, mult, p_max, mask = (
+                a[keep] for a in (profile, cross, noise, direct, mult, p_max, mask))
             history = deque((x[keep] for x in history), maxlen=window)
             anchor = None if anchor is None else anchor[keep]
             if not live:
                 break
-            runs = _runs([scenarios[e] for e in live])
         history.append(profile.copy())
         updates, snapshots = next(rows)
         delta = np.zeros(len(live))
         users = np.flatnonzero(updates).tolist()  # ints index faster than np.int64
         for i in users:
             seen = profile if schedule.kind == "sequential" else history[snapshots[i] - t - 1]
-            reply = _replies(_interference_rows(runs, seen, i), mult[:, i], p_max[:, i],
-                             mask[:, i])
+            reply = _replies(_interference(cross, noise, direct, seen, i), mult[:, i],
+                             p_max[:, i], mask[:, i])
             np.maximum(delta, np.abs(reply - profile[:, i]).max(axis=1), out=delta)
             profile[:, i] = reply
         replies += len(users)
@@ -398,8 +393,7 @@ def sweep_reports(scenarios, specs, schedule_kind: str = "sequential",
         raise ValueError("scenarios must be realized Scenario objects")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    # channel-major, so each chunk holds its channels' games side by side and
-    # pickles a channel once
+    # channel-major, so a chunk pickles each of its channels once
     games = [scenario.with_uncertainty(spec) for scenario in scenarios for spec in specs]
     workers = min(jobs, len(games))
     chunks = [(games[w * len(games) // workers:(w + 1) * len(games) // workers],

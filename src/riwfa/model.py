@@ -348,17 +348,19 @@ def normalized_interference(channel: ChannelRealization, profile: np.ndarray,
             f"profile must have shape ({num_users}, {channel.num_subchannels}),"
             f" got {profile.shape}"
         )
-    return _interference(channel, profile, user)
+    return _interference(channel.cross_gains, channel.noise, channel.direct_gains, profile, user)
 
 
-def _interference(channel: ChannelRealization, profile: np.ndarray,
-                  user: int | None = None) -> np.ndarray:
-    """``normalized_interference`` without its checks, for any leading batch axes."""
+def _interference(cross_gains: np.ndarray, noise: np.ndarray, direct_gains: np.ndarray,
+                  profile: np.ndarray, user: int | None = None) -> np.ndarray:
+    """``normalized_interference`` without its checks, on a channel's arrays.
+    Leading batch axes broadcast on the channel arrays as on the profile, so
+    a stack of B channels and B profiles gives each game's own rows bitwise."""
     if user is None:
-        received = (channel.cross_gains * profile[..., None, :, :]).sum(axis=-2)
-        return (received + channel.noise) / channel.direct_gains
-    received = (channel.cross_gains[user] * profile).sum(axis=-2)
-    return (received + channel.noise[user]) / channel.direct_gains[user]
+        received = (cross_gains * profile[..., None, :, :]).sum(axis=-2)
+        return (received + noise) / direct_gains
+    received = (cross_gains[..., user, :, :] * profile).sum(axis=-2)
+    return (received + noise[..., user, :]) / direct_gains[..., user, :]
 
 
 def user_utility(p: np.ndarray, s: np.ndarray) -> float | np.ndarray:

@@ -31,6 +31,7 @@ from riwfa import (
     write_trajectory_csv,
     zero_profile,
 )
+from riwfa import dynamics
 from riwfa.dynamics import SCHEDULE_KINDS, _play
 from riwfa.model import MODES, DegenerateUncertaintyWarning
 
@@ -95,7 +96,7 @@ def first_ticks(schedule, num_users, count):
     return np.array([u for u, _ in rows]), np.array([s for _, s in rows])
 
 
-def test_generate_schedule_contract():
+def test_schedule_ticks_contract():
     sched = Schedule("asynchronous", update_probability=0.3, max_staleness=5, seed=17)
     updates, snapshots = first_ticks(sched, 3, 100)
     assert updates.shape == snapshots.shape == (100, 3)
@@ -106,7 +107,7 @@ def test_generate_schedule_contract():
     assert np.all(staleness >= 0) and np.all(staleness <= 5)
 
 
-def test_generate_schedule_deterministic():
+def test_schedule_ticks_deterministic():
     a = Schedule("asynchronous", update_probability=0.5, max_staleness=3, seed=5)
     b = Schedule("asynchronous", update_probability=0.5, max_staleness=3, seed=5)
     a_updates, a_snapshots = first_ticks(a, 4, 60)
@@ -115,7 +116,7 @@ def test_generate_schedule_deterministic():
     assert np.array_equal(a_snapshots, b_snapshots)
 
 
-def test_generate_schedule_stream_is_pinned():
+def test_schedule_ticks_stream_is_pinned():
     # per tick, per user: one random() unless forced, then one integers()
     # when the staleness window holds earlier ticks; another order moves these
     sched = Schedule("asynchronous", update_probability=0.5, max_staleness=2, seed=7)
@@ -165,7 +166,7 @@ def test_schedule_ticks_match_the_plain_draw(m, probability, staleness, seed, co
     assert np.all(age >= 0) and np.all(age <= staleness)
 
 
-def test_generate_schedule_validation():
+def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule("asynchronous", update_probability=0.0)
     with pytest.raises(ValueError):
@@ -176,9 +177,6 @@ def test_generate_schedule_validation():
         Schedule("roundrobin")
     # sequential/simultaneous take their kind alone: one quiet tick stops them
     assert Schedule("sequential").max_staleness == 0
-
-
-def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(kind="simultaneous", max_staleness=2)
     with pytest.raises(ValueError):
@@ -422,6 +420,27 @@ def test_lockstep_play_matches_each_run_alone(batch):
     for b, report in enumerate(alone):
         assert_same_report(report, together[b])
         assert_same_report(report, shuffled[order.index(b)])
+
+
+def test_lockstep_reply_is_one_interference_call_on_distinct_channels(monkeypatch):
+    # the stack carries each game's channel, so a reply serves every live
+    # game in one call however many channels they are on
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1] if len(args) == 5 else None)
+        return interference(*args)
+
+    interference = dynamics._interference
+    monkeypatch.setattr(dynamics, "_interference", counted)
+    games = [random_scenario(4, 16, seed=seed, **ENSEMBLES["high"]).with_uncertainty(
+        UncertaintySpec.uniform(4, 16, 0.5)) for seed in (1, 2, 3)]
+    reports = _play(games, Schedule("sequential"), RunConfig(max_iter=50))
+    # the games leave the stack after 4, 3 and 11 ticks of 4 replies each
+    assert [(r.stop_reason, r.best_responses) for r in reports] == [
+        ("converged", 16), ("converged", 12), ("converged", 44)]
+    # one call per reply, then the residuals of all three games in one call
+    assert calls == [0, 1, 2, 3] * 11 + [None]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -32,7 +32,7 @@ from riwfa import (
     zero_profile,
 )
 from riwfa.analysis import _ratio_matrices
-from riwfa.model import EFFECTIVE_INTERFERENCE_FLOOR, MODES
+from riwfa.model import EFFECTIVE_INTERFERENCE_FLOOR, MODES, _interference
 
 
 def single_user_channel(gain: float, noise: float, num_subchannels: int = 1):
@@ -140,9 +140,17 @@ def test_interference_kernel_rows_are_bitwise(num_users, num_subchannels, seed):
     rng = np.random.default_rng(seed)
     shape = (num_users, num_subchannels)
     # gains spanning five decades, so a change of summation order shows
-    gains = 10.0 ** rng.uniform(-4.0, 1.0, size=(num_users, *shape))
-    channel = ChannelRealization(gains=gains, noise=rng.uniform(0.0, 0.01, size=shape))
-    profile = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) < 0.8)
+    channels = [ChannelRealization(gains=10.0 ** rng.uniform(-4.0, 1.0, size=(num_users, *shape)),
+                                   noise=rng.uniform(0.0, 0.01, size=shape)) for _ in range(3)]
+    profiles = rng.uniform(0.0, 1.0, size=(3, *shape)) * (rng.random((3, *shape)) < 0.8)
+    # a stack of channels, one per game, gives each game's own rows
+    stack = [np.stack([getattr(c, name) for c in channels])
+             for name in ("cross_gains", "noise", "direct_gains")]
+    for i in [None, *range(num_users)]:
+        stacked = _interference(*stack, profiles, i)
+        for b, c in enumerate(channels):
+            assert _same_bits(stacked[b], normalized_interference(c, profiles[b], i))
+    channel, profile = channels[0], profiles[0]
     rows = normalized_interference(channel, profile)
     assert rows.shape == shape
     for i in range(num_users):
