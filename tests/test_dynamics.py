@@ -166,7 +166,7 @@ def test_schedule_ticks_match_the_plain_draw(m, probability, staleness, seed, co
     assert np.all(age >= 0) and np.all(age <= staleness)
 
 
-def test_schedule_validation():
+def test_generate_schedule_validation():
     with pytest.raises(ValueError):
         Schedule("asynchronous", update_probability=0.0)
     with pytest.raises(ValueError):
@@ -177,6 +177,9 @@ def test_schedule_validation():
         Schedule("roundrobin")
     # sequential/simultaneous take their kind alone: one quiet tick stops them
     assert Schedule("sequential").max_staleness == 0
+
+
+def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(kind="simultaneous", max_staleness=2)
     with pytest.raises(ValueError):
