@@ -6,19 +6,19 @@
 #
 #   scripts/reproduce_all.sh OUT_DIR
 #
-# All six presets run at --jobs 1; fig1 and fig3 run once more at
-# --realizations 2 --jobs 2, and table3 at --jobs 4, which plays its one run
-# without a worker process. `sweep-eps-jobs2` and `sweep-delta0-jobs2` are
-# `sweep-eps` and `sweep-delta0` at --jobs 2; the second sends probabilistic
-# specs to the workers. After all runs the script compares those two and
-# table3-jobs4 with their --jobs 1 twins, prints one line per pair and exits
-# 1 if any pair differs by a byte. Each demo runs inside its own directory,
-# where uncertainty_sweeps.py also writes its CSVs to the relative directory
-# csv/, so no absolute path enters its output. The fixed commands run the
-# same way, each in OUT_DIR/cli-<name>. Running the script in two checkouts
-# and then `diff -r OUT_A OUT_B` shows every output byte the change between
-# them moved. fig2 and fig4 take 4-5 s together on a 2-core VM, where the
-# whole script takes about 20 s.
+# All six presets run at --jobs 1; fig1 and fig3 run twice more at
+# --realizations 2, at --jobs 1 and --jobs 2, and table3 at --jobs 4, which
+# plays its one run without a worker process. `sweep-eps-jobs2` and
+# `sweep-delta0-jobs2` are `sweep-eps` and `sweep-delta0` at --jobs 2; the
+# second sends probabilistic specs to the workers. After all runs the script
+# compares each --jobs 2 or 4 run with its --jobs 1 twin, prints one line per
+# pair and exits 1 if any pair differs by a byte. Each demo runs inside its
+# own directory, where uncertainty_sweeps.py also writes its CSVs to the
+# relative directory csv/, so no absolute path enters its output. The fixed
+# commands run the same way, each in OUT_DIR/cli-<name>. Running the script
+# in two checkouts and then `diff -r OUT_A OUT_B` shows every output byte the
+# change between them moved. fig2 and fig4 take 4-5 s together on a 2-core
+# VM, where the whole script took 18-23 s in three runs.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -44,6 +44,7 @@ for preset in table3 table4 fig1 fig2 fig3 fig4; do
     reproduce "$preset" "$preset" --jobs 1
 done
 for preset in fig1 fig3; do
+    reproduce "$preset-r2" "$preset" --realizations 2 --jobs 1
     reproduce "$preset-r2-jobs2" "$preset" --realizations 2 --jobs 2
 done
 reproduce table3-jobs4 table3 --jobs 4
@@ -141,7 +142,7 @@ cli summary-cycle run --scenario high-cycle-00.json --max-iter 20000 --out repor
 # output does not depend on --jobs: each --jobs twin must equal its --jobs 1 run
 status=0
 for pair in "cli-sweep-eps cli-sweep-eps-jobs2" "cli-sweep-delta0 cli-sweep-delta0-jobs2" \
-        "table3 table3-jobs4"; do
+        "table3 table3-jobs4" "fig1-r2 fig1-r2-jobs2" "fig3-r2 fig3-r2-jobs2"; do
     set -- $pair
     if diff -r "$out/$1" "$out/$2" >/dev/null; then
         echo "jobs twins $1 $2: identical"

@@ -4,15 +4,15 @@ One loop, ``_play``, plays a batch of games of one (M, K) in lockstep, and
 ``run`` is a batch of one.  The batch is one stack of each game's channel,
 multipliers, budgets and masks.  Each tick visits the users in index order;
 a user's replies in all live games are one interference call and one
-row-kernel call on that stack, whatever channels the games are on, and
-overwrite its rows at once.  A user replies to the live profile
+water-fill kernel call on that stack, whatever channels the games are on,
+and overwrite its rows at once.  A user replies to the live profile
 (sequential, a Gauss-Seidel sweep), the copy taken at the start of the tick
 (simultaneous, a Jacobi round), or, if the asynchronous schedule picks it,
 the tick-start copy of the tick it names, at most max_staleness ticks old.
 Every game plays the same rows of ``Schedule.ticks``, drawn only when the
 loop reaches them.  A game stops, and leaves the batch, once the largest
-power change of a tick stays at or below ``tol`` for max_staleness + 1
-consecutive ticks.
+power change of a tick, measured against the tick-start copy, stays at or
+below ``tol`` for max_staleness + 1 consecutive ticks.
 
 Sequential and simultaneous ticks are a fixed map of the tick-start
 profile, so once a game's tick-start profile repeats exactly it cycles
@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -40,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import orthogonality_index, per_user_utilities
-from .model import Scenario, _interference, check_profile, uniform_profile, zero_profile
+from .model import (DEGENERATE_MESSAGE, DegenerateUncertaintyWarning, Scenario, _interference,
+                    check_profile, uniform_profile, zero_profile)
 from .waterfill import _replies
 
 SCHEDULE_KINDS = ("sequential", "simultaneous", "asynchronous")
@@ -49,6 +51,13 @@ STOP_REASONS = ("converged", "cycle", "max_iter")
 # Support threshold for the supports and orthogonality index reported with
 # each run, as a fraction of the smallest power budget.
 SUPPORT_THRESHOLD_FRACTION = 1e-3
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,7 @@ class Schedule:
     seed: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "max_staleness", _integer("max_staleness", self.max_staleness))
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         if self.kind != "asynchronous":
@@ -128,6 +138,7 @@ class RunConfig:
             object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
+        object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -177,7 +188,10 @@ def fixed_point_residual(profile: np.ndarray, scenario: Scenario) -> float:
 
 def _stacks(scenarios) -> list[np.ndarray]:
     """The cross gains, noise and direct gains of each game's channel, then
-    its multipliers, budgets and masks, stacked: one entry per game."""
+    its multipliers, budgets and masks, stacked: one entry per game.  A batch
+    with a multiplier <= 0 warns here, one warning location for its replies."""
+    if any(sc.uncertainty.is_degenerate() for sc in scenarios):
+        warnings.warn(DEGENERATE_MESSAGE, DegenerateUncertaintyWarning)
     return [np.stack(a) for a in zip(*[
         (sc.channel.cross_gains, sc.channel.noise, sc.channel.direct_gains,
          sc.uncertainty.multipliers(), sc.constraints.p_max, sc.constraints.mask)
@@ -185,7 +199,7 @@ def _stacks(scenarios) -> list[np.ndarray]:
 
 
 def _residuals(games, profiles: np.ndarray) -> np.ndarray:
-    """Each game's fixed-point residual, from one row-kernel call on every user."""
+    """Each game's fixed-point residual, from one water-fill kernel call on every user."""
     cross, noise, direct, *game = _stacks(games)
     rows = [a.reshape(-1, *a.shape[2:])
             for a in (_interference(cross, noise, direct, profiles), *game)]
@@ -250,15 +264,14 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
                 break
         history.append(profile.copy())
         updates, snapshots = next(rows)
-        delta = np.zeros(len(live))
         users = np.flatnonzero(updates).tolist()  # ints index faster than np.int64
         for i in users:
             seen = profile if schedule.kind == "sequential" else history[snapshots[i] - t - 1]
-            reply = _replies(_interference(cross, noise, direct, seen, i), mult[:, i],
-                             p_max[:, i], mask[:, i])
-            np.maximum(delta, np.abs(reply - profile[:, i]).max(axis=1), out=delta)
-            profile[:, i] = reply
+            profile[:, i] = _replies(_interference(cross, noise, direct, seen, i), mult[:, i],
+                                     p_max[:, i], mask[:, i])
         replies += len(users)
+        # each row changes at most once a tick: the tick's largest move, exactly
+        delta = np.abs(profile - history[-1]).max(axis=(1, 2))
         quiet = [q + 1 if d <= config.tol else 0 for q, d in zip(quiet, delta.tolist())]
         for r, e in enumerate(live if logs else ()):
             logs[e][0].append(profile[r].copy())

@@ -33,6 +33,7 @@ BUDGET_TOL = 1e-9
 # Effective interference is clamped below at this floor: the probabilistic
 # multiplier can reach 1 - eps and would otherwise drive s to zero or below.
 EFFECTIVE_INTERFERENCE_FLOOR = 1e-12
+DEGENERATE_MESSAGE = "uncertainty multiplier <= 0; effective interference clamped to floor"
 
 # Random direct gains below this fraction of the range upper bound are
 # redrawn; normalization by gains[i, i, k] needs strictly positive values.
@@ -388,24 +389,15 @@ def effective_interference(s_nominal: np.ndarray, uncertainty: UncertaintySpec,
     """Nominal interference scaled by the user's uncertainty multipliers.
 
     The result is clamped below at EFFECTIVE_INTERFERENCE_FLOOR.  A
-    DegenerateUncertaintyWarning is emitted if any multiplier is <= 0.
+    DegenerateUncertaintyWarning is emitted if any multiplier is <= 0; the
+    tick loop scales its stacks itself and warns once per batch instead.
     """
     s_nominal = np.asarray(s_nominal, dtype=float)
     mult = uncertainty.multipliers()[user]
     if s_nominal.shape != mult.shape:
         raise ValueError(f"s_nominal must have shape {mult.shape}, got {s_nominal.shape}")
-    return _effective_interference(s_nominal, mult)
-
-
-def _effective_interference(s_nominal: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """``effective_interference`` on stacks.  The warning names the line that
-    calls this kernel, so a batch's replies share one warning location."""
     if mult.min() <= 0:
-        warnings.warn(
-            "uncertainty multiplier <= 0; effective interference clamped to floor",
-            DegenerateUncertaintyWarning,
-            stacklevel=2,
-        )
+        warnings.warn(DEGENERATE_MESSAGE, DegenerateUncertaintyWarning, stacklevel=2)
     return np.maximum(s_nominal * mult, EFFECTIVE_INTERFERENCE_FLOOR)
 
 

@@ -14,9 +14,10 @@ The total is piecewise linear in mu, with breakpoints at s[k] and
 s[k] + mask[k].  The closed form sorts them once, accumulates the total
 along them and solves the segment that reaches the budget (Palomar and
 Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration and no input
-checks.  ``_waterfill`` solves one row and ``_waterfill_rows`` a (B, K) stack,
-each row bitwise as alone.  ``waterfill`` checks its input first;
-``best_response`` and ``_replies`` trust the validated ``Scenario``.
+checks.  It is written once, in ``_waterfill``, along the last axis: one
+(K,) row or a (B, K) stack of rows, each row of a stack bitwise as alone.
+``waterfill`` checks its input first; ``best_response`` and ``_replies``
+trust the validated ``Scenario``.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Scenario, _effective_interference, effective_interference,
+from .model import (EFFECTIVE_INTERFERENCE_FLOOR, Scenario, effective_interference,
                     normalized_interference)
 
 
@@ -56,77 +57,61 @@ def waterfill(s_eff: np.ndarray, p_max: float, mask) -> WaterfillSolution:
         raise ValueError("s_eff must be a nonempty 1-d array")
     mask = np.broadcast_to(np.asarray(mask, dtype=float), s.shape).copy()
     p_max = float(p_max)
-    if not np.all(np.isfinite(s)) or np.any(s <= 0):
-        raise ValueError("s_eff entries must be finite and > 0")
-    if not np.all(np.isfinite(mask)) or np.any(mask <= 0):
-        raise ValueError("mask entries must be finite and > 0")
-    if not np.isfinite(p_max) or p_max <= 0:
-        raise ValueError("p_max must be finite and > 0")
-    return _waterfill(s, p_max, mask)
+    for name, value in (("s_eff entries", s), ("mask entries", mask), ("p_max", p_max)):
+        if not np.all(np.isfinite(value)) or np.any(value <= 0):
+            raise ValueError(f"{name} must be finite and > 0")
+    return _solution(*_waterfill(s, p_max, mask))
 
 
-def _waterfill(s: np.ndarray, p_max: float, mask: np.ndarray) -> WaterfillSolution:
-    if mask.sum() <= p_max:
-        mu = np.inf  # every channel saturates; the budget never binds
-    else:
-        top = s + mask
-        levels = np.concatenate((s, top))
-        order = np.argsort(levels)
-        levels = levels[order]
-        # slope[j] channels fill on segment j, from levels[j] to levels[j + 1];
-        # spent[j] is the total allocated at its upper end.
-        slope = np.cumsum(np.where(order < s.size, 1, -1))[:-1]
-        spent = np.cumsum(slope * (levels[1:] - levels[:-1]))
-        # Lower end of the first segment to reach the budget (the last breakpoint
-        # if rounding leaves spent[-1] an ulp below it).  No breakpoint lies
-        # inside that segment, so the levels classify every channel.
-        lo = levels[np.searchsorted(spent, p_max)]
-        saturated = top <= lo
-        interior = (s <= lo) & ~saturated    # empty only if capped >= p_max
-        capped = (mask * saturated).sum()
-        if capped >= p_max:
-            # The saturated masks alone spend the budget: a running total an ulp
-            # short stepped over the flat stretch they end on.  Take its lower end.
-            mu = float(top[saturated].max())
-        else:
-            mu = float((p_max - capped + (s * interior).sum()) / interior.sum())
-    return WaterfillSolution(p=np.minimum(np.maximum(mu - s, 0.0), mask), water_level=mu,
-                             lam=1.0 / mu, budget_active=mu < np.inf)
-
-
-def _waterfill_rows(s: np.ndarray, p_max: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``_waterfill(s[b], p_max[b], mask[b]).p`` for every row b of the (B, K)
-    stacks, bitwise: each step runs along axis 1, and a row of unit stride
-    sums as a lone row does.  One row is cheaper through ``_waterfill``."""
-    if len(s) == 1:
-        return _waterfill(s[0], float(p_max[0]), mask[0]).p[None]
+def _waterfill(s: np.ndarray, p_max, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, mu)`` along the last axis, for one (K,) row and a float budget or
+    a (B, K) stack and (B,) budgets.  Every step runs along that axis and a row
+    of unit stride sums as a lone row does, so each row solves bitwise as alone."""
     top = s + mask
-    levels = np.concatenate((s, top), axis=1)
-    order = np.argsort(levels, axis=1)
-    index = np.arange(len(s))[:, None]
-    levels = levels[index, order]
-    slope = np.cumsum(np.where(order < s.shape[1], 1, -1), axis=1)[:, :-1]
-    spent = np.cumsum(slope * (levels[:, 1:] - levels[:, :-1]), axis=1)
-    # spent is nondecreasing, so counting its entries below the budget is searchsorted
-    lo = levels[index, (spent < p_max[:, None]).sum(axis=1, keepdims=True)]
+    levels = np.concatenate((s, top), axis=-1)
+    order = levels.argsort(axis=-1)
+    levels.sort(axis=-1)
+    # slope[j] channels fill on segment j, from levels[j] to levels[j + 1];
+    # spent[j] is the total allocated at its upper end.
+    slope = np.add.accumulate(np.where(order < s.shape[-1], 1, -1), axis=-1)[..., :-1]
+    spent = np.add.accumulate(slope * (levels[..., 1:] - levels[..., :-1]), axis=-1)
+    # lo, the lower end of the first segment to reach the budget (the last level
+    # if rounding leaves spent[-1] an ulp short), is the highest level whose total
+    # is below it, or the first: spent rises, levels are sorted and > 0.  No
+    # breakpoint lies inside that segment, so the levels classify every channel.
+    budget = np.asarray(p_max)[..., None]
+    lo = np.maximum.reduce(levels[..., 1:], -1, keepdims=True, where=spent < budget, initial=0.0)
+    lo = np.maximum(levels[..., :1], lo)
     saturated = top <= lo
-    interior = (s <= lo) & ~saturated
-    capped = (mask * saturated).sum(axis=1)
-    level = p_max - capped + (s * interior).sum(axis=1)
-    level /= np.maximum(interior.sum(axis=1), 1)  # no interior: the next line drops it
-    mu = np.where(capped >= p_max, np.where(saturated, top, -np.inf).max(axis=1), level)
-    mu[mask.sum(axis=1) <= p_max] = np.inf
-    return np.minimum(np.maximum(mu[:, None] - s, 0.0), mask)
+    interior = (s <= lo) ^ saturated     # top >= s; empty only if capped >= p_max
+    capped = np.add.reduce(mask * saturated, axis=-1, keepdims=True)
+    mu = budget - capped + np.add.reduce(s * interior, axis=-1, keepdims=True)
+    mu /= np.maximum(np.add.reduce(interior, axis=-1, keepdims=True), 1)
+    # Saturated masks that alone spend the budget stepped a running total an ulp
+    # short over the flat stretch they end on: take its lower end, their highest
+    # top.  Masks that sum to at most the budget all saturate; it never binds.
+    np.copyto(mu, np.maximum.reduce(top, axis=-1, keepdims=True, where=saturated, initial=0.0),
+              where=capped >= budget)
+    np.copyto(mu, np.inf, where=np.add.reduce(mask, axis=-1, keepdims=True) <= budget)
+    return np.minimum(np.maximum(mu - s, 0.0), mask), mu[..., 0]
+
+
+def _solution(p: np.ndarray, mu) -> WaterfillSolution:
+    mu = float(mu)
+    return WaterfillSolution(p=p, water_level=mu, lam=1.0 / mu, budget_active=mu < np.inf)
 
 
 def _replies(s_bar: np.ndarray, mult: np.ndarray, p_max: np.ndarray,
              mask: np.ndarray) -> np.ndarray:
-    """Every row's reply in one row-kernel call: (B, K) rows of nominal
-    interference, multipliers and masks, and one budget per row."""
-    s_eff = _effective_interference(s_bar, mult)
+    """Every row's reply: (B, K) rows of nominal interference, multipliers
+    and masks, and one budget per row.  A lone row goes in as a (K,) row,
+    which costs less than a (1, K) stack.  The caller warns of multipliers <= 0."""
+    s_eff = np.maximum(s_bar * mult, EFFECTIVE_INTERFERENCE_FLOOR)
     if not np.isfinite(s_eff).all():
         raise ValueError("the profile's effective interference must be finite")
-    return _waterfill_rows(s_eff, p_max, mask)
+    if len(s_eff) == 1:
+        return _waterfill(s_eff[0], p_max[0], mask[0])[0][None]
+    return _waterfill(s_eff, p_max, mask)[0]
 
 
 def best_response(scenario: Scenario, user: int, profile: np.ndarray) -> WaterfillSolution:
@@ -141,4 +126,4 @@ def best_response(scenario: Scenario, user: int, profile: np.ndarray) -> Waterfi
     if not np.isfinite(s_eff).all():
         raise ValueError("the profile's effective interference must be finite")
     constraints = scenario.constraints
-    return _waterfill(s_eff, float(constraints.p_max[user]), constraints.mask[user])
+    return _solution(*_waterfill(s_eff, float(constraints.p_max[user]), constraints.mask[user]))

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -15,12 +16,16 @@ import riwfa
 from riwfa import (
     ENSEMBLES,
     ChannelRealization,
+    DegenerateUncertaintyWarning,
     PowerConstraints,
     Scenario,
+    Schedule,
     UncertaintySpec,
     check_rne_uniqueness,
+    fixed_point_residual,
     load_bundled_scenario,
     random_scenario,
+    run,
     save_scenario,
 )
 from riwfa import cli
@@ -334,6 +339,33 @@ def test_check_norms_of_a_huge_eps_are_finite_or_an_input_error(tmp_path):
     done = riwfa_subprocess(tmp_path, ["check", "--generate", "low", "--eps", "1e308"])
     assert done.returncode == EXIT_INPUT and done.stdout == ""
     assert done.stderr == "error: a certificate term exceeds float64\n"
+
+
+def test_degenerate_uncertainty_warns_once_per_command():
+    # eps = 2.5 at delta0 = 0.1 scales interference by 1 + 2.5 * (0.2 - 1) = -1
+    src = os.path.dirname(os.path.dirname(riwfa.__file__))
+    degenerate = ["--mode", "probabilistic", "--eps", "2.5"]
+    small = ["--generate", "low", "--users", "3", "--subchannels", "4", "--seed", "1"]
+    for argv in (["run", *small, *degenerate, "--delta0", "0.1"],
+                 ["sweep", *small, *degenerate, "--delta0-grid", "0.1,0.9",
+                  "--realizations", "2"]):
+        done = subprocess.run([sys.executable, "-m", "riwfa", *argv],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK
+        # one "path:line: Category: message" line, then the source line it names
+        assert done.stderr.count(": DegenerateUncertaintyWarning: ") == 1, done.stderr
+    sc = random_scenario(3, 4, seed=1)
+    bad = sc.with_uncertainty(UncertaintySpec.uniform(3, 4, 2.5, "probabilistic", delta0=0.1))
+    with pytest.warns(DegenerateUncertaintyWarning):
+        run(bad, Schedule("sequential"))
+    with pytest.warns(DegenerateUncertaintyWarning):
+        fixed_point_residual(np.zeros((3, 4)), bad)
+    safe = sc.with_uncertainty(UncertaintySpec.uniform(3, 4, 0.5, "probabilistic", delta0=0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(safe, Schedule("sequential"))
+        fixed_point_residual(np.zeros((3, 4)), safe)
 
 
 def test_run_byte_identical_reruns(capsys, tmp_path):

@@ -191,6 +191,29 @@ def test_schedule_validation():
         Schedule("asynchronous", seed=-1)
 
 
+@pytest.mark.parametrize("field, build", [
+    ("max_staleness", lambda value: Schedule("asynchronous", 0.5, value, 1)),
+    ("max_iter", lambda value: RunConfig(max_iter=value)),
+])
+def test_integer_fields_take_any_integer_type_and_nothing_else(field, build):
+    # a numpy integer is stored as a Python int, so play can size its windows
+    # with it; a float, even a whole one, is a ValueError at construction
+    value = getattr(build(np.int64(2)), field)
+    assert value == 2 and type(value) is int
+    for bad in (2.5, 2.0, float("nan"), "2", None):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            build(bad)
+    sc = certified_scenario()
+
+    def play(value):
+        schedule = build(value) if field == "max_staleness" else Schedule("sequential")
+        return run(sc, schedule, build(value) if field == "max_iter" else RunConfig())
+
+    numpy_int, python_int = play(np.int64(2)), play(2)
+    assert numpy_int.profile.tobytes() == python_int.profile.tobytes()
+    assert numpy_int.iterations == python_int.iterations
+
+
 def test_async_with_zero_staleness_equals_simultaneous():
     sc = certified_scenario()
     sched = Schedule("asynchronous", update_probability=1.0, max_staleness=0, seed=0)

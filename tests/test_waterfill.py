@@ -23,7 +23,7 @@ from riwfa import (
     waterfill,
 )
 from riwfa.model import MODES
-from riwfa.waterfill import _waterfill, _waterfill_rows
+from riwfa.waterfill import _waterfill
 
 PROPERTY = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
@@ -150,17 +150,20 @@ def waterfill_row_stacks(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(waterfill_row_stacks())
-def test_row_kernel_rows_equal_the_scalar_kernel_bitwise(stack):
+def test_waterfill_kernel_solves_each_row_of_a_stack_as_alone_bitwise(stack):
     # whatever the batch size and the rows beside it, a row solves as it
     # does alone; sums over compressed rows would differ in the last bit
     s, p_max, mask = stack
-    rows = _waterfill_rows(s, p_max, mask)
-    flipped = _waterfill_rows(s[::-1].copy(), p_max[::-1].copy(), mask[::-1].copy())[::-1]
+    rows = _waterfill(s, p_max, mask)
+    flipped = [a[::-1] for a in _waterfill(s[::-1].copy(), p_max[::-1].copy(), mask[::-1].copy())]
     # rows a stride apart, as the tick loop's per-user views of its stacks
-    spread = _waterfill_rows(s, *(np.stack([a, a], axis=1)[:, 0] for a in (p_max, mask)))
+    spread = _waterfill(s, *(np.stack([a, a], axis=1)[:, 0] for a in (p_max, mask)))
     for b in range(len(s)):
-        alone = _waterfill(s[b], float(p_max[b]), mask[b]).p.tobytes()
-        assert rows[b].tobytes() == flipped[b].tobytes() == spread[b].tobytes() == alone
+        p, mu = _waterfill(s[b], float(p_max[b]), mask[b])
+        assert mu.shape == () and p.shape == s[b].shape
+        for stacked in (rows, flipped, spread):
+            assert stacked[0][b].tobytes() == p.tobytes()
+            assert stacked[1][b].tobytes() == mu.tobytes()
 
 
 def test_permutation_equivariance():
