@@ -2,13 +2,14 @@
 
 One loop, ``_play``, plays a batch of games of one (M, K) in lockstep, and
 ``run`` is a batch of one.  The batch is one stack of each game's channel,
-multipliers, budgets and masks.  Each tick visits the users in index order;
-a user's replies in all live games are one interference call and one
-water-fill kernel call on that stack, whatever channels the games are on,
-and overwrite its rows at once.  A user replies to the live profile
-(sequential, a Gauss-Seidel sweep), the copy taken at the start of the tick
-(simultaneous, a Jacobi round), or, if the asynchronous schedule picks it,
-the tick-start copy of the tick it names, at most max_staleness ticks old.
+multipliers, budgets and masks, whatever channels the games are on.  A
+sequential tick (a Gauss-Seidel sweep) visits the users in index order, and
+each user's replies to the live profile in all live games are one
+interference call and one water-fill kernel call.  A simultaneous tick (a
+Jacobi round) replies to the copy taken at its start, and an asynchronous one,
+for each user it picks, to the tick-start copy of the tick that user names, at
+most max_staleness ticks old: one interference call per copy read and one
+water-fill kernel call for all the tick's replies, none if no user updates.
 Every game plays the same rows of ``Schedule.ticks``, drawn only when the
 loop reaches them.  A game stops, and leaves the batch, once the largest
 power change of a tick, measured against the tick-start copy, stays at or
@@ -201,9 +202,8 @@ def _stacks(scenarios) -> list[np.ndarray]:
 def _residuals(games, profiles: np.ndarray) -> np.ndarray:
     """Each game's fixed-point residual, from one water-fill kernel call on every user."""
     cross, noise, direct, *game = _stacks(games)
-    rows = [a.reshape(-1, *a.shape[2:])
-            for a in (_interference(cross, noise, direct, profiles), *game)]
-    return np.abs(_replies(*rows).reshape(profiles.shape) - profiles).max(axis=(1, 2))
+    replies = _replies(_interference(cross, noise, direct, profiles), *game)
+    return np.abs(replies - profiles).max(axis=(1, 2))
 
 
 def _initial_profile(scenario: Scenario, config: RunConfig) -> np.ndarray:
@@ -265,10 +265,18 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
         history.append(profile.copy())
         updates, snapshots = next(rows)
         users = np.flatnonzero(updates).tolist()  # ints index faster than np.int64
-        for i in users:
-            seen = profile if schedule.kind == "sequential" else history[snapshots[i] - t - 1]
-            profile[:, i] = _replies(_interference(cross, noise, direct, seen, i), mult[:, i],
-                                     p_max[:, i], mask[:, i])
+        # (users, their interference) per reply call: a sequential user alone and lazily,
+        # as it reads the live profile; any other tick's users at once (see above)
+        if schedule.kind == "sequential":
+            calls = ((i, _interference(cross, noise, direct, profile, i)) for i in users)
+        else:
+            order = sorted(users, key=snapshots.__getitem__)
+            groups = [(s, list(g)) for s, g in itertools.groupby(order, snapshots.__getitem__)]
+            calls = [(order, np.concatenate([_interference(
+                cross[:, g], noise[:, g], direct[:, g], history[s - t - 1]) for s, g in groups],
+                axis=1))] if users else []
+        for g, s_bar in calls:
+            profile[:, g] = _replies(s_bar, mult[:, g], p_max[:, g], mask[:, g])
         replies += len(users)
         # each row changes at most once a tick: the tick's largest move, exactly
         delta = np.abs(profile - history[-1]).max(axis=(1, 2))

@@ -15,7 +15,7 @@ s[k] + mask[k].  The closed form sorts them once, accumulates the total
 along them and solves the segment that reaches the budget (Palomar and
 Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration and no input
 checks.  It is written once, in ``_waterfill``, along the last axis: one
-(K,) row or a (B, K) stack of rows, each row of a stack bitwise as alone.
+(K,) row or a stack of rows on any leading axes, each row bitwise as alone.
 ``waterfill`` checks its input first; ``best_response`` and ``_replies``
 trust the validated ``Scenario``.
 """
@@ -65,8 +65,9 @@ def waterfill(s_eff: np.ndarray, p_max: float, mask) -> WaterfillSolution:
 
 def _waterfill(s: np.ndarray, p_max, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(p, mu)`` along the last axis, for one (K,) row and a float budget or
-    a (B, K) stack and (B,) budgets.  Every step runs along that axis and a row
-    of unit stride sums as a lone row does, so each row solves bitwise as alone."""
+    a stack of rows on any leading axes and one budget per row.  Every step runs
+    along that axis and a row of unit stride sums as a lone row does, so each
+    row solves bitwise as alone."""
     top = s + mask
     levels = np.concatenate((s, top), axis=-1)
     order = levels.argsort(axis=-1)
@@ -103,9 +104,10 @@ def _solution(p: np.ndarray, mu) -> WaterfillSolution:
 
 def _replies(s_bar: np.ndarray, mult: np.ndarray, p_max: np.ndarray,
              mask: np.ndarray) -> np.ndarray:
-    """Every row's reply: (B, K) rows of nominal interference, multipliers
-    and masks, and one budget per row.  A lone row goes in as a (K,) row,
-    which costs less than a (1, K) stack.  The caller warns of multipliers <= 0."""
+    """Every row's reply: rows of nominal interference, multipliers and masks
+    stacked on any leading axes, and one budget per row.  A first axis of one
+    is dropped, so a lone row goes in as a (K,) row, which costs less than a
+    (1, K) stack.  The caller warns of multipliers <= 0."""
     s_eff = np.maximum(s_bar * mult, EFFECTIVE_INTERFERENCE_FLOOR)
     if not np.isfinite(s_eff).all():
         raise ValueError("the profile's effective interference must be finite")

@@ -433,7 +433,18 @@ def assert_same_report(a, b):
             assert type(x) is type(y) and x == y, f.name
 
 
+# three games on two channels under an asynchronous schedule with ticks that
+# update nobody, ticks whose users read several snapshots, and an order
+QUIET_TICKS = ([random_scenario(3, 4, seed=seed, **ENSEMBLES["high"]).with_uncertainty(spec)
+                for seed, spec in ((1, UncertaintySpec.nominal(3, 4)),
+                                   (2, UncertaintySpec.uniform(3, 4, 0.5)),
+                                   (1, UncertaintySpec.uniform(3, 4, 1.5, "probabilistic", 0.3)))],
+               Schedule("asynchronous", update_probability=0.3, max_staleness=3, seed=5),
+               RunConfig(max_iter=40, record_trajectory=True), [2, 0, 1])
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@example(QUIET_TICKS)
 @given(lockstep_batches())
 def test_lockstep_play_matches_each_run_alone(batch):
     # a game played beside others, in any order, reports what it does alone
@@ -467,6 +478,37 @@ def test_lockstep_reply_is_one_interference_call_on_distinct_channels(monkeypatc
         ("converged", 16), ("converged", 12), ("converged", 44)]
     # one call per reply, then the residuals of all three games in one call
     assert calls == [0, 1, 2, 3] * 11 + [None]
+
+
+def test_non_sequential_tick_is_one_reply_call(monkeypatch):
+    # every user of a simultaneous or asynchronous tick reads a tick-start copy,
+    # so the tick is one interference call per copy read and one reply call for
+    # all its games and users; a tick that updates nobody makes no call
+    calls = []
+    for name in ("_interference", "_replies"):
+        def counted(*args, name=name, kernel=getattr(dynamics, name)):
+            calls.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    games = [random_scenario(4, 16, seed=seed, **ENSEMBLES["high"]).with_uncertainty(
+        UncertaintySpec.uniform(4, 16, 0.5)) for seed in (1, 2, 3)]
+    reports = _play(games, Schedule("simultaneous"), RunConfig(max_iter=50))
+    assert [(r.stop_reason, r.best_responses) for r in reports] == [("cycle", 24)] * 3
+    # six ticks of four replies in each game, then every game's residual
+    assert calls == ["_interference", "_replies"] * (6 + 1)
+
+    games, schedule, config, _ = QUIET_TICKS
+    calls.clear()
+    reports = _play(games, schedule, config)
+    assert [(r.stop_reason, r.iterations) for r in reports] == [
+        ("converged", 29), ("converged", 34), ("max_iter", 40)]
+    expected, quiet, stale = [], 0, 0
+    for updates, snapshots in itertools.islice(schedule.ticks(3), 40):
+        copies = len(set(snapshots[updates].tolist()))
+        expected += ["_interference"] * copies + ["_replies"] * (copies > 0)
+        quiet, stale = quiet + (copies == 0), stale + (copies > 1)
+    assert calls == expected + ["_interference", "_replies"]
+    assert quiet > 0 and stale > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

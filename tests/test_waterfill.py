@@ -158,10 +158,12 @@ def test_waterfill_kernel_solves_each_row_of_a_stack_as_alone_bitwise(stack):
     flipped = [a[::-1] for a in _waterfill(s[::-1].copy(), p_max[::-1].copy(), mask[::-1].copy())]
     # rows a stride apart, as the tick loop's per-user views of its stacks
     spread = _waterfill(s, *(np.stack([a, a], axis=1)[:, 0] for a in (p_max, mask)))
+    # a stack on two leading axes, as the tick loop's (game, user) rows
+    cube = [a[:, 0] for a in _waterfill(s[:, None], p_max[:, None], mask[:, None])]
     for b in range(len(s)):
         p, mu = _waterfill(s[b], float(p_max[b]), mask[b])
         assert mu.shape == () and p.shape == s[b].shape
-        for stacked in (rows, flipped, spread):
+        for stacked in (rows, flipped, spread, cube):
             assert stacked[0][b].tobytes() == p.tobytes()
             assert stacked[1][b].tobytes() == mu.tobytes()
 
