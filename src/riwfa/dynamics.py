@@ -399,7 +399,9 @@ class SweepResult:
 
 
 def _play_chunk(task) -> list[EquilibriumReport]:
-    return _play(*task)
+    with warnings.catch_warnings():  # sweep_reports warned, in its own process
+        warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
+        return _play(*task)
 
 
 def sweep_reports(scenarios, specs, schedule_kind: str = "sequential",
@@ -416,6 +418,8 @@ def sweep_reports(scenarios, specs, schedule_kind: str = "sequential",
         raise ValueError("jobs must be >= 1")
     # channel-major, so a chunk pickles each of its channels once
     games = [scenario.with_uncertainty(spec) for scenario in scenarios for spec in specs]
+    if any(game.uncertainty.is_degenerate() for game in games):  # once, whatever ``jobs``
+        warnings.warn(DEGENERATE_MESSAGE, DegenerateUncertaintyWarning)
     workers = min(jobs, len(games))
     chunks = [(games[w * len(games) // workers:(w + 1) * len(games) // workers],
                Schedule(kind=schedule_kind), config) for w in range(workers)]

@@ -346,15 +346,18 @@ def test_degenerate_uncertainty_warns_once_per_command():
     src = os.path.dirname(os.path.dirname(riwfa.__file__))
     degenerate = ["--mode", "probabilistic", "--eps", "2.5"]
     small = ["--generate", "low", "--users", "3", "--subchannels", "4", "--seed", "1"]
-    for argv in (["run", *small, *degenerate, "--delta0", "0.1"],
-                 ["sweep", *small, *degenerate, "--delta0-grid", "0.1,0.9",
-                  "--realizations", "2"]):
+    sweep = ["sweep", *small, *degenerate, "--delta0-grid", "0.1,0.9", "--realizations", "2"]
+    stderr = []
+    for argv in (["run", *small, *degenerate, "--delta0", "0.1"], sweep, [*sweep, "--jobs", "2"]):
         done = subprocess.run([sys.executable, "-m", "riwfa", *argv],
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == EXIT_OK
         # one "path:line: Category: message" line, then the source line it names
         assert done.stderr.count(": DegenerateUncertaintyWarning: ") == 1, done.stderr
+        stderr.append(done.stderr)
+    # the sweep warns in its own process, not in each worker
+    assert stderr[2] == stderr[1]
     sc = random_scenario(3, 4, seed=1)
     bad = sc.with_uncertainty(UncertaintySpec.uniform(3, 4, 2.5, "probabilistic", delta0=0.1))
     with pytest.warns(DegenerateUncertaintyWarning):
