@@ -8,16 +8,18 @@
 #
 # All six presets run at --jobs 1; fig1 and fig3 run twice more at
 # --realizations 2, at --jobs 1 and --jobs 2, and table3 at --jobs 4, which
-# plays its one run without a worker process. `sweep-eps-jobs2` and
-# `sweep-delta0-jobs2` are `sweep-eps` and `sweep-delta0` at --jobs 2; the
-# second sends probabilistic specs to the workers. After all runs the script
-# compares each --jobs 2 or 4 run with its --jobs 1 twin, prints one line per
-# pair and exits 1 if any pair differs by a byte. Each demo runs inside its
-# own directory, where uncertainty_sweeps.py also writes its CSVs to the
-# relative directory csv/, so no absolute path enters its output. The fixed
-# commands run the same way, each in OUT_DIR/cli-<name>. Running the script
-# in two checkouts and then `diff -r OUT_A OUT_B` shows every output byte the
-# change between them moved. fig2 and fig4 take 4-5 s together on a 2-core
+# plays its one run without a worker process. `sweep-eps-jobs2`,
+# `sweep-delta0-jobs2` and `sweep-simultaneous-jobs2` are `sweep-eps`,
+# `sweep-delta0` and `sweep-simultaneous` at --jobs 2; the second sends
+# probabilistic specs to the workers, the third plays simultaneous ticks on
+# a batch of games in each. After all runs the script compares each --jobs 2
+# or 4 run with its --jobs 1 twin, prints one line per pair and exits 1 if
+# any pair differs by a byte. Each demo runs inside its own directory, where
+# uncertainty_sweeps.py also writes its CSVs to the relative directory csv/,
+# so no absolute path enters its output. The fixed commands run the same
+# way, each in OUT_DIR/cli-<name>. Running the script in two checkouts and
+# then `diff -r OUT_A OUT_B` shows every output byte the change between them
+# moved. fig2 and fig4 take 4-5 s together on a 2-core
 # VM, where the whole script took 18-23 s in three runs.
 set -u
 
@@ -99,6 +101,13 @@ cli sweep-delta0 sweep --generate high $small --delta0-grid 0,0.5,1 --eps 0.8 \
     --realizations 3 --max-iter 300 --out sweep.csv
 cli sweep-delta0-jobs2 sweep --generate high $small --delta0-grid 0,0.5,1 --eps 0.8 \
     --realizations 3 --max-iter 300 --jobs 2 --out sweep.csv
+# a batch of nine games under simultaneous ticks, each tick one reply call; on
+# low draws they converge, so the CSV's utilities show every reply's last bit
+# (on high draws at this size every simultaneous run cycles and shows none)
+cli sweep-simultaneous sweep --generate low $small --eps-grid 0,0.5,1 --schedule simultaneous \
+    --realizations 3 --max-iter 300 --out sweep.csv
+cli sweep-simultaneous-jobs2 sweep --generate low $small --eps-grid 0,0.5,1 \
+    --schedule simultaneous --realizations 3 --max-iter 300 --jobs 2 --out sweep.csv
 cli run-high-k1 run --generate high --users 9 --subchannels 1 --seed 1 --out report.json
 # sequential play that falls into a cycle of period 5 at tick 13 and is
 # fast-forwarded to the cap: its files are those of all 300 ticks
@@ -142,6 +151,7 @@ cli summary-cycle run --scenario high-cycle-00.json --max-iter 20000 --out repor
 # output does not depend on --jobs: each --jobs twin must equal its --jobs 1 run
 status=0
 for pair in "cli-sweep-eps cli-sweep-eps-jobs2" "cli-sweep-delta0 cli-sweep-delta0-jobs2" \
+        "cli-sweep-simultaneous cli-sweep-simultaneous-jobs2" \
         "table3 table3-jobs4" "fig1-r2 fig1-r2-jobs2" "fig3-r2 fig3-r2-jobs2"; do
     set -- $pair
     if diff -r "$out/$1" "$out/$2" >/dev/null; then
