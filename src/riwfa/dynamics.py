@@ -265,8 +265,8 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
         history.append(profile.copy())
         updates, snapshots = next(rows)
         users = np.flatnonzero(updates).tolist()  # ints index faster than np.int64
-        # (users, their interference) per reply call: a sequential user alone and lazily,
-        # as it reads the live profile; any other tick's users at once (see above)
+        # (users, interference) per reply call: a sequential user alone and lazily, as
+        # it reads the live profile; all users of any other tick, by the snapshot read
         if schedule.kind == "sequential":
             calls = ((i, _interference(cross, noise, direct, profile, i)) for i in users)
         else:
