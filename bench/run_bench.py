@@ -11,12 +11,15 @@ this checkout's ``src/``.  It writes:
   ``src/`` differs from that commit, and the ``src/`` line count;
 - ``rows``: one entry per measurement, each with its unit, the median, the
   quartiles and every sample.  Layer rows (the water-fill on one row and on
-  stacks, the all-users interference, one residual round, the certificates)
-  are the per-call time of REPEATS timed batches.  Play rows time whole
-  ``run()`` calls and divide by the replies or ticks they played.  Preset
-  rows are the wall time of ``python3 -m riwfa reproduce PRESET --jobs 1``
-  in a fresh interpreter, import included.  The fig4 call counts come from
-  one cProfile sample, and the equilibrium scan from one timed sample;
+  stacks, the all-users interference, one residual round, the certificates,
+  one sequential reply at M = 64, K = 1024 and one of fig4's tail of 10
+  games) are the per-call time of REPEATS timed batches.  Play rows time
+  whole ``run()`` calls and divide by the replies or ticks they played, or
+  give the time per run with the ticks played.  Preset rows are the wall
+  time of ``python3 -m riwfa reproduce PRESET --jobs 1`` in a fresh
+  interpreter, import included, with each run's exit code.  The fig4 call
+  counts come from one cProfile sample, and the equilibrium scan from one
+  timed sample;
 - ``tier1``: the Tier-1 suite's wall time, its pass and fail counts and its
   five slowest tests.
 
@@ -50,9 +53,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from riwfa import (ENSEMBLES, GridSpec, RunConfig, Schedule, UncertaintySpec,  # noqa: E402
                    check_async_convergence, check_rne_uniqueness, exhaustive_equilibrium_scan,
                    fixed_point_residual, random_scenario, run, uniform_profile)
-from riwfa.cli import main as cli_main  # noqa: E402
+from riwfa.cli import _draws, main as cli_main  # noqa: E402
+from riwfa.dynamics import _stacks  # noqa: E402
 from riwfa.model import _interference  # noqa: E402
-from riwfa.waterfill import _waterfill  # noqa: E402
+from riwfa.waterfill import _replies, _waterfill  # noqa: E402
 
 REPEATS = 7          # timed batches per layer row
 PLAY_REPEATS = 5     # run() calls per play row
@@ -121,7 +125,24 @@ def layer_rows() -> list[dict]:
                      _per_call(lambda: check_rne_uniqueness(low), 1e3)))
     rows.append(_row("check_async_convergence, 8x64", "ms",
                      _per_call(lambda: check_async_convergence(low), 1e3)))
+    rows.append(_row("one sequential reply (user 0), high 64x1024 (seed 7)", "us",
+                     _per_call(_reply_call([random_scenario(64, 1024, seed=7,
+                                                            **ENSEMBLES["high"])]), 1e6)))
+    tail = UncertaintySpec.uniform(8, 64, 0.8, mode="probabilistic", delta0=0.0)
+    rows.append(_row("one sequential reply (user 0), fig4's tail: 10 games on 10 high 8x64 "
+                     "channels (seeds 900-909), probabilistic eps 0.8 at delta0 0", "us",
+                     _per_call(_reply_call([sc.with_uncertainty(tail)
+                                            for sc in _draws("high", 900, 10)]), 1e6)))
     return rows
+
+
+def _reply_call(games):
+    """User 0's replies in every game of the batch, from a uniform profile,
+    as a sequential tick makes them: one interference and one reply call."""
+    cross, noise, direct, mult, p_max, mask = _stacks(games)
+    profile = np.stack([uniform_profile(sc.constraints) for sc in games])
+    return lambda: _replies(_interference(cross, noise, direct, profile, 0),
+                            mult[:, 0], p_max[:, 0], mask[:, 0])
 
 
 def _play(scenario, schedule, config) -> tuple[list[float], object]:
@@ -144,6 +165,12 @@ def play_rows() -> list[dict]:
     rows.append(_row("one reply, high 8x64 (seed 7, cap 100), sequential", "us",
                      [s / report.best_responses * 1e6 for s in seconds],
                      replies=report.best_responses))
+    # a draw whose first repeat, at tick 36, comes just after a power of two
+    sc = random_scenario(8, 64, seed=69, **ENSEMBLES["high"])
+    seconds, report = _play(sc, Schedule("sequential"), RunConfig(max_iter=100))
+    rows.append(_row("run, high 8x64 (seed 69, cap 100), sequential: cycles late", "ms",
+                     [s * 1e3 for s in seconds], ticks=report.best_responses // sc.num_users,
+                     stop_reason=report.stop_reason, cycle_period=report.cycle_period))
     # one tick of each kind on a high draw: simultaneous play falls into a
     # cycle, asynchronous play is never checked and runs to the cap
     sc = random_scenario(8, 64, seed=901, **ENSEMBLES["high"])
@@ -167,14 +194,15 @@ def preset_rows(tmp: str) -> list[dict]:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     rows = []
     for preset in PRESETS:
-        seconds = []
+        seconds, exit_codes = [], []
         for _ in range(PRESET_REPEATS):
             start = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "riwfa", "reproduce", preset, "--jobs", "1",
-                            "--out-dir", tmp], env=env, stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL, check=False)
+            done = subprocess.run([sys.executable, "-m", "riwfa", "reproduce", preset, "--jobs",
+                                   "1", "--out-dir", tmp], env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL, check=False)
             seconds.append(time.perf_counter() - start)
-        rows.append(_row(f"reproduce {preset} --jobs 1", "s", seconds))
+            exit_codes.append(done.returncode)  # a crash must not pass for a fast run
+        rows.append(_row(f"reproduce {preset} --jobs 1", "s", seconds, exit_codes=exit_codes))
     return rows
 
 
