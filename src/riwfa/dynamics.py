@@ -272,6 +272,8 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
         else:
             order = sorted(users, key=snapshots.__getitem__)
             groups = [(s, list(g)) for s, g in itertools.groupby(order, snapshots.__getitem__)]
+            if len(groups) == 1 and len(order) == len(updates):  # every user reads one copy:
+                groups, order = [(groups[0][0], slice(None))], slice(None)  # views, no gather
             calls = [(order, np.concatenate([_interference(
                 cross[:, g], noise[:, g], direct[:, g], history[s - t - 1]) for s, g in groups],
                 axis=1))] if users else []
