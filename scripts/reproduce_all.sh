@@ -9,12 +9,13 @@
 # All six presets run at --jobs 1; fig1 and fig3 run twice more at
 # --realizations 2, at --jobs 1 and --jobs 2, and table3 at --jobs 4, which
 # plays its one run without a worker process. `sweep-eps-jobs2`,
-# `sweep-delta0-jobs2` and `sweep-simultaneous-jobs2` are `sweep-eps`,
-# `sweep-delta0` and `sweep-simultaneous` at --jobs 2; the second sends
-# probabilistic specs to the workers, the third plays simultaneous ticks on
-# a batch of games in each. After all runs the script compares each --jobs 2
-# or 4 run with its --jobs 1 twin, prints one line per pair and exits 1 if
-# any pair differs by a byte. Each demo runs inside its own directory, where
+# `sweep-delta0-jobs2`, `sweep-simultaneous-jobs2` and `sweep-warning-jobs2`
+# are `sweep-eps`, `sweep-delta0`, `sweep-simultaneous` and `sweep-warning` at
+# --jobs 2; the second sends probabilistic specs to the workers, the third
+# plays simultaneous ticks on a batch of games in each, and the fourth warns
+# once, in the calling process. After all runs the script compares each
+# --jobs 2 or 4 run with its --jobs 1 twin, prints one line per pair and exits
+# 1 if any pair differs by a byte. Each demo runs inside its own directory, where
 # uncertainty_sweeps.py also writes its CSVs to the relative directory csv/,
 # so no absolute path enters its output. The fixed commands run the same
 # way, each in OUT_DIR/cli-<name>. Running the script in two checkouts and
@@ -108,6 +109,11 @@ cli sweep-simultaneous sweep --generate low $small --eps-grid 0,0.5,1 --schedule
     --realizations 3 --max-iter 300 --out sweep.csv
 cli sweep-simultaneous-jobs2 sweep --generate low $small --eps-grid 0,0.5,1 \
     --schedule simultaneous --realizations 3 --max-iter 300 --jobs 2 --out sweep.csv
+# a sweep whose multipliers reach <= 0: one `warning:` line on stderr, with no
+# source path, whatever --jobs
+degenerate="--generate low --users 3 --subchannels 4 --seed 1 --mode probabilistic --eps 2.5"
+cli sweep-warning sweep $degenerate --delta0-grid 0.1,0.9 --realizations 2
+cli sweep-warning-jobs2 sweep $degenerate --delta0-grid 0.1,0.9 --realizations 2 --jobs 2
 cli run-high-k1 run --generate high --users 9 --subchannels 1 --seed 1 --out report.json
 # sequential play that falls into a cycle of period 5 at tick 13 and is
 # fast-forwarded to the cap: its files are those of all 300 ticks
@@ -152,6 +158,7 @@ cli summary-cycle run --scenario high-cycle-00.json --max-iter 20000 --out repor
 status=0
 for pair in "cli-sweep-eps cli-sweep-eps-jobs2" "cli-sweep-delta0 cli-sweep-delta0-jobs2" \
         "cli-sweep-simultaneous cli-sweep-simultaneous-jobs2" \
+        "cli-sweep-warning cli-sweep-warning-jobs2" \
         "table3 table3-jobs4" "fig1-r2 fig1-r2-jobs2" "fig3-r2 fig3-r2-jobs2"; do
     set -- $pair
     if diff -r "$out/$1" "$out/$2" >/dev/null; then

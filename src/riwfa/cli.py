@@ -23,6 +23,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -619,12 +620,16 @@ def main(argv=None) -> int:
         return EXIT_OK if code == 0 else EXIT_INPUT
     handler = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check,
                "reproduce": cmd_reproduce}[args.command]
-    try:
-        return handler(args)
-    except (CliError, OSError) as exc:
-        # an OSError here is an output path the handler could not write
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # a warning is one "warning: <message>" line with no source path; leaving the
+    # block restores Python's own format for library callers
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return handler(args)
+        except (CliError, OSError) as exc:
+            # an OSError here is an output path the handler could not write
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 def entry() -> None:
