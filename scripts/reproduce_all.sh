@@ -115,12 +115,14 @@ degenerate="--generate low --users 3 --subchannels 4 --seed 1 --mode probabilist
 cli sweep-warning sweep $degenerate --delta0-grid 0.1,0.9 --realizations 2
 cli sweep-warning-jobs2 sweep $degenerate --delta0-grid 0.1,0.9 --realizations 2 --jobs 2
 cli run-high-k1 run --generate high --users 9 --subchannels 1 --seed 1 --out report.json
-# sequential play that falls into a cycle of period 5 at tick 13 and is
-# fast-forwarded to the cap: its files are those of all 300 ticks
+# sequential play whose tick-start profile first repeats at tick 8, with
+# period 5, and is fast-forwarded to the cap: its files are those of all 300
+# ticks
 cli run-high-cycle run --generate high --users 6 --subchannels 8 --seed 35 --max-iter 300 \
     --out report.json --trajectory trajectory.csv --summary summary.csv
 # the same cycling run with a cap far past its repeat and no per-tick log: the
-# run keeps nothing for the ticks it fills in, so the cap costs no memory
+# run keeps nothing for the ticks it fills in, and its search for a repeat
+# holds one copy per bit of the cap, 40 here
 cli run-high-cycle-uncapped run --generate high --users 6 --subchannels 8 --seed 35 \
     --max-iter 1000000000000 --out report.json
 # an asynchronous run whose cap lies far past its stop: the schedule draws only

@@ -18,12 +18,16 @@ below ``tol`` for max_staleness + 1 consecutive ticks.
 Sequential and simultaneous ticks are a fixed map of the tick-start
 profile, so once a game's tick-start profile repeats exactly it cycles
 forever: every tick of the cycle moved more than ``tol``.  Each game looks
-for such a repeat with Brent's algorithm (one anchor copy, moved to ticks
-1, 2, 4, ...), then plays only the ticks that bring it to the cap's place
-in the cycle; a recorded log repeats the cycle's read-only entries to the
-cap.  Its report is bitwise the one that playing all ``max_iter`` ticks
-alone gives, and says why it stopped: ``"converged"``, ``"cycle"`` (with
-the cycle's period) or ``"max_iter"``.  Asynchronous play is never checked.
+for such a repeat with Gosper's table (HAKMEM item 132): level j holds the
+tick-start copy of the latest tick whose binary form ends in exactly j zero
+bits, at most bit_length(max_iter) copies, and each is compared with every
+tick's start until it is replaced.  The first match gives the least period,
+less than two periods after the first repeat.  The game then plays only the
+ticks that bring it to the cap's place in the cycle; a recorded log repeats
+the cycle's read-only entries to the cap.  Its report is bitwise the one
+that playing all ``max_iter`` ticks alone gives, and says why it stopped:
+``"converged"``, ``"cycle"`` (with the cycle's period) or ``"max_iter"``.
+Asynchronous play is never checked.
 
 ``sweep_reports`` plays a list of realized scenarios under every
 uncertainty spec of a grid, and ``SweepResult.from_reports`` turns its
@@ -234,16 +238,19 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
     rows = schedule.ticks(scenarios[0].num_users)
     window = schedule.max_staleness + 1
     history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
-    anchor, replies = None, 0
+    # Gosper's table: level j's copy, taken at tick levels[j], and each game's
+    # weighted sum of it (nan until written); equal profiles have equal sums
+    weights = np.arange(1.0, profile[0].size + 1.0).reshape(profile.shape[1:])
+    sums = np.full((config.max_iter.bit_length(), len(profile)), np.nan)
+    copies, levels, replies = [None] * len(sums), [0] * len(sums), 0
     for t in range(config.max_iter + 1):
-        # Brent's search: each tick-start profile against the one at the
-        # last power of two; the first match gives the least period
         if schedule.kind != "asynchronous" and 0 < t < config.max_iter:
-            for r in np.flatnonzero((profile == anchor).all(axis=(1, 2)) if t > 1 else ()).tolist():
-                if period[r] is None and quiet[r] < window:
-                    period[r] = t - anchor_tick
-            if t & (t - 1) == 0:
-                anchor, anchor_tick = profile.copy(), t
+            total = (profile * weights).sum(axis=(1, 2))
+            for j, r in zip(*(sums == total).nonzero()):
+                if period[r] is None and quiet[r] < window and (copies[j][r] == profile[r]).all():
+                    period[r] = t - levels[j]
+            j = (t & -t).bit_length() - 1
+            copies[j], levels[j], sums[j] = profile.copy(), t, total
         # a cycling game plays on until the cap's place in its cycle, and every
         # game leaves at the cap
         leaving = [quiet[r] >= window or t == config.max_iter
@@ -259,7 +266,7 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
             profile, cross, noise, direct, mult, p_max, mask = (
                 a[keep] for a in (profile, cross, noise, direct, mult, p_max, mask))
             history = deque((x[keep] for x in history), maxlen=window)
-            anchor = None if anchor is None else anchor[keep]
+            copies, sums = [x if x is None else x[keep] for x in copies], sums[:, keep]
             if not live:
                 break
         history.append(profile.copy())

@@ -117,7 +117,7 @@ def test_run_summary_of_a_cycling_run(capsys, tmp_path):
     report = json.loads(out.read_text())["report"]
     assert not report["converged"] and report["iterations"] == 60
     assert report["stop_reason"] == "cycle" and report["cycle_period"] == 5
-    assert report["best_responses"] == 15 * 6
+    assert report["best_responses"] == 10 * 6
     traj_lines, lines = traj.read_text().splitlines(), summary.read_text().splitlines()
     assert lines[0] == traj_lines[0]  # the same embedded config
     assert lines[1] == "iteration,residual,social_utility"

@@ -332,6 +332,19 @@ def first_repeat(trajectory):
     return None
 
 
+def brent_stop(trajectory, max_iter):
+    """The tick at which a run stops under Brent's search for a repeat (one
+    anchor copy, moved to ticks 1, 2, 4, ...), else None: the first match,
+    then on to the cap's place in the cycle."""
+    anchor = None
+    for t in range(1, max_iter):
+        if anchor is not None and np.array_equal(trajectory[t], trajectory[anchor]):
+            return t + (max_iter - t) % (t - anchor)
+        if t & (t - 1) == 0:
+            anchor = t
+    return None
+
+
 # high-interference draws (M, K, seed) on which sequential play cycles; on
 # small random draws it almost always converges
 SEQUENTIAL_CYCLES = [(5, 6, 14), (6, 4, 14), (6, 4, 32), (6, 4, 42), (6, 8, 35), (6, 8, 47)]
@@ -377,14 +390,35 @@ def test_cycle_fast_forward_matches_playing_every_tick(instance):
     repeat = first_repeat(trajectory)
     if report.stop_reason == "cycle":
         assert repeat is not None and report.cycle_period == repeat[1]
-        assert report.best_responses <= iterations * sc.num_users
+        # never later than Brent's search, never before the first repeat, and
+        # less than three periods after it (the cap's place in the cycle included)
+        brent = brent_stop(trajectory, max_iter)
+        assert report.best_responses <= (brent or iterations) * sc.num_users
+        assert repeat[0] * sc.num_users <= report.best_responses
+        assert report.best_responses < (repeat[0] + 3 * repeat[1]) * sc.num_users
     else:
         assert report.cycle_period is None
         assert report.stop_reason == ("converged" if converged else "max_iter")
         assert report.best_responses == iterations * sc.num_users
     if instance is KNOWN_CYCLE:
         assert report.stop_reason == "cycle" and report.cycle_period == 5
-        assert report.best_responses == 15 * 6
+        assert report.best_responses == 10 * 6
+
+
+@pytest.mark.parametrize("seed, period, replies, brent_replies", [
+    (69, 2, 288, 528),   # first repeat at tick 36, just after Brent's anchor moved to 32
+    (25, 4, 768, None),  # first repeat at tick 96: Brent's search finds none by the cap
+])
+def test_late_cycles_stop_sooner_than_under_brents_search(seed, period, replies,
+                                                          brent_replies):
+    # high 8x64 draws, cap 100, on which sequential play cycles late
+    sc = random_scenario(8, 64, seed=seed, **ENSEMBLES["high"])
+    report = run(sc, Schedule("sequential"), RunConfig(max_iter=100, record_trajectory=True))
+    assert (report.stop_reason, report.cycle_period, report.best_responses) == (
+        "cycle", period, replies)
+    brent = brent_stop(report.trajectory, 100)
+    assert (brent and brent * sc.num_users) == brent_replies
+    assert first_repeat(report.trajectory)[0] * sc.num_users <= replies
 
 
 @st.composite
