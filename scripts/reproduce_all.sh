@@ -129,6 +129,10 @@ cli run-high-cycle-uncapped run --generate high --users 6 --subchannels 8 --seed
 # the ticks the run plays, so the cap costs neither time nor memory
 cli run-async-uncapped run --generate low --users 2 --subchannels 2 --schedule asynchronous \
     --max-iter 1000000000000 --out report.json
+# an asynchronous run whose staleness bound lies far past its cap: it keeps at
+# most one copy per tick of the cap, and plays to the cap
+cli run-async-huge-staleness run --generate low --users 2 --subchannels 2 --schedule asynchronous \
+    --max-staleness 1000000000 --max-iter 20
 # an eps whose worst-case interference overflows float64: one error line each
 cli run-overflow run --generate high --users 2 --subchannels 2 --eps 1e308
 cli check-overflow check --generate high --users 2 --subchannels 2 --eps 1e308

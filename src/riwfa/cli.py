@@ -306,8 +306,8 @@ def cmd_run(args) -> int:
     try:
         report = run(scenario, schedule, config)
     except MemoryError:
-        raise CliError(f"the per-tick log of --max-iter {args.max_iter} ticks does not fit "
-                       "in memory: lower --max-iter or drop --trajectory/--summary") from None
+        raise CliError(f"a run of --max-iter {args.max_iter} ticks does not fit in memory: lower "
+                       "--max-iter or --max-staleness, or drop --trajectory/--summary") from None
 
     resolved = {"command": "run", **source_desc,
                 "mode": scenario.uncertainty.mode,

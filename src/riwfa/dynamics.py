@@ -8,8 +8,10 @@ each user's replies to the live profile in all live games are one
 interference call and one water-fill kernel call.  A simultaneous tick (a
 Jacobi round) replies to the copy taken at its start, and an asynchronous one,
 for each user it picks, to the tick-start copy of the tick that user names, at
-most max_staleness ticks old: one interference call per copy read and one
-water-fill kernel call for all the tick's replies, none if no user updates.
+most max_staleness ticks old.  Such a tick makes one interference call, on its
+own start copy, into a ring of at most min(max_staleness, max_iter) + 1 copies'
+interference, and one water-fill kernel call in which each updating user reads
+its row of the copy it names, none if no user updates.
 Every game plays the same rows of ``Schedule.ticks``, drawn only when the
 loop reaches them.  A game stops, and leaves the batch, once the largest
 power change of a tick, measured against the tick-start copy, stays at or
@@ -40,7 +42,6 @@ import csv
 import itertools
 import operator
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,8 +142,8 @@ class RunConfig:
                 raise ValueError("init must be 'zero', 'uniform', or a profile array")
         else:
             object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
         object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -237,20 +238,23 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
     ends: list = [None] * len(scenarios)  # (profile, converged, iterations, period, replies)
     rows = schedule.ticks(scenarios[0].num_users)
     window = schedule.max_staleness + 1
-    history: deque[np.ndarray] = deque(maxlen=window)  # tick-start copies, newest last
+    # seen[b, t % n]: game b's all-users interference on non-sequential tick t's start copy
+    n = min(schedule.max_staleness, config.max_iter) + 1
+    seen = np.empty((len(profile), n, *profile.shape[1:]))
     # Gosper's table: level j's copy, taken at tick levels[j], and each game's
     # weighted sum of it (nan until written); equal profiles have equal sums
     weights = np.arange(1.0, profile[0].size + 1.0).reshape(profile.shape[1:])
     sums = np.full((config.max_iter.bit_length(), len(profile)), np.nan)
     copies, levels, replies = [None] * len(sums), [0] * len(sums), 0
     for t in range(config.max_iter + 1):
+        start = profile.copy()
         if schedule.kind != "asynchronous" and 0 < t < config.max_iter:
             total = (profile * weights).sum(axis=(1, 2))
             for j, r in zip(*(sums == total).nonzero()):
                 if period[r] is None and quiet[r] < window and (copies[j][r] == profile[r]).all():
                     period[r] = t - levels[j]
             j = (t & -t).bit_length() - 1
-            copies[j], levels[j], sums[j] = profile.copy(), t, total
+            copies[j], levels[j], sums[j] = start, t, total
         # a cycling game plays on until the cap's place in its cycle, and every
         # game leaves at the cap
         leaving = [quiet[r] >= window or t == config.max_iter
@@ -263,32 +267,27 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
                 ends[live[r]] = (profile[r].copy(), converged,
                                  t if converged else config.max_iter, period[r], replies)
             live, quiet, period = ([a[r] for r in keep] for a in (live, quiet, period))
-            profile, cross, noise, direct, mult, p_max, mask = (
-                a[keep] for a in (profile, cross, noise, direct, mult, p_max, mask))
-            history = deque((x[keep] for x in history), maxlen=window)
+            profile, start, seen, cross, noise, direct, mult, p_max, mask = (
+                a[keep] for a in (profile, start, seen, cross, noise, direct, mult, p_max, mask))
             copies, sums = [x if x is None else x[keep] for x in copies], sums[:, keep]
             if not live:
                 break
-        history.append(profile.copy())
         updates, snapshots = next(rows)
         users = np.flatnonzero(updates).tolist()  # ints index faster than np.int64
-        # (users, interference) per reply call: a sequential user alone and lazily, as
-        # it reads the live profile; all users of any other tick, by the snapshot read
-        if schedule.kind == "sequential":
-            calls = ((i, _interference(cross, noise, direct, profile, i)) for i in users)
-        else:
-            order = sorted(users, key=snapshots.__getitem__)
-            groups = [(s, list(g)) for s, g in itertools.groupby(order, snapshots.__getitem__)]
-            if len(groups) == 1 and len(order) == len(updates):  # every user reads one copy:
-                groups, order = [(groups[0][0], slice(None))], slice(None)  # views, no gather
-            calls = [(order, np.concatenate([_interference(
-                cross[:, g], noise[:, g], direct[:, g], history[s - t - 1]) for s, g in groups],
-                axis=1))] if users else []
-        for g, s_bar in calls:
-            profile[:, g] = _replies(s_bar, mult[:, g], p_max[:, g], mask[:, g])
+        if schedule.kind == "sequential":  # each user replies to the live profile
+            for i in users:
+                profile[:, i] = _replies(_interference(cross, noise, direct, profile, i),
+                                         mult[:, i], p_max[:, i], mask[:, i])
+        else:  # each user replies to its row of the copy it names
+            seen[:, t % n] = _interference(cross, noise, direct, start)
+            if n == 1:  # no staleness: every user updates, from this tick's copy
+                profile[:] = _replies(seen[:, 0], mult, p_max, mask)
+            elif users:
+                profile[:, users] = _replies(seen[:, snapshots[users] % n, users],
+                                             mult[:, users], p_max[:, users], mask[:, users])
         replies += len(users)
         # each row changes at most once a tick: the tick's largest move, exactly
-        delta = np.abs(profile - history[-1]).max(axis=(1, 2))
+        delta = np.abs(profile - start).max(axis=(1, 2))
         quiet = [q + 1 if d <= config.tol else 0 for q, d in zip(quiet, delta.tolist())]
         for r, e in enumerate(live if logs else ()):
             logs[e][0].append(profile[r].copy())

@@ -213,6 +213,25 @@ def test_recorded_cycling_run_with_a_huge_cap_is_an_input_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_async_run_whose_staleness_ring_cannot_fit_is_an_input_error(tmp_path):
+    # a staleness bound and a cap both past 1e9 ask for a ring of 1e9 copies'
+    # interference, 32 GB at 2x2: the run says so in an error line at once
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(riwfa.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "riwfa", "run", "--generate", "low", "--users", "2",
+         "--subchannels", "2", "--schedule", "asynchronous", "--max-staleness", "1000000000",
+         "--max-iter", "1000000000000", "--out", "r.json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "--max-iter" in done.stderr and "--max-staleness" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--generate", "low", "--users", "100000", "--subchannels", "100000"],
     ["check", "--generate", "low", "--users", "2000", "--subchannels", "2000"],
@@ -646,6 +665,9 @@ def test_reproduce_input_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["run", "--generate", "low", "--tol", "-1"],
+    ["run", "--generate", "high", "--users", "4", "--subchannels", "8", "--tol", "inf"],
+    ["sweep", "--generate", "low", "--users", "2", "--subchannels", "4", "--eps-grid", "0",
+     "--realizations", "1", "--tol", "inf"],
     ["run", "--generate", "low", "--users", "0"],
     ["run", "--generate", "low", "--schedule", "asynchronous",
      "--update-prob", "0"],

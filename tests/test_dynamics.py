@@ -515,9 +515,10 @@ def test_lockstep_reply_is_one_interference_call_on_distinct_channels(monkeypatc
 
 
 def test_non_sequential_tick_is_one_reply_call(monkeypatch):
-    # every user of a simultaneous or asynchronous tick reads a tick-start copy,
-    # so the tick is one interference call per copy read and one reply call for
-    # all its games and users; a tick that updates nobody makes no call
+    # a simultaneous or asynchronous tick computes the all-users interference
+    # of its own start copy once, whether or not anyone updates, and every
+    # updating user reads its row of the copy it names: one reply call for all
+    # the tick's games and users, none if no user updates
     calls = []
     for name in ("_interference", "_replies"):
         def counted(*args, name=name, kernel=getattr(dynamics, name)):
@@ -539,10 +540,23 @@ def test_non_sequential_tick_is_one_reply_call(monkeypatch):
     expected, quiet, stale = [], 0, 0
     for updates, snapshots in itertools.islice(schedule.ticks(3), 40):
         copies = len(set(snapshots[updates].tolist()))
-        expected += ["_interference"] * copies + ["_replies"] * (copies > 0)
+        expected += ["_interference"] + ["_replies"] * (copies > 0)
         quiet, stale = quiet + (copies == 0), stale + (copies > 1)
     assert calls == expected + ["_interference", "_replies"]
     assert quiet > 0 and stale > 0
+
+
+def test_staleness_far_past_the_cap_plays_to_the_cap():
+    # within the cap, snapshots reach back at most to tick 0, so a staleness
+    # bound of 10**9 draws the ticks that 10**6 draws; the run keeps copies
+    # for the cap's ticks, not for the bound's
+    sc = random_scenario(2, 2, seed=4, **ENSEMBLES["low"]).with_uncertainty(
+        UncertaintySpec.uniform(2, 2, 0.5))
+    config = RunConfig(max_iter=50, record_trajectory=True)
+    huge = run(sc, Schedule("asynchronous", 0.5, 10**9, 1), config)
+    bound = run(sc, Schedule("asynchronous", 0.5, 10**6, 1), config)
+    assert (huge.stop_reason, huge.iterations) == ("max_iter", 50)
+    assert_same_report(huge, bound)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -640,8 +654,9 @@ def test_infeasible_custom_init_rejected():
         run(sc, Schedule(kind="sequential"), RunConfig(init=bad))
     with pytest.raises(ValueError):
         RunConfig(init="random-ish")
-    with pytest.raises(ValueError):
-        RunConfig(tol=0.0)
+    for tol in (0.0, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            RunConfig(tol=tol)
     with pytest.raises(ValueError):
         RunConfig(max_iter=0)
 
