@@ -14,8 +14,14 @@
 # --jobs 2; the second sends probabilistic specs to the workers, the third
 # plays simultaneous ticks on a batch of games in each, and the fourth warns
 # once, in the calling process. After all runs the script compares each
-# --jobs 2 or 4 run with its --jobs 1 twin, prints one line per pair and exits
-# 1 if any pair differs by a byte. Each demo runs inside its own directory, where
+# --jobs 2 or 4 run with its --jobs 1 twin and prints one line per pair, then
+# compares every file's SHA-256 with the committed manifest
+# scripts/reproduce_all.sha256 (see scripts/manifest.py) and prints each file
+# that was added, is missing or changed. It exits 1 if any pair differs by a
+# byte or any file differs from the manifest; a change that moves output on
+# purpose rewrites the manifest in the same commit, with
+#   python3 scripts/manifest.py OUT_DIR >scripts/reproduce_all.sha256
+# from a fresh OUT_DIR. Each demo runs inside its own directory, where
 # uncertainty_sweeps.py also writes its CSVs to the relative directory csv/,
 # so no absolute path enters its output. The fixed commands run the same
 # way, each in OUT_DIR/cli-<name>. Running the script in two checkouts and
@@ -133,6 +139,8 @@ cli run-async-uncapped run --generate low --users 2 --subchannels 2 --schedule a
 # most one copy per tick of the cap, and plays to the cap
 cli run-async-huge-staleness run --generate low --users 2 --subchannels 2 --schedule asynchronous \
     --max-staleness 1000000000 --max-iter 20
+# a usage mistake, a float flag given a word: one error line, like every input error
+cli usage-error run --generate low --eps abc
 # an eps whose worst-case interference overflows float64: one error line each
 cli run-overflow run --generate high --users 2 --subchannels 2 --eps 1e308
 cli check-overflow check --generate high --users 2 --subchannels 2 --eps 1e308
@@ -174,4 +182,5 @@ for pair in "cli-sweep-eps cli-sweep-eps-jobs2" "cli-sweep-delta0 cli-sweep-delt
         status=1
     fi
 done
+python3 "$root/scripts/manifest.py" "$out" "$root/scripts/reproduce_all.sha256" || status=1
 exit $status

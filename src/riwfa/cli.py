@@ -3,9 +3,9 @@ certificates, and reproduce the bundled benchmark experiments.
 
 Exit codes: 0 on success (convergence / all required checks pass), 2 when a
 run fails to converge or a required reproduction check fails (outputs are
-still written), 1 on input errors.  Identical commands with identical seeds
-produce byte-identical output files; every output embeds its resolved
-configuration.
+still written), 1 on input errors, each reported by `main` as one `error:`
+line, a usage mistake too.  Identical commands with identical seeds produce
+byte-identical output files; every output embeds its resolved configuration.
 
 `sweep` and every `reproduce` preset play their games through one engine,
 `dynamics.sweep_reports`, which plays a list of realized scenarios: the CLI
@@ -29,6 +29,7 @@ import numpy as np
 
 from .analysis import check_async_convergence, check_rne_uniqueness
 from .dynamics import (
+    SCHEDULE_KINDS,
     STOP_REASONS,
     RunConfig,
     Schedule,
@@ -71,21 +72,35 @@ class CliError(Exception):
     """Input error: bad flags, malformed scenario, unknown preset."""
 
 
-@contextlib.contextmanager
-def _input_errors():
-    """Report a ValueError raised while validating flag values, or a draw too
-    large for memory, as an input error: an `error:` line and exit 1."""
-    try:
-        yield
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    except MemoryError as exc:
-        raise CliError(str(exc) or "out of memory") from None
-
-
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage mistake for `main` to report; its subparsers share the class."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if int(text) >= low:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return parse
+
+
+def _check_output_path(path: str) -> str:
+    """An argparse type that rejects a path naming a directory or lying in a
+    missing one, so no game is played nor file written before it is checked.
+    It raises `CliError`, since argparse would prefix an ArgumentTypeError."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise CliError(f"cannot write {path}: not a file in an existing directory")
+    return path
+
 
 def _add_source_flags(parser):
     group = parser.add_argument_group("scenario source (exactly one)")
@@ -93,11 +108,11 @@ def _add_source_flags(parser):
                        help="JSON scenario file to load")
     group.add_argument("--generate", choices=tuple(ENSEMBLES),
                        help="draw a random scenario from the named ensemble")
-    group.add_argument("--users", type=int,
+    group.add_argument("--users", type=_at_least(1),
                        help="users for --generate (default 8)")
-    group.add_argument("--subchannels", type=int,
+    group.add_argument("--subchannels", type=_at_least(1),
                        help="sub-channels for --generate (default 64)")
-    group.add_argument("--seed", type=int,
+    group.add_argument("--seed", type=_at_least(0),
                        help="channel seed for --generate (default 0)")
 
 
@@ -112,26 +127,20 @@ def _add_uncertainty_flags(parser):
                        help="protection level for probabilistic mode")
 
 
-def _add_dynamics_flags(parser):
+def _add_dynamics_flags(parser, schedules):
     group = parser.add_argument_group("dynamics")
-    group.add_argument("--schedule", default="sequential",
-                       choices=("sequential", "simultaneous", "asynchronous"))
-    group.add_argument("--update-prob", type=float,
-                       help="per-tick update probability (asynchronous run; default 1)")
-    group.add_argument("--max-staleness", type=int,
-                       help="oldest usable snapshot age (asynchronous run; default 0)")
-    group.add_argument("--schedule-seed", type=int,
-                       help="seed for asynchronous schedule draws (default 0)")
+    group.add_argument("--schedule", default="sequential", choices=schedules)
     group.add_argument("--init", default="zero", choices=("zero", "uniform"))
     group.add_argument("--tol", type=float, default=RunConfig.tol)
-    group.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
+    group.add_argument("--max-iter", type=_at_least(1), default=RunConfig.max_iter)
+    return group
 
 
 # Built once per process; parsing leaves it unchanged.  Building it costs about
 # a fifth of a `check` call and leaves some 300 objects for the cycle collector.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riwfa",
         description="Robust iterative water-filling: equilibria, uncertainty "
                     "sweeps, convergence certificates, benchmark runs.")
@@ -140,12 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="iterate best responses to equilibrium")
     _add_source_flags(p_run)
     _add_uncertainty_flags(p_run)
-    _add_dynamics_flags(p_run)
-    p_run.add_argument("--out", metavar="FILE",
+    group = _add_dynamics_flags(p_run, SCHEDULE_KINDS)
+    group.add_argument("--update-prob", type=float,
+                       help="per-tick update probability (asynchronous run; default 1)")
+    group.add_argument("--max-staleness", type=_at_least(0),
+                       help="oldest usable snapshot age (asynchronous run; default 0)")
+    group.add_argument("--schedule-seed", type=_at_least(0),
+                       help="seed for asynchronous schedule draws (default 0)")
+    p_run.add_argument("--out", metavar="FILE", type=_check_output_path,
                        help="report JSON path (default: stdout)")
-    p_run.add_argument("--trajectory", metavar="FILE",
+    p_run.add_argument("--trajectory", metavar="FILE", type=_check_output_path,
                        help="also write the full trajectory CSV here")
-    p_run.add_argument("--summary", metavar="FILE",
+    p_run.add_argument("--summary", metavar="FILE", type=_check_output_path,
                        help="also write the per-iteration residual and social "
                             "utility CSV here")
 
@@ -153,24 +168,25 @@ def build_parser() -> argparse.ArgumentParser:
                                            "delta0 grid")
     _add_source_flags(p_sweep)
     _add_uncertainty_flags(p_sweep)
-    _add_dynamics_flags(p_sweep)
-    p_sweep.add_argument("--eps-grid", metavar="E1,E2,...",
-                         help="comma-separated eps values")
-    p_sweep.add_argument("--delta0-grid", metavar="D1,D2,...",
-                         help="comma-separated delta0 values (needs --eps)")
-    p_sweep.add_argument("--realizations", type=int,
+    _add_dynamics_flags(p_sweep, ("sequential", "simultaneous"))
+    grids = p_sweep.add_mutually_exclusive_group(required=True)
+    grids.add_argument("--eps-grid", metavar="E1,E2,...",
+                       help="comma-separated eps values")
+    grids.add_argument("--delta0-grid", metavar="D1,D2,...",
+                       help="comma-separated delta0 values (needs --eps)")
+    p_sweep.add_argument("--realizations", type=_at_least(1),
                          help="channel draws per grid point (default 20 with "
                               "--generate; a --scenario file is one realization)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", type=_at_least(1), default=1,
                          help="parallel worker processes")
-    p_sweep.add_argument("--out", metavar="FILE",
+    p_sweep.add_argument("--out", metavar="FILE", type=_check_output_path,
                          help="sweep CSV path (default: stdout)")
 
     p_check = sub.add_parser("check", help="evaluate the uniqueness and "
                                            "asynchronous-convergence certificates")
     _add_source_flags(p_check)
     _add_uncertainty_flags(p_check)
-    p_check.add_argument("--out", metavar="FILE",
+    p_check.add_argument("--out", metavar="FILE", type=_check_output_path,
                          help="certificate JSON path (default: stdout)")
 
     p_rep = sub.add_parser("reproduce", help="run a bundled benchmark preset")
@@ -178,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("table3", "table4", "fig1", "fig2", "fig3", "fig4"))
     p_rep.add_argument("--out-dir", default=".",
                        help="directory for report and data files (default: .)")
-    p_rep.add_argument("--realizations", type=int,
+    p_rep.add_argument("--realizations", type=_at_least(1),
                        help="override the preset's realization count")
-    p_rep.add_argument("--jobs", type=int, default=1,
+    p_rep.add_argument("--jobs", type=_at_least(1), default=1,
                        help="parallel workers where the preset sweeps")
     return parser
 
@@ -223,8 +239,7 @@ def _resolve_source(args, count: int = 1) -> tuple[list[Scenario], dict]:
         if count != 1:
             raise CliError("a --scenario file is one realization: --realizations must be 1")
         return [scenario], {"scenario": args.scenario}
-    with _input_errors():
-        scenarios = _draws(args.generate, args.seed, count, args.users, args.subchannels)
+    scenarios = _draws(args.generate, args.seed, count, args.users, args.subchannels)
     return scenarios, {"generate": args.generate, "users": args.users,
                        "subchannels": args.subchannels, "seed": args.seed}
 
@@ -254,24 +269,6 @@ def _resolve_scenario(args, scenario: Scenario) -> Scenario:
         scenario.num_users, scenario.num_subchannels))
 
 
-def _resolve_async_flags(args) -> None:
-    """Only an asynchronous run reads these flags; absent, they take their defaults."""
-    for name, default in (("update_prob", 1.0), ("max_staleness", 0), ("schedule_seed", 0)):
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.command == "sweep" or args.schedule != "asynchronous":
-            raise CliError(f"--{name.replace('_', '-')} applies only to run --schedule asynchronous")
-
-
-def _check_output_path(path: str | None) -> None:
-    """Reject a path that names a directory or lies in a missing one before
-    any game is played or file written, so that `run` with two outputs
-    leaves neither behind and `sweep` does not play its grid in vain."""
-    if path is not None and (os.path.isdir(path)
-                             or not os.path.isdir(os.path.dirname(path) or ".")):
-        raise CliError(f"cannot write {path}: not a file in an existing directory")
-
-
 def _emit(payload: dict, out: str | None) -> None:
     """Write ``payload`` as indented, key-sorted JSON to ``out`` (None: stdout)."""
     with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
@@ -292,17 +289,19 @@ def _report_dict(report) -> dict:
 
 def cmd_run(args) -> int:
     [scenario], source_desc = _resolve_source(args)
-    _resolve_async_flags(args)
-    for path in (args.out, args.trajectory, args.summary):
-        _check_output_path(path)
-    with _input_errors():
-        scenario = _resolve_scenario(args, scenario)
-        config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
-                           record_trajectory=args.trajectory is not None
-                           or args.summary is not None)
-        schedule = (Schedule(args.schedule, args.update_prob, args.max_staleness,
-                             args.schedule_seed)
-                    if args.schedule == "asynchronous" else Schedule(args.schedule))
+    # only an asynchronous run reads these flags; absent, they take their defaults
+    for name, default in (("update_prob", 1.0), ("max_staleness", 0), ("schedule_seed", 0)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.schedule != "asynchronous":
+            raise CliError(f"--{name.replace('_', '-')} applies only to run --schedule asynchronous")
+    scenario = _resolve_scenario(args, scenario)
+    config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter,
+                       record_trajectory=args.trajectory is not None
+                       or args.summary is not None)
+    schedule = (Schedule(args.schedule, args.update_prob, args.max_staleness,
+                         args.schedule_seed)
+                if args.schedule == "asynchronous" else Schedule(args.schedule))
     try:
         report = run(scenario, schedule, config)
     except MemoryError:
@@ -327,17 +326,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if (args.eps_grid is None) == (args.delta0_grid is None):
-        raise CliError("exactly one of --eps-grid or --delta0-grid is required")
-    if args.realizations is not None and args.realizations < 1:
-        raise CliError("--realizations must be >= 1")
-    if args.jobs < 1:
-        raise CliError("--jobs must be >= 1")
-    if args.schedule == "asynchronous":
-        raise CliError("sweeps play sequential or simultaneous schedules")
-    _resolve_async_flags(args)
-    _check_output_path(args.out)
-
     # each grid point stands for --eps (or --delta0) and obeys its rules
     flag, parameter, mode = (("eps", "epsilon", args.mode or "worstcase")
                              if args.eps_grid is not None
@@ -347,12 +335,11 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(getattr(args, f"{flag}_grid"), f"--{flag}-grid")
     realizations = args.realizations or (1 if args.scenario is not None else 20)
     scenarios, source_desc = _resolve_source(args, realizations)
-    with _input_errors():
-        config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)
-        specs = [_uncertainty(mode, **{"eps": args.eps, "delta0": args.delta0, flag: value},
-                              m=scenarios[0].num_users, k=scenarios[0].num_subchannels)
-                 for value in grid]
-        reports = sweep_reports(scenarios, specs, args.schedule, config, args.jobs)
+    config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)
+    specs = [_uncertainty(mode, **{"eps": args.eps, "delta0": args.delta0, flag: value},
+                          m=scenarios[0].num_users, k=scenarios[0].num_subchannels)
+             for value in grid]
+    reports = sweep_reports(scenarios, specs, args.schedule, config, args.jobs)
     result = SweepResult.from_reports(parameter, grid, reports)
     fixed = {"mode": mode, "delta0": args.delta0} if flag == "eps" else {"eps": args.eps}
     resolved = {"command": "sweep", **source_desc, "parameter": parameter,
@@ -367,15 +354,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     [scenario], source_desc = _resolve_source(args)
-    _check_output_path(args.out)
-    with _input_errors():
-        scenario = _resolve_scenario(args, scenario)
-        resolved = {"command": "check", **source_desc,
-                    "mode": scenario.uncertainty.mode,
-                    "eps": args.eps, "delta0": args.delta0}
-        payload = {"config": resolved,
-                   "uniqueness": check_rne_uniqueness(scenario).to_dict(),
-                   "async_convergence": check_async_convergence(scenario).to_dict()}
+    scenario = _resolve_scenario(args, scenario)
+    resolved = {"command": "check", **source_desc,
+                "mode": scenario.uncertainty.mode,
+                "eps": args.eps, "delta0": args.delta0}
+    payload = {"config": resolved,
+               "uniqueness": check_rne_uniqueness(scenario).to_dict(),
+               "async_convergence": check_async_convergence(scenario).to_dict()}
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -584,14 +569,9 @@ PRESETS = {
 
 
 def cmd_reproduce(args) -> int:
-    if args.realizations is not None:
-        if args.preset in ("table3", "table4"):
-            raise CliError(f"--realizations does not apply to {args.preset}: "
-                           "it plays the one bundled channel")
-        if args.realizations < 1:
-            raise CliError("--realizations must be >= 1")
-    if args.jobs < 1:
-        raise CliError("--jobs must be >= 1")
+    if args.realizations is not None and args.preset in ("table3", "table4"):
+        raise CliError(f"--realizations does not apply to {args.preset}: "
+                       "it plays the one bundled channel")
     os.makedirs(args.out_dir, exist_ok=True)
     entries, checks, data, result = PRESETS[args.preset](args)
     resolved = {"command": "reproduce", "preset": args.preset, **entries}
@@ -610,25 +590,21 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 means "run failed" here, so
-        # remap bad flags and unknown presets to the input-error code.
-        code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
-        return EXIT_OK if code == 0 else EXIT_INPUT
-    handler = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check,
-               "reproduce": cmd_reproduce}[args.command]
     # a warning is one "warning: <message>" line with no source path; leaving the
     # block restores Python's own format for library callers
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            args = build_parser().parse_args(argv)
+            handler = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check,
+                       "reproduce": cmd_reproduce}[args.command]
             return handler(args)
-        except (CliError, OSError) as exc:
-            # an OSError here is an output path the handler could not write
-            print(f"error: {exc}", file=sys.stderr)
+        except SystemExit as exc:  # --help, which exits 0 once it has printed
+            return exc.code
+        except (CliError, ValueError, OSError, MemoryError) as exc:
+            # a ValueError is a flag value the library rejects, an OSError an
+            # output the handler could not write, a MemoryError a draw too large
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return EXIT_INPUT
 
 

@@ -106,12 +106,10 @@ class Schedule:
         ``snapshots[i]`` is the tick whose start profile it reacts to, with
         t - max_staleness <= snapshots[i] <= t.  Each call replays the same
         draws.  A staleness of 0 forces every update, from tick t, so such a
-        schedule (every sequential and simultaneous one) draws nothing.
+        schedule (every sequential and simultaneous one) draws nothing and
+        builds no generator, whose first use imports ``numpy.random``.
         """
-        if not self.max_staleness:
-            for t in itertools.count():
-                yield np.ones(num_users, dtype=bool), np.full(num_users, t)
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.seed) if self.max_staleness else None
         last_update = [-1] * num_users
         for t in itertools.count():
             updates = np.zeros(num_users, dtype=bool)

@@ -192,8 +192,7 @@ def test_acceptance_05_bundled_benchmark_tables():
              f"{elapsed:.3f} s"),
     ]
 
-    threshold = 1e-3 * float(np.min(base.constraints.p_max))
-    supports = [set(np.flatnonzero(row > threshold)) for row in robust.profile]
+    supports = [set(s) for s in robust.supports]
     _sub("should", "robust per-user utilities within 0.1 of the reference",
          bool(np.all(np.abs(robust.per_user_utility
                             - np.array(TABLE4_UTILITIES)) <= 0.1)),

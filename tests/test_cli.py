@@ -740,6 +740,13 @@ def test_reproduce_input_errors(capsys, tmp_path):
     ["run", "--generate", "high", "--users", "4", "--subchannels", "8", "--tol", "inf"],
     ["sweep", "--generate", "low", "--users", "2", "--subchannels", "4", "--eps-grid", "0",
      "--realizations", "1", "--tol", "inf"],
+    # a channel seed numpy cannot take
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "2", "--seed", "-1"],
+    # usage mistakes: a malformed value, an unknown flag or preset
+    ["run", "--generate", "low", "--eps", "abc"],
+    ["run", "--generate", "low", "--bogus", "1"],
+    ["reproduce", "fig9"],
+    ["sweep", "--generate", "low", "--eps-grid", "0", "--jobs", "abc"],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -768,8 +775,23 @@ def test_unwritable_out_is_rejected_before_any_game(capsys, tmp_path, monkeypatc
     assert err == f"error: cannot write {argv[-1]}: not a file in an existing directory\n"
 
 
+@pytest.mark.parametrize("flag, low", [("--seed", 0), ("--schedule-seed", 0),
+                                       ("--max-staleness", 0), ("--users", 1), ("--max-iter", 1)])
+def test_an_integer_below_its_range_is_an_error_that_names_its_flag(capsys, flag, low):
+    code, _, err = run_cli(capsys, ["run", "--generate", "low", "--users", "2",
+                                    "--subchannels", "2", "--schedule", "asynchronous",
+                                    flag, str(low - 1)])
+    assert code == EXIT_INPUT
+    assert err == f"error: argument {flag}: must be an integer >= {low}, got '{low - 1}'\n"
+
+
 def test_unknown_command_is_input_error(capsys):
     code, _, _ = run_cli(capsys, ["frobnicate"])
     assert code == EXIT_INPUT
     code, _, _ = run_cli(capsys, ["--help"])
     assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, ["run", "--help"])
+    assert code == EXIT_OK and "--schedule-seed" in out
+    # only run plays asynchronous schedules, so only run declares their flags
+    code, out, _ = run_cli(capsys, ["sweep", "--help"])
+    assert code == EXIT_OK and "asynchronous" not in out and "--update-prob" not in out
