@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import orthogonality_index, per_user_utilities
-from .model import (DEGENERATE_MESSAGE, DegenerateUncertaintyWarning, Scenario, _interference,
-                    check_profile, uniform_profile, zero_profile)
+from .model import (DEGENERATE_MESSAGE, EFFECTIVE_INTERFERENCE_FLOOR, DegenerateUncertaintyWarning,
+                    Scenario, _interference, check_profile, uniform_profile, zero_profile)
 from .waterfill import _replies
 
 SCHEDULE_KINDS = ("sequential", "simultaneous", "asynchronous")
@@ -203,9 +203,14 @@ def _stacks(scenarios) -> list[np.ndarray]:
 
 
 def _residuals(games, profiles: np.ndarray) -> np.ndarray:
-    """Each game's fixed-point residual, from one water-fill kernel call on every user."""
-    cross, noise, direct, *game = _stacks(games)
-    replies = _replies(_interference(cross, noise, direct, profiles), *game)
+    """Each game's fixed-point residual, from one water-fill kernel call on every user.
+    ``Scenario`` keeps a played profile's interference finite; this is the one
+    reply path that takes any other profile, so it checks."""
+    cross, noise, direct, mult, *game = _stacks(games)
+    s_bar = _interference(cross, noise, direct, profiles)
+    if not np.isfinite(np.maximum(s_bar * mult, EFFECTIVE_INTERFERENCE_FLOOR)).all():
+        raise ValueError("the profile's effective interference must be finite")
+    replies = _replies(s_bar, mult, *game)
     return np.abs(replies - profiles).max(axis=(1, 2))
 
 

@@ -16,11 +16,17 @@ along them and solves the segment that reaches the budget (Palomar and
 Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration and no input
 checks.  It is written once, in ``_waterfill``, along the last axis: one
 (K,) row or a stack of rows on any leading axes, each row bitwise as alone.
-``waterfill`` checks its input first; ``best_response`` and ``_replies``
-trust the validated ``Scenario``.
+A row's totals are 0-d scalars and a stack's are columns: sequential play
+makes one call per user per tick on a lone row, where each op that broadcasts
+a (1,) column costs about 1.5 us and one on a scalar about 0.6 us.
+``waterfill`` checks its input first.  ``best_response`` and ``_replies``
+trust the validated ``Scenario``, which keeps the interference of every
+feasible profile finite; ``best_response`` and ``dynamics._residuals``, the
+paths that take any profile, check that its effective interference is finite.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,34 +73,55 @@ def _waterfill(s: np.ndarray, p_max, mask: np.ndarray) -> tuple[np.ndarray, np.n
     """``(p, mu)`` along the last axis, for one (K,) row and a float budget or
     a stack of rows on any leading axes and one budget per row.  Every step runs
     along that axis and a row of unit stride sums as a lone row does, so each
-    row solves bitwise as alone."""
+    row solves bitwise as alone.  A stack keeps each row's totals as a column;
+    a lone row keeps them as 0-d scalars, which cost less to broadcast, and its
+    ``mu`` is an ``np.float64``."""
+    stack = s.ndim > 1
     top = s + mask
     levels = np.concatenate((s, top), axis=-1)
     order = levels.argsort(axis=-1)
     levels.sort(axis=-1)
     # slope[j] channels fill on segment j, from levels[j] to levels[j + 1];
     # spent[j] is the total allocated at its upper end.
-    slope = np.add.accumulate(np.where(order < s.shape[-1], 1, -1), axis=-1)[..., :-1]
+    slope = np.add.accumulate(_signs(s.shape[-1])[order], axis=-1)[..., :-1]
     spent = np.add.accumulate(slope * (levels[..., 1:] - levels[..., :-1]), axis=-1)
     # lo, the lower end of the first segment to reach the budget (the last level
     # if rounding leaves spent[-1] an ulp short), is the highest level whose total
     # is below it, or the first: spent rises, levels are sorted and > 0.  No
     # breakpoint lies inside that segment, so the levels classify every channel.
-    budget = np.asarray(p_max)[..., None]
-    lo = np.maximum.reduce(levels[..., 1:], -1, keepdims=True, where=spent < budget, initial=0.0)
-    lo = np.maximum(levels[..., :1], lo)
+    if stack:
+        budget = np.asarray(p_max)[..., None]
+        lo = np.maximum(levels[..., :1], np.maximum.reduce(
+            levels[..., 1:], -1, keepdims=True, where=spent < budget, initial=0.0))
+    else:  # spent never falls, so the totals below the budget come first: count them
+        budget, lo = p_max, levels[spent.searchsorted(p_max)]
     saturated = top <= lo
     interior = (s <= lo) ^ saturated     # top >= s; empty only if capped >= p_max
-    capped = np.add.reduce(mask * saturated, axis=-1, keepdims=True)
-    mu = budget - capped + np.add.reduce(s * interior, axis=-1, keepdims=True)
-    mu /= np.maximum(np.add.reduce(interior, axis=-1, keepdims=True), 1)
+    capped = np.add.reduce(mask * saturated, axis=-1, keepdims=stack)
+    mu = budget - capped + np.add.reduce(s * interior, axis=-1, keepdims=stack)
     # Saturated masks that alone spend the budget stepped a running total an ulp
     # short over the flat stretch they end on: take its lower end, their highest
     # top.  Masks that sum to at most the budget all saturate; it never binds.
-    np.copyto(mu, np.maximum.reduce(top, axis=-1, keepdims=True, where=saturated, initial=0.0),
-              where=capped >= budget)
-    np.copyto(mu, np.inf, where=np.add.reduce(mask, axis=-1, keepdims=True) <= budget)
-    return np.minimum(np.maximum(mu - s, 0.0), mask), mu[..., 0]
+    if stack:
+        mu /= np.maximum(np.add.reduce(interior, axis=-1, keepdims=True), 1)
+        np.copyto(mu, np.maximum.reduce(top, axis=-1, keepdims=True, where=saturated,
+                                        initial=0.0), where=capped >= budget)
+        np.copyto(mu, np.inf, where=np.add.reduce(mask, axis=-1, keepdims=True) <= budget)
+    else:
+        mu /= max(np.count_nonzero(interior), 1)
+        if np.add.reduce(mask) <= budget:
+            mu = np.float64(np.inf)
+        elif capped >= budget:
+            mu = np.maximum.reduce(top, where=saturated, initial=0.0)
+    return np.minimum(np.maximum(mu - s, 0.0), mask), mu[..., 0] if stack else mu
+
+
+@functools.cache
+def _signs(k: int) -> np.ndarray:
+    """+1 for each of the K lower breakpoints s[k] and -1 for each upper one."""
+    signs = np.repeat(np.array([1, -1]), k)
+    signs.flags.writeable = False
+    return signs
 
 
 def _solution(p: np.ndarray, mu) -> WaterfillSolution:
@@ -107,10 +134,9 @@ def _replies(s_bar: np.ndarray, mult: np.ndarray, p_max: np.ndarray,
     """Every row's reply: rows of nominal interference, multipliers and masks
     stacked on any leading axes, and one budget per row.  A first axis of one
     is dropped, so a lone row goes in as a (K,) row, which costs less than a
-    (1, K) stack.  The caller warns of multipliers <= 0."""
+    (1, K) stack.  The caller warns of multipliers <= 0 and, for a profile
+    that is not played from a feasible start, checks that ``s_eff`` is finite."""
     s_eff = np.maximum(s_bar * mult, EFFECTIVE_INTERFERENCE_FLOOR)
-    if not np.isfinite(s_eff).all():
-        raise ValueError("the profile's effective interference must be finite")
     if len(s_eff) == 1:
         return _waterfill(s_eff[0], p_max[0], mask[0])[0][None]
     return _waterfill(s_eff, p_max, mask)[0]

@@ -150,6 +150,11 @@ def waterfill_row_stacks(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(waterfill_row_stacks())
+# a lone row takes each rare branch on scalars: masks that sum to at most the
+# budget (mu is +inf), and cheapest masks that spend it exactly, which leave
+# the running total an ulp short
+@example((np.array([[0.1, 0.2, 2.0]]), np.array([2.5]), np.array([[0.5, 0.5, 1.0]])))
+@example((np.array([[0.1, 0.2, 2.0]]), np.array([1.0]), np.array([[0.5, 0.5, 1.0]])))
 def test_waterfill_kernel_solves_each_row_of_a_stack_as_alone_bitwise(stack):
     # whatever the batch size and the rows beside it, a row solves as it
     # does alone; sums over compressed rows would differ in the last bit
@@ -300,6 +305,14 @@ def test_reply_to_a_profile_that_is_not_finite_is_a_value_error(bad):
         best_response(sc, 0, profile)
     with pytest.raises(ValueError, match="finite"):
         fixed_point_residual(profile, sc)
+
+
+def test_residual_of_a_profile_whose_interference_overflows_is_a_value_error():
+    # replies trust a played profile; the residual takes any finite profile,
+    # and one of 1e308 on a channel this strong overflows its interference
+    sc = random_scenario(2, 3, seed=1, cross_range=(0.5, 1.0))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        fixed_point_residual(np.full((2, 3), 1e308), sc)
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (2, 4), (4, 4), (3, 5)])
