@@ -93,6 +93,30 @@ def _at_least(low: int):
     return parse
 
 
+def _real(accepts, bounds: str):
+    """An argparse type: a float for which ``accepts`` holds (nan never does)."""
+    def parse(text: str) -> float:
+        with contextlib.suppress(ValueError):
+            if accepts(float(text)):
+                return float(text)
+        raise argparse.ArgumentTypeError(f"must be {bounds}, got {text!r}")
+    return parse
+
+
+_EPS = _real(lambda v: 0 <= v < np.inf, "a finite number >= 0")
+_DELTA0 = _real(lambda v: 0 <= v <= 1, "a number in [0, 1]")
+
+
+def _grid(value):
+    """An argparse type: comma-separated values, each one ``value`` accepts."""
+    def parse(text: str) -> np.ndarray:
+        items = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"must not be empty, got {text!r}")
+        return np.array([value(item) for item in items])
+    return parse
+
+
 def _check_output_path(path: str) -> str:
     """An argparse type that rejects a path naming a directory or lying in a
     missing one, so no game is played nor file written before it is checked.
@@ -120,10 +144,10 @@ def _add_uncertainty_flags(parser):
     group = parser.add_argument_group("uncertainty override")
     group.add_argument("--mode", choices=MODES,
                        help="override the scenario's uncertainty mode")
-    group.add_argument("--eps", type=float,
+    group.add_argument("--eps", type=_EPS,
                        help="uniform eps bound (implies --mode worstcase "
                             "unless --mode is given)")
-    group.add_argument("--delta0", type=float,
+    group.add_argument("--delta0", type=_DELTA0,
                        help="protection level for probabilistic mode")
 
 
@@ -131,7 +155,8 @@ def _add_dynamics_flags(parser, schedules):
     group = parser.add_argument_group("dynamics")
     group.add_argument("--schedule", default="sequential", choices=schedules)
     group.add_argument("--init", default="zero", choices=("zero", "uniform"))
-    group.add_argument("--tol", type=float, default=RunConfig.tol)
+    group.add_argument("--tol", type=_real(lambda v: 0 < v < np.inf, "a finite number > 0"),
+                       default=RunConfig.tol)
     group.add_argument("--max-iter", type=_at_least(1), default=RunConfig.max_iter)
     return group
 
@@ -150,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p_run)
     _add_uncertainty_flags(p_run)
     group = _add_dynamics_flags(p_run, SCHEDULE_KINDS)
-    group.add_argument("--update-prob", type=float,
+    group.add_argument("--update-prob", type=_real(lambda v: 0 < v <= 1, "a number in (0, 1]"),
                        help="per-tick update probability (asynchronous run; default 1)")
     group.add_argument("--max-staleness", type=_at_least(0),
                        help="oldest usable snapshot age (asynchronous run; default 0)")
@@ -170,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_uncertainty_flags(p_sweep)
     _add_dynamics_flags(p_sweep, ("sequential", "simultaneous"))
     grids = p_sweep.add_mutually_exclusive_group(required=True)
-    grids.add_argument("--eps-grid", metavar="E1,E2,...",
+    grids.add_argument("--eps-grid", metavar="E1,E2,...", type=_grid(_EPS),
                        help="comma-separated eps values")
-    grids.add_argument("--delta0-grid", metavar="D1,D2,...",
+    grids.add_argument("--delta0-grid", metavar="D1,D2,...", type=_grid(_DELTA0),
                        help="comma-separated delta0 values (needs --eps)")
     p_sweep.add_argument("--realizations", type=_at_least(1),
                          help="channel draws per grid point (default 20 with "
@@ -199,16 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--jobs", type=_at_least(1), default=1,
                        help="parallel workers where the preset sweeps")
     return parser
-
-
-def _parse_grid(text: str, flag: str) -> np.ndarray:
-    items = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
-    if not items:
-        raise CliError(f"{flag} is empty")
-    try:
-        return np.array([float(v) for v in items])
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
 
 
 def _draws(ensemble: str, seed: int, count: int,
@@ -332,7 +347,7 @@ def cmd_sweep(args) -> int:
                              else ("delta0", "delta0", args.mode or "probabilistic"))
     if getattr(args, flag) is not None:
         raise CliError(f"--{flag}-grid replaces --{flag}")
-    grid = _parse_grid(getattr(args, f"{flag}_grid"), f"--{flag}-grid")
+    grid = getattr(args, f"{flag}_grid")
     realizations = args.realizations or (1 if args.scenario is not None else 20)
     scenarios, source_desc = _resolve_source(args, realizations)
     config = RunConfig(init=args.init, tol=args.tol, max_iter=args.max_iter)

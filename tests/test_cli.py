@@ -747,6 +747,15 @@ def test_reproduce_input_errors(capsys, tmp_path):
     ["run", "--generate", "low", "--bogus", "1"],
     ["reproduce", "fig9"],
     ["sweep", "--generate", "low", "--eps-grid", "0", "--jobs", "abc"],
+    # a float flag, or a grid value, outside its flag's range
+    ["run", "--generate", "low", "--users", "2", "--subchannels", "2",
+     "--schedule", "asynchronous", "--update-prob", "2"],
+    ["run", "--generate", "low", "--mode", "probabilistic", "--eps", "1", "--delta0", "1.5"],
+    ["run", "--generate", "low", "--tol", "nan"],
+    ["check", "--generate", "low", "--eps", "1e400"],
+    ["sweep", "--generate", "low", "--eps-grid", "nan,1"],
+    ["sweep", "--generate", "low", "--eps-grid", "0,-1"],
+    ["sweep", "--generate", "low", "--delta0-grid", "0,1.5", "--eps", "0.8"],
 ])
 def test_bad_flag_values_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -783,6 +792,37 @@ def test_an_integer_below_its_range_is_an_error_that_names_its_flag(capsys, flag
                                     flag, str(low - 1)])
     assert code == EXIT_INPUT
     assert err == f"error: argument {flag}: must be an integer >= {low}, got '{low - 1}'\n"
+
+
+@pytest.mark.parametrize("flags, flag, bounds, value", [
+    (["--eps"], "--eps", "a finite number >= 0", "nan"),
+    (["--eps"], "--eps", "a finite number >= 0", "-1"),
+    (["--eps"], "--eps", "a finite number >= 0", "abc"),
+    (["--mode", "probabilistic", "--eps", "1", "--delta0"], "--delta0", "a number in [0, 1]",
+     "1.5"),
+    (["--tol"], "--tol", "a finite number > 0", "0"),
+    (["--tol"], "--tol", "a finite number > 0", "inf"),
+    (["--schedule", "asynchronous", "--update-prob"], "--update-prob", "a number in (0, 1]", "0"),
+    (["--schedule", "asynchronous", "--update-prob"], "--update-prob", "a number in (0, 1]", "2"),
+])
+def test_a_float_outside_its_range_is_an_error_that_names_its_flag(capsys, flags, flag, bounds,
+                                                                   value):
+    code, _, err = run_cli(capsys, ["run", "--generate", "low", "--users", "2",
+                                    "--subchannels", "2", *flags, value])
+    assert code == EXIT_INPUT
+    assert err == f"error: argument {flag}: must be {bounds}, got '{value}'\n"
+
+
+@pytest.mark.parametrize("flags, flag, bounds, bad", [
+    (["--eps-grid", "nan,1"], "--eps-grid", "a finite number >= 0", "nan"),
+    (["--eps", "0.8", "--delta0-grid", "0,1.5"], "--delta0-grid", "a number in [0, 1]", "1.5"),
+])
+def test_a_grid_value_outside_its_range_is_an_error_that_names_its_flag(capsys, flags, flag,
+                                                                        bounds, bad):
+    code, _, err = run_cli(capsys, ["sweep", "--generate", "low", "--users", "2",
+                                    "--subchannels", "2", *flags])
+    assert code == EXIT_INPUT
+    assert err == f"error: argument {flag}: must be {bounds}, got '{bad}'\n"
 
 
 def test_unknown_command_is_input_error(capsys):
