@@ -83,28 +83,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _ranged(kind, accepts, bounds: str):
+    """An argparse type: a ``kind`` (int or float) for which ``accepts`` holds;
+    no range accepts nan."""
+    def parse(text: str):
         with contextlib.suppress(ValueError):
-            if int(text) >= low:
-                return int(text)
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-    return parse
-
-
-def _real(accepts, bounds: str):
-    """An argparse type: a float for which ``accepts`` holds (nan never does)."""
-    def parse(text: str) -> float:
-        with contextlib.suppress(ValueError):
-            if accepts(float(text)):
-                return float(text)
+            if accepts(kind(text)):
+                return kind(text)
         raise argparse.ArgumentTypeError(f"must be {bounds}, got {text!r}")
     return parse
 
 
-_EPS = _real(lambda v: 0 <= v < np.inf, "a finite number >= 0")
-_DELTA0 = _real(lambda v: 0 <= v <= 1, "a number in [0, 1]")
+def _at_least(low: int):
+    return _ranged(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+_EPS = _ranged(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")
+_DELTA0 = _ranged(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
 def _grid(value):
@@ -155,8 +150,8 @@ def _add_dynamics_flags(parser, schedules):
     group = parser.add_argument_group("dynamics")
     group.add_argument("--schedule", default="sequential", choices=schedules)
     group.add_argument("--init", default="zero", choices=("zero", "uniform"))
-    group.add_argument("--tol", type=_real(lambda v: 0 < v < np.inf, "a finite number > 0"),
-                       default=RunConfig.tol)
+    group.add_argument("--tol", default=RunConfig.tol,
+                       type=_ranged(float, lambda v: 0 < v < np.inf, "a finite number > 0"))
     group.add_argument("--max-iter", type=_at_least(1), default=RunConfig.max_iter)
     return group
 
@@ -175,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p_run)
     _add_uncertainty_flags(p_run)
     group = _add_dynamics_flags(p_run, SCHEDULE_KINDS)
-    group.add_argument("--update-prob", type=_real(lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    group.add_argument("--update-prob",
+                       type=_ranged(float, lambda v: 0 < v <= 1, "a number in (0, 1]"),
                        help="per-tick update probability (asynchronous run; default 1)")
     group.add_argument("--max-staleness", type=_at_least(0),
                        help="oldest usable snapshot age (asynchronous run; default 0)")
