@@ -107,7 +107,7 @@ def layer_rows() -> list[dict]:
         p_max = 0.3 * float(mask.sum())
         rows.append(_row(f"_waterfill one row, K={k}", "us",
                          _per_call(lambda: _waterfill(s, p_max, mask), 1e6)))
-    for b in (2, 8, 64, 640):
+    for b in (1, 2, 8, 64, 640):  # B = 1 beside the one-row rows: a (1, K) stack
         s, mask = rng.uniform(0.1, 2.0, (b, 64)), rng.uniform(0.5, 2.0, (b, 64))
         p_max = 0.3 * mask.sum(axis=1)
         rows.append(_row(f"_waterfill stack, K=64, B={b}", "us",

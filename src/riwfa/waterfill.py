@@ -17,8 +17,9 @@ Fonollosa, IEEE TSP 53(2), 2005): O(K log K), with no iteration and no input
 checks.  It is written once, in ``_waterfill``, along the last axis: one
 (K,) row or a stack of rows on any leading axes, each row bitwise as alone.
 A row's totals are 0-d scalars and a stack's are columns: sequential play
-makes one call per user per tick on a lone row, where each op that broadcasts
-a (1,) column costs about 1.5 us and one on a scalar about 0.6 us.
+makes one call per user per tick on a lone row, where per-op overhead rules,
+and a K = 64 row takes about 16 us on scalars against 27 us on (1,) columns
+(2-core VM).
 ``waterfill`` checks its input first.  ``best_response`` and ``_replies``
 trust the validated ``Scenario``, which keeps the interference of every
 feasible profile finite; ``best_response`` and ``dynamics._residuals``, the
