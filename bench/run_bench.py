@@ -15,9 +15,13 @@ this checkout's ``src/``.  It writes:
   one sequential reply at M = 64, K = 1024 and one of fig4's tail of 10
   games) are the per-call time of REPEATS timed batches.  Play rows time
   whole ``run()`` calls and divide by the replies or ticks they played, or
-  give the time per run with the ticks played.  Preset rows are the wall
-  time of ``python3 -m riwfa reproduce PRESET --jobs 1`` in a fresh
-  interpreter, import included, with each run's exit code.  The fig4 call
+  give the time per run with the ticks played.  The sweep row times
+  ``sweep_reports`` of one low 8x64 draw over eps 0, 0.25, 0.5 and 1, the
+  engine part of a perfbench low-sweep op.  Each of these rows carries
+  ``calibration_us``, the median of the calibration loop timed right
+  before it.  Preset rows are the wall time of ``python3 -m riwfa
+  reproduce PRESET --jobs 1`` in a fresh interpreter, import included,
+  with each run's exit code.  The fig4 call
   counts come from one cProfile sample, and the equilibrium scan from one
   timed sample;
 - ``tier1``: the Tier-1 suite's wall time, its pass and fail counts and its
@@ -25,7 +29,8 @@ this checkout's ``src/``.  It writes:
 
 ``calibration`` rows time a fixed pure-Python loop at the start and at the
 end.  The host's speed can drift by a factor of two for minutes, so compare
-two BENCH files only through samples taken side by side, or scale by these.
+two BENCH files only through samples taken side by side, or scale each row
+by its own ``calibration_us``.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ from riwfa import (ENSEMBLES, GridSpec, RunConfig, Schedule, UncertaintySpec,  #
                    check_async_convergence, check_rne_uniqueness, exhaustive_equilibrium_scan,
                    fixed_point_residual, random_scenario, run, uniform_profile)
 from riwfa.cli import _draws, main as cli_main  # noqa: E402
-from riwfa.dynamics import _stacks  # noqa: E402
+from riwfa.dynamics import _stacks, sweep_reports  # noqa: E402
 from riwfa.model import _interference  # noqa: E402
 from riwfa.waterfill import _replies, _waterfill  # noqa: E402
 
@@ -99,40 +104,56 @@ def _calibration() -> int:
     return total
 
 
+def _calibration_us() -> float:
+    return statistics.median(_per_call(_calibration, 1e6))
+
+
+def _layer_row(name: str, unit: str, fn, scale: float, **extra) -> dict:
+    calibration = _calibration_us()
+    return _row(name, unit, _per_call(fn, scale), calibration_us=calibration, **extra)
+
+
 def layer_rows() -> list[dict]:
     rows = []
     rng = np.random.default_rng(0)
     for k in (6, 64, 1024):
         s, mask = rng.uniform(0.1, 2.0, k), rng.uniform(0.5, 2.0, k)
         p_max = 0.3 * float(mask.sum())
-        rows.append(_row(f"_waterfill one row, K={k}", "us",
-                         _per_call(lambda: _waterfill(s, p_max, mask), 1e6)))
+        rows.append(_layer_row(f"_waterfill one row, K={k}", "us",
+                               lambda: _waterfill(s, p_max, mask), 1e6))
     for b in (1, 2, 8, 64, 640):  # B = 1 beside the one-row rows: a (1, K) stack
         s, mask = rng.uniform(0.1, 2.0, (b, 64)), rng.uniform(0.5, 2.0, (b, 64))
         p_max = 0.3 * mask.sum(axis=1)
-        rows.append(_row(f"_waterfill stack, K=64, B={b}", "us",
-                         _per_call(lambda: _waterfill(s, p_max, mask), 1e6)))
+        rows.append(_layer_row(f"_waterfill stack, K=64, B={b}", "us",
+                               lambda: _waterfill(s, p_max, mask), 1e6))
     sc = random_scenario(8, 64, seed=7, **ENSEMBLES["high"])
     profile = uniform_profile(sc.constraints)
     ch = sc.channel
-    rows.append(_row("_interference all users, 8x64", "us", _per_call(
-        lambda: _interference(ch.cross_gains, ch.noise, ch.direct_gains, profile), 1e6)))
-    rows.append(_row("fixed_point_residual, 8x64", "ms",
-                     _per_call(lambda: fixed_point_residual(profile, sc), 1e3)))
+    rows.append(_layer_row("_interference all users, 8x64", "us",
+                           lambda: _interference(ch.cross_gains, ch.noise, ch.direct_gains,
+                                                 profile), 1e6))
+    rows.append(_layer_row("fixed_point_residual, 8x64", "ms",
+                           lambda: fixed_point_residual(profile, sc), 1e3))
     low = random_scenario(8, 64, seed=7, **ENSEMBLES["low"]).with_uncertainty(
         UncertaintySpec.uniform(8, 64, 0.5))
-    rows.append(_row("check_rne_uniqueness, 8x64", "ms",
-                     _per_call(lambda: check_rne_uniqueness(low), 1e3)))
-    rows.append(_row("check_async_convergence, 8x64", "ms",
-                     _per_call(lambda: check_async_convergence(low), 1e3)))
-    rows.append(_row("one sequential reply (user 0), high 64x1024 (seed 7)", "us",
-                     _per_call(_reply_call([random_scenario(64, 1024, seed=7,
-                                                            **ENSEMBLES["high"])]), 1e6)))
+    rows.append(_layer_row("check_rne_uniqueness, 8x64", "ms",
+                           lambda: check_rne_uniqueness(low), 1e3))
+    rows.append(_layer_row("check_async_convergence, 8x64", "ms",
+                           lambda: check_async_convergence(low), 1e3))
+    rows.append(_layer_row("one sequential reply (user 0), high 64x1024 (seed 7)", "us",
+                           _reply_call([random_scenario(64, 1024, seed=7, **ENSEMBLES["high"])]),
+                           1e6))
     tail = UncertaintySpec.uniform(8, 64, 0.8, mode="probabilistic", delta0=0.0)
-    rows.append(_row("one sequential reply (user 0), fig4's tail: 10 games on 10 high 8x64 "
-                     "channels (seeds 900-909), probabilistic eps 0.8 at delta0 0", "us",
-                     _per_call(_reply_call([sc.with_uncertainty(tail)
-                                            for sc in _draws("high", 900, 10)]), 1e6)))
+    rows.append(_layer_row("one sequential reply (user 0), fig4's tail: 10 games on 10 high "
+                           "8x64 channels (seeds 900-909), probabilistic eps 0.8 at delta0 0",
+                           "us", _reply_call([sc.with_uncertainty(tail)
+                                              for sc in _draws("high", 900, 10)]), 1e6))
+    sc = random_scenario(8, 64, seed=7, **ENSEMBLES["low"])
+    specs = [UncertaintySpec.uniform(8, 64, eps) for eps in (0.0, 0.25, 0.5, 1.0)]
+    ticks = [row[0].iterations for row in sweep_reports([sc], specs)]
+    rows.append(_layer_row("sweep_reports, low 8x64 (seed 7), worst-case eps 0 / 0.25 / 0.5 / 1, "
+                           "sequential", "ms", lambda: sweep_reports([sc], specs), 1e3,
+                           ticks=ticks))
     return rows
 
 
@@ -145,48 +166,51 @@ def _reply_call(games):
                             mult[:, 0], p_max[:, 0], mask[:, 0])
 
 
-def _play(scenario, schedule, config) -> tuple[list[float], object]:
-    seconds = []
+def _play(scenario, schedule, config) -> tuple[list[float], object, float]:
+    """PLAY_REPEATS timed runs, the last report, and the calibration before them."""
+    calibration, seconds = _calibration_us(), []
     for _ in range(PLAY_REPEATS):
         start = time.perf_counter()
         report = run(scenario, schedule, config)
         seconds.append(time.perf_counter() - start)
-    return seconds, report
+    return seconds, report, calibration
 
 
 def play_rows() -> list[dict]:
     rows = []
-    seconds, report = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["low"]),
-                            Schedule("sequential"), RunConfig())
+    seconds, report, calibration = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["low"]),
+                                         Schedule("sequential"), RunConfig())
     rows.append(_row("run, low 8x64 (seed 7), sequential", "ms", [s * 1e3 for s in seconds],
-                     replies=report.best_responses))
-    seconds, report = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["high"]),
-                            Schedule("sequential"), RunConfig(max_iter=100))
+                     calibration_us=calibration, replies=report.best_responses))
+    seconds, report, calibration = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["high"]),
+                                         Schedule("sequential"), RunConfig(max_iter=100))
     rows.append(_row("one reply, high 8x64 (seed 7, cap 100), sequential", "us",
                      [s / report.best_responses * 1e6 for s in seconds],
-                     replies=report.best_responses))
+                     calibration_us=calibration, replies=report.best_responses))
     # a draw whose first repeat, at tick 36, comes just after a power of two
     sc = random_scenario(8, 64, seed=69, **ENSEMBLES["high"])
-    seconds, report = _play(sc, Schedule("sequential"), RunConfig(max_iter=100))
+    seconds, report, calibration = _play(sc, Schedule("sequential"), RunConfig(max_iter=100))
     rows.append(_row("run, high 8x64 (seed 69, cap 100), sequential: cycles late", "ms",
-                     [s * 1e3 for s in seconds], ticks=report.best_responses // sc.num_users,
+                     [s * 1e3 for s in seconds], calibration_us=calibration,
+                     ticks=report.best_responses // sc.num_users,
                      stop_reason=report.stop_reason, cycle_period=report.cycle_period))
     # one tick of each kind on a high draw: simultaneous play falls into a
     # cycle, asynchronous play is never checked and runs to the cap
     sc = random_scenario(8, 64, seed=901, **ENSEMBLES["high"])
     for schedule in (Schedule("sequential"), Schedule("simultaneous"),
                      Schedule("asynchronous", 0.5, 3, 0)):
-        seconds, report = _play(sc, schedule, RunConfig(max_iter=400))
+        seconds, report, calibration = _play(sc, schedule, RunConfig(max_iter=400))
         ticks = (report.iterations if schedule.kind == "asynchronous"
                  else report.best_responses // sc.num_users)
         what = f"high 8x64 (seed 901, cap 400), {schedule.kind}"
         if schedule.kind == "asynchronous":
             what += " (update probability 0.5, staleness 3)"
         rows.append(_row(f"one tick, {what}", "us", [s / ticks * 1e6 for s in seconds],
-                         ticks=ticks, replies=report.best_responses))
+                         calibration_us=calibration, ticks=ticks,
+                         replies=report.best_responses))
         rows.append(_row(f"one reply, {what}", "us",
                          [s / report.best_responses * 1e6 for s in seconds],
-                         replies=report.best_responses))
+                         calibration_us=calibration, replies=report.best_responses))
     return rows
 
 

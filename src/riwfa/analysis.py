@@ -166,24 +166,29 @@ def per_user_utilities(profile: np.ndarray, channel: ChannelRealization) -> np.n
     return user_utility(profile, normalized_interference(channel, profile))
 
 
-def orthogonality_index(profile: np.ndarray, threshold: float) -> float:
+def orthogonality_index(profile: np.ndarray, threshold) -> float | list:
     """How close user supports are to pairwise disjoint, in [0, 1].
 
     Support of user i is {k : profile[i, k] > threshold}.  The index is
     1 - (sum over pairs of |S_i & S_j|) / (sum over pairs of min(|S_i|, |S_j|)),
     and defined as 1.0 when the denominator vanishes (at most one nonempty
-    support).  1.0 means no pair shares a sub-channel.
+    support).  1.0 means no pair shares a sub-channel.  An (M, K) profile
+    gives a float; a (..., M, K) stack, with a scalar threshold or one per
+    profile, gives one float per profile (nested lists), each bitwise the
+    index of that profile alone.
     """
-    if not threshold > 0:
+    threshold = np.asarray(threshold, dtype=float)
+    if not (threshold > 0).all():
         raise ValueError("threshold must be > 0")
     profile = np.asarray(profile, dtype=float)
-    if profile.ndim != 2:
-        raise ValueError("profile must have shape (M, K)")
-    supports = (profile > threshold).astype(np.int64)
-    sizes = supports.sum(axis=1)
-    pairs = np.triu_indices(profile.shape[0], k=1)
-    overlap = int((supports @ supports.T)[pairs].sum())
-    worst = int(np.minimum.outer(sizes, sizes)[pairs].sum())
-    if worst == 0:
-        return 1.0
-    return 1.0 - overlap / worst
+    if profile.ndim < 2:
+        raise ValueError("profile must have shape (..., M, K)")
+    supports = (profile > threshold[..., None, None]).astype(np.int64)
+    sizes = supports.sum(axis=-1)
+    # each pair sum twice: the sum over all (i, j) less its i == j terms, |S_i| each
+    total = sizes.sum(axis=-1)
+    overlap = (supports @ np.swapaxes(supports, -1, -2)).sum(axis=(-2, -1)) - total
+    worst = np.minimum(sizes[..., :, None], sizes[..., None, :]).sum(axis=(-2, -1)) - total
+    with np.errstate(invalid="ignore"):  # 0 / 0 where the index is 1.0
+        index = 1.0 - overlap / worst
+    return np.where(worst == 0, 1.0, index).tolist()

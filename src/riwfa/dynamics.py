@@ -48,7 +48,8 @@ import numpy as np
 
 from .analysis import orthogonality_index, per_user_utilities
 from .model import (DEGENERATE_MESSAGE, EFFECTIVE_INTERFERENCE_FLOOR, DegenerateUncertaintyWarning,
-                    Scenario, _interference, check_profile, uniform_profile, zero_profile)
+                    Scenario, _interference, check_profile, uniform_profile, user_utility,
+                    zero_profile)
 from .waterfill import _replies
 
 SCHEDULE_KINDS = ("sequential", "simultaneous", "asynchronous")
@@ -187,7 +188,7 @@ def fixed_point_residual(profile: np.ndarray, scenario: Scenario) -> float:
     profile = np.asarray(profile, dtype=float)
     if profile.shape != scenario.constraints.mask.shape or not np.isfinite(profile).all():
         raise ValueError(f"profile must be a finite {scenario.constraints.mask.shape} array")
-    return float(_residuals([scenario], profile[None])[0])
+    return float(_residuals(_stacks([scenario]), profile[None])[0][0])
 
 
 def _stacks(scenarios) -> list[np.ndarray]:
@@ -202,16 +203,19 @@ def _stacks(scenarios) -> list[np.ndarray]:
         for sc in scenarios])]
 
 
-def _residuals(games, profiles: np.ndarray) -> np.ndarray:
-    """Each game's fixed-point residual, from one water-fill kernel call on every user.
-    ``Scenario`` keeps a played profile's interference finite; this is the one
-    reply path that takes any other profile, so it checks."""
-    cross, noise, direct, mult, *game = _stacks(games)
-    s_bar = _interference(cross, noise, direct, profiles)
-    if not np.isfinite(np.maximum(s_bar * mult, EFFECTIVE_INTERFERENCE_FLOOR)).all():
-        raise ValueError("the profile's effective interference must be finite")
+def _residuals(stacks: list[np.ndarray], profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each game's fixed-point residual, from one water-fill kernel call on
+    every user, and the profiles' nominal interference, from ``_stacks``'s
+    stacks and one interference call.  ``Scenario`` keeps a played profile's
+    interference finite; this is the one reply path that takes any other
+    profile, so it checks."""
+    cross, noise, direct, mult, *game = stacks
+    with np.errstate(over="ignore"):  # an interference that overflows raises below
+        s_bar = _interference(cross, noise, direct, profiles)
+        if not np.isfinite(np.maximum(s_bar * mult, EFFECTIVE_INTERFERENCE_FLOOR)).all():
+            raise ValueError("the profile's effective interference must be finite")
     replies = _replies(s_bar, mult, *game)
-    return np.abs(replies - profiles).max(axis=(1, 2))
+    return np.abs(replies - profiles).max(axis=(1, 2)), s_bar
 
 
 def _initial_profile(scenario: Scenario, config: RunConfig) -> np.ndarray:
@@ -232,9 +236,13 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
 def _play(scenarios: list[Scenario], schedule: Schedule,
           config: RunConfig) -> list[EquilibriumReport]:
     """``[run(scenario, schedule, config) for scenario in scenarios]``, bitwise,
-    for scenarios of one (M, K) played in lockstep (see the module docstring)."""
+    for scenarios of one (M, K) played in lockstep (see the module docstring).
+    One pass over the final profiles closes out every game: one interference
+    call gives the residuals and utilities, one comparison the supports."""
     profile = np.stack([_initial_profile(sc, config) for sc in scenarios])
-    cross, noise, direct, mult, p_max, mask = _stacks(scenarios)
+    stacks = _stacks(scenarios)  # kept whole for the close-out; the tick loop drops rows
+    cross, noise, direct, mult, p_max, mask = stacks
+    thresholds = SUPPORT_THRESHOLD_FRACTION * p_max.min(axis=1)
     logs = [([x.copy()], []) for x in profile] if config.record_trajectory else None
     # per stack row: its index in scenarios, quiet ticks and cycle period
     live, quiet, period = list(range(len(scenarios))), [0] * len(scenarios), [None] * len(scenarios)
@@ -296,10 +304,14 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
             logs[e][0].append(profile[r].copy())
             logs[e][1].append(float(delta[r]))
 
-    residuals = _residuals(scenarios, np.stack([end[0] for end in ends]))
+    finals = np.stack([end[0] for end in ends])
+    residuals, s_bar = _residuals(stacks, finals)
+    utilities = user_utility(finals, s_bar)
+    indices = orthogonality_index(finals, thresholds)
+    above = finals > thresholds[:, None, None]
     reports = []
-    for sc, (final, converged, iterations, cycle_period, work), residual, log in zip(
-            scenarios, ends, residuals.tolist(), logs or [(None, None)] * len(ends)):
+    for b, (sc, end, log) in enumerate(zip(scenarios, ends, logs or [(None, None)] * len(ends))):
+        final, converged, iterations, cycle_period, work = end
         trajectory, step_residuals = log
         if cycle_period is not None and log[0]:
             # the ticks not played are whole periods that repeat the last one
@@ -309,13 +321,11 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
                 x.setflags(write=False)
             step_residuals += step_residuals[-cycle_period:] * laps
             trajectory += trajectory[-cycle_period:] * laps
-        utilities = per_user_utilities(final, sc.channel)
-        threshold = SUPPORT_THRESHOLD_FRACTION * float(sc.constraints.p_max.min())
         reports.append(EquilibriumReport(
-            profile=final, converged=converged, iterations=iterations, residual=residual,
-            per_user_utility=utilities, social_utility=float(utilities.sum()),
-            orthogonality_index=orthogonality_index(final, threshold),
-            supports=[row.nonzero()[0].tolist() for row in final > threshold],
+            profile=final, converged=converged, iterations=iterations,
+            residual=float(residuals[b]), per_user_utility=utilities[b],
+            social_utility=float(utilities[b].sum()), orthogonality_index=indices[b],
+            supports=[row.nonzero()[0].tolist() for row in above[b]],
             degenerate_uncertainty=sc.uncertainty.is_degenerate(),
             stop_reason="converged" if converged else "cycle" if cycle_period else "max_iter",
             cycle_period=cycle_period, best_responses=work,

@@ -367,8 +367,8 @@ def _interference(cross_gains: np.ndarray, noise: np.ndarray, direct_gains: np.n
 def user_utility(p: np.ndarray, s: np.ndarray) -> float | np.ndarray:
     """Shannon rate sum_k log(1 + p[k]/s[k]) in nats.
 
-    Length-K vectors give a float; (M, K) rows give the (M,) rates of each
-    row.  Requires strictly positive s and nonnegative p.
+    Length-K vectors give a float; (..., M, K) rows give the (..., M) rates
+    of each row.  Requires strictly positive s and nonnegative p.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)

@@ -308,13 +308,21 @@ def test_orthogonality_index_reference_supports():
         [0.0, 0.0059, 0.3049, 0.0, 0.32, 0.37],
     ])
     assert abs(orthogonality_index(overlapping, 1e-3) - (1.0 - 4.0 / 7.0)) < 1e-15
+    # a stack gives one float per profile, each bitwise the index alone
+    got = orthogonality_index(np.stack([disjoint, overlapping, overlapping]), [1e-3, 1e-3, 0.2])
+    assert [type(x) for x in got] == [float] * 3
+    assert got == [1.0, orthogonality_index(overlapping, 1e-3),
+                   orthogonality_index(overlapping, 0.2)]
 
 
 def test_orthogonality_index_edge_cases():
     assert orthogonality_index(np.zeros((3, 4)), 1e-3) == 1.0
     assert orthogonality_index(np.zeros((1, 4)), 1e-3) == 1.0
+    assert orthogonality_index(np.zeros((2, 3, 1, 4)), 1e-3) == [[1.0] * 3] * 2
     with pytest.raises(ValueError):
         orthogonality_index(np.zeros((2, 2)), 0.0)
+    with pytest.raises(ValueError):
+        orthogonality_index(np.zeros((2, 2, 2)), [1e-3, np.nan])
     with pytest.raises(ValueError):
         orthogonality_index(np.zeros(4), 1e-3)
 
@@ -327,6 +335,8 @@ def test_orthogonality_index_invariances():
     perm = rng.permutation(6)
     assert orthogonality_index(profile[:, perm], 1e-3) == base
     assert orthogonality_index(7.0 * profile, 7.0 * 1e-3) == base
+    stack = np.stack([profile, profile[:, perm], 7.0 * profile])
+    assert orthogonality_index(stack, [1e-3, 1e-3, 7.0 * 1e-3]) == [base] * 3
 
 
 def test_social_utility_basics():

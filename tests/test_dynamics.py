@@ -22,6 +22,7 @@ from riwfa import (
     check_rne_uniqueness,
     fixed_point_residual,
     load_bundled_scenario,
+    orthogonality_index,
     per_user_utilities,
     profile_feasible,
     random_scenario,
@@ -476,21 +477,40 @@ QUIET_TICKS = ([random_scenario(3, 4, seed=seed, **ENSEMBLES["high"]).with_uncer
                Schedule("asynchronous", update_probability=0.3, max_staleness=3, seed=5),
                RunConfig(max_iter=40, record_trajectory=True), [2, 0, 1])
 
+# two games on one channel whose budgets, and so support thresholds, differ
+# a hundredfold: the second game's supports lie between the two thresholds
+BUDGETS = ([random_scenario(3, 6, seed=4, cross_range=(0.0, 0.05), p_max=p_max)
+            for p_max in ([50.0, 100.0, 80.0], [0.5, 1.0, 0.8])],
+           Schedule("sequential"), RunConfig(), [1, 0])
+
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @example(QUIET_TICKS)
+@example(BUDGETS)
 @given(lockstep_batches())
 def test_lockstep_play_matches_each_run_alone(batch):
-    # a game played beside others, in any order, reports what it does alone
+    # a game played beside others, in any order, reports what it does alone,
+    # and what the public functions give on its final profile
     games, schedule, config, order = batch
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
         alone = [run(sc, schedule, config) for sc in games]
         together = _play(games, schedule, config)
         shuffled = _play([games[b] for b in order], schedule, config)
+        residuals = [fixed_point_residual(report.profile, sc)
+                     for sc, report in zip(games, together)]
     for b, report in enumerate(alone):
         assert_same_report(report, together[b])
         assert_same_report(report, shuffled[order.index(b)])
+    for sc, report, residual in zip(games, together, residuals):
+        final = report.profile
+        threshold = dynamics.SUPPORT_THRESHOLD_FRACTION * float(sc.constraints.p_max.min())
+        utilities = per_user_utilities(final, sc.channel)
+        assert report.per_user_utility.tobytes() == utilities.tobytes()
+        assert report.social_utility == float(utilities.sum())
+        assert report.orthogonality_index == orthogonality_index(final, threshold)
+        assert report.residual == residual
+        assert report.supports == [np.flatnonzero(row > threshold).tolist() for row in final]
 
 
 def test_lockstep_reply_is_one_interference_call_on_distinct_channels(monkeypatch):

@@ -309,9 +309,11 @@ def test_reply_to_a_profile_that_is_not_finite_is_a_value_error(bad):
 
 def test_residual_of_a_profile_whose_interference_overflows_is_a_value_error():
     # replies trust a played profile; the residual takes any finite profile,
-    # and one of 1e308 on a channel this strong overflows its interference
+    # and one of 1e308 on a channel this strong overflows its interference:
+    # it raises, and warns of no overflow first
     sc = random_scenario(2, 3, seed=1, cross_range=(0.5, 1.0))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="finite"):
+        warnings.simplefilter("error", RuntimeWarning)
         fixed_point_residual(np.full((2, 3), 1e308), sc)
 
 
