@@ -45,6 +45,7 @@ from .model import (
     MODES,
     Scenario,
     UncertaintySpec,
+    _dumps,
     load_bundled_scenario,
     load_scenario,
     profile_feasible,
@@ -283,7 +284,7 @@ def _resolve_scenario(args, scenario: Scenario) -> Scenario:
 def _emit(payload: dict, out: str | None) -> None:
     """Write ``payload`` as indented, key-sorted JSON to ``out`` (None: stdout)."""
     with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(_dumps(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------

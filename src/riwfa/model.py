@@ -547,8 +547,35 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValueError(f"invalid scenario: {exc}") from None
 
 
+_ENCODERS: dict[int, json.JSONEncoder] = {}  # depth -> encoder of that depth's list items
+
+
+def _dumps(value, depth: int = 1) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for str
+    keys (another key is a TypeError).
+
+    With an indent, Python 3.11 encodes in pure Python.  Here every list or
+    tuple that holds no container is one C encoder call whose item separator
+    carries the newline and indent, and every key and scalar is one more."""
+    encoder = _ENCODERS.get(depth)
+    if encoder is None:
+        encoder = _ENCODERS[depth] = json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+    if not isinstance(value, (dict, list, tuple)):
+        return encoder.encode(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    sep, close = encoder.item_separator, "\n" + "  " * (depth - 1)
+    if isinstance(value, dict):
+        return "{" + sep[1:] + sep.join(
+            f"{json.encoder.encode_basestring_ascii(key)}: {_dumps(value[key], depth + 1)}"
+            for key in sorted(value)) + close + "}"
+    if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, value))):
+        return "[" + sep[1:] + sep.join(_dumps(v, depth + 1) for v in value) + close + "]"
+    return "[" + sep[1:] + encoder.encode(value)[1:-1] + close + "]"
+
+
 def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_dumps(scenario_to_dict(scenario)) + "\n")
 
 
 def load_scenario(path) -> Scenario:

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from riwfa import (
     ChannelRealization,
     DegenerateUncertaintyWarning,
+    ENSEMBLES,
     PowerConstraints,
     RunConfig,
     Scenario,
@@ -32,7 +33,7 @@ from riwfa import (
     zero_profile,
 )
 from riwfa.analysis import _ratio_matrices
-from riwfa.model import EFFECTIVE_INTERFERENCE_FLOOR, MODES, _interference
+from riwfa.model import EFFECTIVE_INTERFERENCE_FLOOR, MODES, _dumps, _interference
 
 
 def single_user_channel(gain: float, noise: float, num_subchannels: int = 1):
@@ -531,3 +532,44 @@ def test_scenario_to_dict_is_json_ready():
     sc = random_scenario(2, 3, seed=4)
     text = json.dumps(scenario_to_dict(sc))
     assert "gains" in text and "worstcase" not in text  # nominal by default
+
+
+class _Mapping(dict):
+    """A dict subclass, which json.dumps indents like any dict."""
+
+
+JSON_KEYS = st.text(max_size=4) | st.sampled_from(["é", "\u2028", "\n\"\\", "\x00\t", "😀"])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+                | st.floats() | st.floats().map(np.float64)
+                | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]))
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=4)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=3).map(_Mapping)),
+    max_leaves=24)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(JSON_DOCUMENTS)
+@example([_Mapping(b=[1.5, None], a=_Mapping()), 2])
+@example({"é\n": [[], {}, [[]], [{}], ()], "a": [1, [2.5, "x"], {"k": (True, -0.0)}]})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, np.float64(1 / 3), 7,
+          False, None, "\u2028"])
+def test_dumps_is_indented_json_dumps(doc):
+    # the C-encoder writer gives json.dumps' indented bytes on every document
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_dumps_rejects_keys_other_than_str():
+    for doc in ({1: 2}, [{"a": {None: 1}}], {"a": 1, 2: 3}):
+        with pytest.raises(TypeError):
+            _dumps(doc)
+
+
+def test_saved_scenario_is_indented_json_dumps(tmp_path):
+    sc = random_scenario(8, 64, seed=3, **ENSEMBLES["low"]).with_uncertainty(
+        UncertaintySpec.uniform(8, 64, 0.5))
+    save_scenario(sc, tmp_path / "sc.json")
+    assert (tmp_path / "sc.json").read_text() == (
+        json.dumps(scenario_to_dict(sc), indent=2, sort_keys=True) + "\n")
