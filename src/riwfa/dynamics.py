@@ -103,18 +103,18 @@ class Schedule:
     def ticks(self, num_users: int):
         """Yield ``(updates, snapshots)`` for ticks 0, 1, 2, ... without end.
 
-        At tick t, ``updates[i]`` says whether user i updates and
-        ``snapshots[i]`` is the tick whose start profile it reacts to, with
-        t - max_staleness <= snapshots[i] <= t.  Each call replays the same
-        draws.  A staleness of 0 forces every update, from tick t, so such a
-        schedule (every sequential and simultaneous one) draws nothing and
-        builds no generator, whose first use imports ``numpy.random``.
+        Both are lists.  At tick t, the bool ``updates[i]`` says whether user
+        i updates and the int ``snapshots[i]`` is the tick whose start
+        profile it reacts to, with t - max_staleness <= snapshots[i] <= t.
+        Each call replays the same draws.  A staleness of 0 forces every
+        update, from tick t, so such a schedule (every sequential and
+        simultaneous one) draws nothing and builds no generator, whose first
+        use imports ``numpy.random``.
         """
         rng = np.random.default_rng(self.seed) if self.max_staleness else None
         last_update = [-1] * num_users
         for t in itertools.count():
-            updates = np.zeros(num_users, dtype=bool)
-            snapshots = np.full(num_users, t)
+            updates, snapshots = [False] * num_users, [t] * num_users
             low = max(0, t - self.max_staleness)
             for i in range(num_users):
                 # one random() unless the update is forced, then one
@@ -122,7 +122,7 @@ class Schedule:
                 if t - last_update[i] >= self.max_staleness or rng.random() < self.update_probability:
                     updates[i], last_update[i] = True, t
                     if low < t:
-                        snapshots[i] = rng.integers(low, t + 1)
+                        snapshots[i] = int(rng.integers(low, t + 1))
             yield updates, snapshots
 
 
@@ -284,7 +284,7 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
             if not live:
                 break
         updates, snapshots = next(rows)
-        users = np.flatnonzero(updates).tolist()  # ints index faster than np.int64
+        users = list(itertools.compress(range(len(updates)), updates))
         if schedule.kind == "sequential":  # each user replies to the live profile
             for i in users:
                 profile[:, i] = _replies(_interference(cross, noise, direct, profile, i),
@@ -294,7 +294,7 @@ def _play(scenarios: list[Scenario], schedule: Schedule,
             if n == 1:  # no staleness: every user updates, from this tick's copy
                 profile[:] = _replies(seen[:, 0], mult, p_max, mask)
             elif users:
-                profile[:, users] = _replies(seen[:, snapshots[users] % n, users],
+                profile[:, users] = _replies(seen[:, [snapshots[i] % n for i in users], users],
                                              mult[:, users], p_max[:, users], mask[:, users])
         replies += len(users)
         # each row changes at most once a tick: the tick's largest move, exactly

@@ -559,7 +559,7 @@ def test_non_sequential_tick_is_one_reply_call(monkeypatch):
         ("converged", 29), ("converged", 34), ("max_iter", 40)]
     expected, quiet, stale = [], 0, 0
     for updates, snapshots in itertools.islice(schedule.ticks(3), 40):
-        copies = len(set(snapshots[updates].tolist()))
+        copies = len({s for s, u in zip(snapshots, updates) if u})
         expected += ["_interference"] + ["_replies"] * (copies > 0)
         quiet, stale = quiet + (copies == 0), stale + (copies > 1)
     assert calls == expected + ["_interference", "_replies"]
