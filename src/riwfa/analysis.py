@@ -99,12 +99,10 @@ class CertificateResult:
     def to_dict(self) -> dict:
         out = {"passed": self.passed, "margin": self.margin}
         if self.per_subchannel_margins is not None:
-            out["per_subchannel_margins"] = [float(v) for v in self.per_subchannel_margins]
+            out["per_subchannel_margins"] = self.per_subchannel_margins.tolist()
         if self.components:
-            out["components"] = {
-                key: ([float(v) for v in val] if np.ndim(val) else float(val))
-                for key, val in self.components.items()
-            }
+            out["components"] = {key: np.asarray(val, dtype=float).tolist()
+                                 for key, val in self.components.items()}
         return out
 
 
