@@ -17,8 +17,12 @@ this checkout's ``src/``.  It writes:
   whole ``run()`` calls and divide by the replies or ticks they played, or
   give the time per run with the ticks played.  The sweep row times
   ``sweep_reports`` of one low 8x64 draw over eps 0, 0.25, 0.5 and 1, the
-  engine part of a perfbench low-sweep op.  Each of these rows carries
-  ``calibration_us``, the median of the calibration loop timed right
+  engine part of a perfbench low-sweep op.  Two more layer rows time 21
+  drawn asynchronous ticks and the indented-JSON writer ``_dumps`` (beside
+  ``json.dumps`` on the same document) on the report of one asynchronous
+  low 8x64 run, as a perfbench async-stale op draws and writes them.  Each
+  of these rows carries ``calibration_us`` and ``calibration_np_us``, the
+  medians of the pure-Python and the numpy calibration loops timed right
   before it.  Preset rows are the wall time of ``python3 -m riwfa
   reproduce PRESET --jobs 1`` in a fresh interpreter, import included,
   with each run's exit code.  The fig4 call
@@ -28,9 +32,11 @@ this checkout's ``src/``.  It writes:
   five slowest tests.
 
 ``calibration`` rows time a fixed pure-Python loop at the start and at the
-end.  The host's speed can drift by a factor of two for minutes, so compare
-two BENCH files only through samples taken side by side, or scale each row
-by its own ``calibration_us``.
+end.  The numpy loop is perfbench's: 210 ``np.clip(...).sum()`` calls on 64
+floats.  The host's speed can drift by a factor of two for minutes, and
+pure-Python and numpy-bound code do not slow in proportion, so compare two
+BENCH files only through samples taken side by side, or scale each row by
+the calibration next to it that runs the same kind of work.
 """
 from __future__ import annotations
 
@@ -38,6 +44,7 @@ import argparse
 import contextlib
 import cProfile
 import io
+import itertools
 import json
 import os
 import platform
@@ -60,7 +67,7 @@ from riwfa import (ENSEMBLES, GridSpec, RunConfig, Schedule, UncertaintySpec,  #
                    fixed_point_residual, random_scenario, run, uniform_profile)
 from riwfa.cli import _draws, main as cli_main  # noqa: E402
 from riwfa.dynamics import _stacks, sweep_reports  # noqa: E402
-from riwfa.model import _interference  # noqa: E402
+from riwfa.model import _dumps, _interference  # noqa: E402
 from riwfa.waterfill import _replies, _waterfill  # noqa: E402
 
 REPEATS = 7          # timed batches per layer row
@@ -104,13 +111,26 @@ def _calibration() -> int:
     return total
 
 
-def _calibration_us() -> float:
-    return statistics.median(_per_call(_calibration, 1e6))
+_LEVELS, _MASK = np.linspace(0.0, 1.0, 64), np.ones(64)
+
+
+def _calibration_np() -> float:
+    # perfbench's calibration loop: small numpy calls, like the program's
+    total = 0.0
+    for step in range(210):
+        total += float(np.clip(0.5 + 1e-3 * step - _LEVELS, 0.0, _MASK).sum())
+    return total
+
+
+def _calibrations() -> dict:
+    """The medians of both calibration loops, timed right before a row."""
+    return {"calibration_us": statistics.median(_per_call(_calibration, 1e6)),
+            "calibration_np_us": statistics.median(_per_call(_calibration_np, 1e6))}
 
 
 def _layer_row(name: str, unit: str, fn, scale: float, **extra) -> dict:
-    calibration = _calibration_us()
-    return _row(name, unit, _per_call(fn, scale), calibration_us=calibration, **extra)
+    calibrations = _calibrations()
+    return _row(name, unit, _per_call(fn, scale), **calibrations, **extra)
 
 
 def layer_rows() -> list[dict]:
@@ -154,6 +174,19 @@ def layer_rows() -> list[dict]:
     rows.append(_layer_row("sweep_reports, low 8x64 (seed 7), worst-case eps 0 / 0.25 / 0.5 / 1, "
                            "sequential", "ms", lambda: sweep_reports([sc], specs), 1e3,
                            ticks=ticks))
+    schedule = Schedule("asynchronous", 0.5, 3, 7)
+    rows.append(_layer_row("21 asynchronous ticks, 8 users (update probability 0.5, "
+                           "staleness 3, seed 7)", "us",
+                           lambda: list(itertools.islice(schedule.ticks(8), 21)), 1e6))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli_main(["run", "--generate", "low", "--seed", "7", "--eps", "0.5", "--schedule",
+                  "asynchronous", "--update-prob", "0.5", "--max-staleness", "3"])
+    report = json.loads(out.getvalue())
+    what = "the report of run --generate low (8x64, seed 7, eps 0.5), asynchronous " \
+           "(update probability 0.5, staleness 3)"
+    rows.append(_layer_row(f"_dumps, {what}", "us", lambda: _dumps(report), 1e6))
+    rows.append(_layer_row(f"json.dumps indent=2 sort_keys, {what}", "us",
+                           lambda: json.dumps(report, indent=2, sort_keys=True), 1e6))
     return rows
 
 
@@ -166,32 +199,32 @@ def _reply_call(games):
                             mult[:, 0], p_max[:, 0], mask[:, 0])
 
 
-def _play(scenario, schedule, config) -> tuple[list[float], object, float]:
-    """PLAY_REPEATS timed runs, the last report, and the calibration before them."""
-    calibration, seconds = _calibration_us(), []
+def _play(scenario, schedule, config) -> tuple[list[float], object, dict]:
+    """PLAY_REPEATS timed runs, the last report, and the calibrations before them."""
+    calibrations, seconds = _calibrations(), []
     for _ in range(PLAY_REPEATS):
         start = time.perf_counter()
         report = run(scenario, schedule, config)
         seconds.append(time.perf_counter() - start)
-    return seconds, report, calibration
+    return seconds, report, calibrations
 
 
 def play_rows() -> list[dict]:
     rows = []
-    seconds, report, calibration = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["low"]),
+    seconds, report, calibrations = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["low"]),
                                          Schedule("sequential"), RunConfig())
     rows.append(_row("run, low 8x64 (seed 7), sequential", "ms", [s * 1e3 for s in seconds],
-                     calibration_us=calibration, replies=report.best_responses))
-    seconds, report, calibration = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["high"]),
+                     **calibrations, replies=report.best_responses))
+    seconds, report, calibrations = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["high"]),
                                          Schedule("sequential"), RunConfig(max_iter=100))
     rows.append(_row("one reply, high 8x64 (seed 7, cap 100), sequential", "us",
                      [s / report.best_responses * 1e6 for s in seconds],
-                     calibration_us=calibration, replies=report.best_responses))
+                     **calibrations, replies=report.best_responses))
     # a draw whose first repeat, at tick 36, comes just after a power of two
     sc = random_scenario(8, 64, seed=69, **ENSEMBLES["high"])
-    seconds, report, calibration = _play(sc, Schedule("sequential"), RunConfig(max_iter=100))
+    seconds, report, calibrations = _play(sc, Schedule("sequential"), RunConfig(max_iter=100))
     rows.append(_row("run, high 8x64 (seed 69, cap 100), sequential: cycles late", "ms",
-                     [s * 1e3 for s in seconds], calibration_us=calibration,
+                     [s * 1e3 for s in seconds], **calibrations,
                      ticks=report.best_responses // sc.num_users,
                      stop_reason=report.stop_reason, cycle_period=report.cycle_period))
     # one tick of each kind on a high draw: simultaneous play falls into a
@@ -199,18 +232,18 @@ def play_rows() -> list[dict]:
     sc = random_scenario(8, 64, seed=901, **ENSEMBLES["high"])
     for schedule in (Schedule("sequential"), Schedule("simultaneous"),
                      Schedule("asynchronous", 0.5, 3, 0)):
-        seconds, report, calibration = _play(sc, schedule, RunConfig(max_iter=400))
+        seconds, report, calibrations = _play(sc, schedule, RunConfig(max_iter=400))
         ticks = (report.iterations if schedule.kind == "asynchronous"
                  else report.best_responses // sc.num_users)
         what = f"high 8x64 (seed 901, cap 400), {schedule.kind}"
         if schedule.kind == "asynchronous":
             what += " (update probability 0.5, staleness 3)"
         rows.append(_row(f"one tick, {what}", "us", [s / ticks * 1e6 for s in seconds],
-                         calibration_us=calibration, ticks=ticks,
+                         **calibrations, ticks=ticks,
                          replies=report.best_responses))
         rows.append(_row(f"one reply, {what}", "us",
                          [s / report.best_responses * 1e6 for s in seconds],
-                         calibration_us=calibration, replies=report.best_responses))
+                         **calibrations, replies=report.best_responses))
     return rows
 
 
