@@ -182,8 +182,8 @@ def layer_rows() -> list[dict]:
         cli_main(["run", "--generate", "low", "--seed", "7", "--eps", "0.5", "--schedule",
                   "asynchronous", "--update-prob", "0.5", "--max-staleness", "3"])
     report = json.loads(out.getvalue())
-    what = "the report of run --generate low (8x64, seed 7, eps 0.5), asynchronous " \
-           "(update probability 0.5, staleness 3)"
+    what = ("the report of run --generate low (8x64, seed 7, eps 0.5), asynchronous "
+            "(update probability 0.5, staleness 3)")
     rows.append(_layer_row(f"_dumps, {what}", "us", lambda: _dumps(report), 1e6))
     rows.append(_layer_row(f"json.dumps indent=2 sort_keys, {what}", "us",
                            lambda: json.dumps(report, indent=2, sort_keys=True), 1e6))
@@ -212,11 +212,11 @@ def _play(scenario, schedule, config) -> tuple[list[float], object, dict]:
 def play_rows() -> list[dict]:
     rows = []
     seconds, report, calibrations = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["low"]),
-                                         Schedule("sequential"), RunConfig())
+                                          Schedule("sequential"), RunConfig())
     rows.append(_row("run, low 8x64 (seed 7), sequential", "ms", [s * 1e3 for s in seconds],
                      **calibrations, replies=report.best_responses))
     seconds, report, calibrations = _play(random_scenario(8, 64, seed=7, **ENSEMBLES["high"]),
-                                         Schedule("sequential"), RunConfig(max_iter=100))
+                                          Schedule("sequential"), RunConfig(max_iter=100))
     rows.append(_row("one reply, high 8x64 (seed 7, cap 100), sequential", "us",
                      [s / report.best_responses * 1e6 for s in seconds],
                      **calibrations, replies=report.best_responses))
