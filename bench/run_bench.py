@@ -26,8 +26,8 @@ this checkout's ``src/``.  It writes:
   before it.  Preset rows are the wall time of ``python3 -m riwfa
   reproduce PRESET --jobs 1`` in a fresh interpreter, import included,
   with each run's exit code.  The fig4 call
-  counts come from one cProfile sample, and the equilibrium scan from one
-  timed sample;
+  counts come from one cProfile sample.  The equilibrium scan rows (2x3,
+  3x2 and 2x2 draws) are layer rows too, each with its number of hits;
 - ``tier1``: the Tier-1 suite's wall time, its pass and fail counts and its
   five slowest tests.
 
@@ -280,11 +280,20 @@ def profile_rows(tmp: str) -> list[dict]:
 
 
 def scan_rows() -> list[dict]:
-    sc = random_scenario(2, 3, seed=4, cross_range=(0, 0.5))
-    start = time.perf_counter()
-    hits = exhaustive_equilibrium_scan(sc, GridSpec(0.1))
-    return [_row("exhaustive_equilibrium_scan, 2x3 (seed 4) at resolution 0.1", "s",
-                 [time.perf_counter() - start], hits=len(hits))]
+    def high(m, k):  # the high ensemble's draw at seed 1, at worst-case eps 3
+        return random_scenario(m, k, seed=1, **ENSEMBLES["high"]).with_uncertainty(
+            UncertaintySpec.uniform(m, k, 3.0))
+    scans = [("2x3 (seed 4) at resolution 0.1",
+              random_scenario(2, 3, seed=4, cross_range=(0, 0.5)), 0.1),
+             ("3x2 (high, seed 1, worst-case eps 3) at resolution 0.1", high(3, 2), 0.1),
+             ("2x2 (high, seed 1, worst-case eps 3) at resolution 0.05", high(2, 2), 0.05)]
+    rows = []
+    for name, sc, res in scans:
+        def scan(sc=sc, grid=GridSpec(res)):
+            return exhaustive_equilibrium_scan(sc, grid)
+        rows.append(_layer_row(f"exhaustive_equilibrium_scan, {name}", "s", scan, 1.0,
+                               hits=len(scan())))
+    return rows
 
 
 def tier1() -> dict:

@@ -212,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="certificate JSON path (default: stdout)")
 
     p_rep = sub.add_parser("reproduce", help="run a bundled benchmark preset")
-    p_rep.add_argument("preset",
-                       choices=("table3", "table4", "fig1", "fig2", "fig3", "fig4"))
+    p_rep.add_argument("preset", choices=tuple(PRESETS))
     p_rep.add_argument("--out-dir", default=".",
                        help="directory for report and data files (default: .)")
     p_rep.add_argument("--realizations", type=_at_least(1),

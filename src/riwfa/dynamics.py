@@ -182,13 +182,16 @@ class EquilibriumReport:
     step_residuals: list[float] | None = field(default=None, repr=False)
 
 
-def fixed_point_residual(profile: np.ndarray, scenario: Scenario) -> float:
+def fixed_point_residual(profile: np.ndarray, scenario: Scenario) -> float | np.ndarray:
     """max_i || best_response_i(profile) - profile_i ||_inf; 0 exactly at
-    an equilibrium of the (robust) game."""
+    an equilibrium of the (robust) game.  An (M, K) profile gives a float,
+    a (..., M, K) stack one residual per profile, each bitwise its own call's."""
     profile = np.asarray(profile, dtype=float)
-    if profile.shape != scenario.constraints.mask.shape or not np.isfinite(profile).all():
-        raise ValueError(f"profile must be a finite {scenario.constraints.mask.shape} array")
-    return float(_residuals(_stacks([scenario]), profile[None])[0][0])
+    shape = scenario.constraints.mask.shape
+    if profile.shape[-2:] != shape or not np.isfinite(profile).all():
+        raise ValueError(f"profile must be a finite {shape} array or a stack of them")
+    residuals = _residuals(_stacks([scenario]), profile.reshape(-1, *shape))[0]
+    return float(residuals[0]) if profile.ndim == 2 else residuals.reshape(profile.shape[:-2])
 
 
 def _stacks(scenarios) -> list[np.ndarray]:
@@ -390,15 +393,17 @@ class SweepResult:
     parameter: str
     grid: np.ndarray
     utilities: np.ndarray
-    num_total: int
 
     @classmethod
     def from_reports(cls, parameter: str, grid, reports) -> "SweepResult":
         """From ``reports[g][r]`` as returned by sweep_reports."""
         utilities = np.array([[rep.social_utility if rep.converged else np.nan for rep in row]
                               for row in reports], dtype=float)
-        return cls(parameter=parameter, grid=np.asarray(grid, dtype=float),
-                   utilities=utilities, num_total=utilities.shape[1])
+        return cls(parameter=parameter, grid=np.asarray(grid, dtype=float), utilities=utilities)
+
+    @property
+    def num_total(self) -> int:
+        return self.utilities.shape[1]
 
     @property
     def num_converged(self) -> np.ndarray:

@@ -4,11 +4,13 @@
 step and scores candidates with nothing but the utility definition, so it
 shares no code with ``waterfill``.  ``exhaustive_equilibrium_scan`` by design
 scores grid profiles with ``fixed_point_residual``, whose exact best responses
-call ``waterfill``: it checks equilibria, not the water-filler.
+call ``waterfill``: it checks equilibria, not the water-filler.  It takes any
+number of users within ``GridSpec.max_points`` and returns its hits in
+lexicographic order.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +20,8 @@ from .dynamics import fixed_point_residual
 from .model import Scenario
 
 MAX_SUBCHANNELS = 8
-MAX_SCAN_USERS = 2
-MAX_SCAN_SUBCHANNELS = 3
+# Grid profiles the scan scores in one stacked residual call: bounds its memory.
+SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,51 +102,41 @@ def brute_force_best_response(s_eff, p_max: float, mask, grid: GridSpec) -> np.n
 def _feasible_step_vectors(levels: list[int], budget_steps: int) -> np.ndarray:
     """All per-channel step vectors with sum <= budget_steps, in lexicographic
     order."""
-    combos = np.array(list(itertools.product(*(range(n) for n in levels))), dtype=int)
+    combos = np.indices(levels).reshape(len(levels), -1).T
     return combos[combos.sum(axis=1) <= budget_steps]
 
 
 def exhaustive_equilibrium_scan(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
-    """All grid profiles whose fixed-point residual is <= 2 * resolution.
+    """All grid profiles whose fixed-point residual is <= 2 * resolution, in
+    lexicographic order (user 0's lattice point outermost).
 
-    Desk-scale only: M must be 2 and K at most 3.  The residual is measured
-    against exact best responses, so every true equilibrium has a qualifying
-    grid profile within one lattice step.  Because the threshold is a radius,
-    a cloud of neighboring grid points qualifies around each equilibrium; see
+    Any M and K are accepted while each user's lattice and the number of grid
+    profiles stay within ``grid.max_points``; the profiles are scored in
+    stacks of SCAN_CHUNK.  The residual is measured against exact best
+    responses, so every true equilibrium has a qualifying grid profile within
+    one lattice step.  Because the threshold is a radius, a cloud of
+    neighboring grid points qualifies around each equilibrium; see
     ``cluster_profiles`` to reduce the cloud to representatives.
     """
-    if scenario.num_users != MAX_SCAN_USERS:
-        raise ValueError(f"scan supports exactly M={MAX_SCAN_USERS} users")
-    if scenario.num_subchannels > MAX_SCAN_SUBCHANNELS:
-        raise ValueError(f"scan supports K <= {MAX_SCAN_SUBCHANNELS}")
-
     res = grid.resolution
-    per_user = []
-    for i in range(scenario.num_users):
-        p_max = float(scenario.constraints.p_max[i])
-        mask = scenario.constraints.mask[i]
-        levels = [_grid_steps(min(mask[k], p_max), res)
-                  for k in range(scenario.num_subchannels)]
-        raw = int(np.prod(levels))
-        if raw > grid.max_points:
-            raise ValueError(
-                f"per-user grid of {raw} points exceeds max_points={grid.max_points}"
-            )
-        vectors = _feasible_step_vectors(levels, _grid_steps(p_max, res) - 1)
-        per_user.append(vectors * res)
-    total = per_user[0].shape[0] * per_user[1].shape[0]
+    p_max, mask = scenario.constraints.p_max.tolist(), scenario.constraints.mask.tolist()
+    levels = [[_grid_steps(min(m, p), res) for m in row] for p, row in zip(p_max, mask)]
+    for points in map(math.prod, levels):
+        if points > grid.max_points:
+            raise ValueError(f"per-user grid of {points} points exceeds "
+                             f"max_points={grid.max_points}")
+    per_user = [_feasible_step_vectors(user_levels, _grid_steps(p, res) - 1) * res
+                for user_levels, p in zip(levels, p_max)]
+    counts = [len(points) for points in per_user]
+    total = math.prod(counts)
     if total > grid.max_points:
-        raise ValueError(
-            f"scan of {total} grid profiles exceeds max_points={grid.max_points}"
-        )
+        raise ValueError(f"scan of {total} grid profiles exceeds max_points={grid.max_points}")
 
-    threshold = 2.0 * res
     found = []
-    for p0 in per_user[0]:
-        for p1 in per_user[1]:
-            profile = np.stack([p0, p1])
-            if fixed_point_residual(profile, scenario) <= threshold:
-                found.append(profile)
+    for start in range(0, total, SCAN_CHUNK):
+        rows = np.unravel_index(np.arange(start, min(start + SCAN_CHUNK, total)), counts)
+        profiles = np.stack([points[r] for points, r in zip(per_user, rows)], axis=1)
+        found.extend(profiles[fixed_point_residual(profiles, scenario) <= 2.0 * res])
     return found
 
 

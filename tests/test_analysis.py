@@ -517,8 +517,7 @@ def test_sweep_identities_on_random_shapes(instance):
 
 def test_sweep_result_stats_ignore_unconverged():
     utilities = np.array([[1.0, 3.0, np.nan], [np.nan, np.nan, np.nan]])
-    result = SweepResult(parameter="epsilon", grid=np.array([0.0, 1.0]),
-                         utilities=utilities, num_total=3)
+    result = SweepResult(parameter="epsilon", grid=np.array([0.0, 1.0]), utilities=utilities)
     assert result.num_converged.tolist() == [2, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # all-NaN rows must not warn
@@ -530,8 +529,7 @@ def test_sweep_result_stats_ignore_unconverged():
 
 def test_write_sweep_csv_schema_and_blanks(tmp_path):
     utilities = np.array([[1.0, 3.0], [np.nan, np.nan]])
-    result = SweepResult(parameter="epsilon", grid=np.array([0.0, 1.0]),
-                         utilities=utilities, num_total=2)
+    result = SweepResult(parameter="epsilon", grid=np.array([0.0, 1.0]), utilities=utilities)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path, preamble='{"cmd": "sweep"}')
     lines = path.read_text().splitlines()

@@ -27,6 +27,7 @@ from riwfa import (
     profile_feasible,
     random_scenario,
     run,
+    uniform_profile,
     waterfill,
     write_summary_csv,
     write_trajectory_csv,
@@ -88,6 +89,34 @@ def test_residual_of_zero_profile_with_slack_budgets():
     sc = Scenario(channel=channel, constraints=constraints,
                   uncertainty=UncertaintySpec.nominal(2, 2))
     assert fixed_point_residual(zero_profile(2, 2), sc) == 0.4
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_residual_of_a_stack_is_each_profile_alone(mode):
+    # a (3, 2, M, K) stack gives one residual per profile, bitwise the
+    # profile's own call, which still returns a float
+    sc = random_scenario(3, 4, seed=2, **ENSEMBLES["high"])
+    if mode != "nominal":
+        sc = sc.with_uncertainty(UncertaintySpec.uniform(
+            3, 4, 0.5, mode=mode, delta0=0.3 if mode == "probabilistic" else None))
+    rng = np.random.default_rng(7)
+    stack = rng.uniform(0.0, 0.4, size=(3, 2, 3, 4))
+    stack[0, 1] = uniform_profile(sc.constraints)
+    residuals = fixed_point_residual(stack, sc)
+    assert residuals.shape == (3, 2)
+    for index in np.ndindex(3, 2):
+        alone = fixed_point_residual(stack[index], sc)
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == residuals[index].tobytes()
+
+
+def test_residual_of_a_bad_stack_is_a_value_error():
+    sc = random_scenario(2, 3, seed=1)
+    stack = np.zeros((4, 2, 3))
+    stack[2, 1, 0] = np.nan
+    for bad in (stack, np.zeros((4, 3, 2)), np.zeros((4, 2, 3, 1)), np.zeros(3)):
+        with pytest.raises(ValueError, match="finite"):
+            fixed_point_residual(bad, sc)
 
 
 def first_ticks(schedule, num_users, count):

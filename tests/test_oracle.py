@@ -1,8 +1,14 @@
 """Oracle tests: the grid searchers that audit the closed-form solvers."""
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riwfa import (
+    ENSEMBLES,
     ChannelRealization,
     GridSpec,
     PowerConstraints,
@@ -16,6 +22,8 @@ from riwfa import (
     user_utility,
     waterfill,
 )
+from riwfa import oracle
+from riwfa.model import MODES, DegenerateUncertaintyWarning
 
 
 def test_single_channel_rounds_to_grid():
@@ -134,15 +142,84 @@ def test_scan_deterministic():
 
 
 def test_scan_size_limits():
-    sc3 = random_scenario(3, 2, seed=0)
-    with pytest.raises(ValueError):
-        exhaustive_equilibrium_scan(sc3, GridSpec(resolution=0.5))
-    sc_wide = random_scenario(2, 4, seed=0)
-    with pytest.raises(ValueError):
-        exhaustive_equilibrium_scan(sc_wide, GridSpec(resolution=0.5))
     sc = decoupled_scenario()
     with pytest.raises(ValueError):
         exhaustive_equilibrium_scan(sc, GridSpec(resolution=0.01, max_points=100))
+
+
+def test_scan_counts_its_lattice_in_exact_integers():
+    # 2,127,660 levels per channel: 2127660**3 wraps to a negative int64,
+    # which once slipped past max_points; the scan must refuse before it
+    # builds a lattice (numpy's own size error would not name max_points)
+    sc = random_scenario(2, 3, seed=0)
+    with pytest.raises(ValueError, match="max_points"):
+        exhaustive_equilibrium_scan(sc, GridSpec(resolution=4.7e-7))
+
+
+def reference_scan(scenario: Scenario, grid: GridSpec) -> list[np.ndarray]:
+    """The scan as a loop: every product of the users' lattice points in
+    ``itertools.product`` order, one ``fixed_point_residual`` call each."""
+    res = grid.resolution
+    per_user = []
+    for p_max, mask in zip(scenario.constraints.p_max, scenario.constraints.mask):
+        levels = [oracle._grid_steps(min(m, p_max), res) for m in mask]
+        budget = oracle._grid_steps(p_max, res) - 1
+        per_user.append([np.array(v) * res for v in itertools.product(*map(range, levels))
+                         if sum(v) <= budget])
+    found = []
+    for rows in itertools.product(*per_user):
+        profile = np.stack(rows)
+        if fixed_point_residual(profile, scenario) <= 2.0 * res:
+            found.append(profile)
+    return found
+
+
+@st.composite
+def scan_instances(draw):
+    """Small scans: M <= 3 and M * K <= 6, either ensemble, every mode (eps
+    1.5 at delta0 0 clamps), budgets that are not all lattice multiples and
+    masks at or below them."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 6 // m))
+    p_max = draw(st.lists(st.sampled_from([0.5, 0.8, 1.0]), min_size=m, max_size=m))
+    fractions = draw(st.lists(st.sampled_from([0.3, 0.6, 1.0]), min_size=m * k, max_size=m * k))
+    mask = np.reshape(fractions, (m, k)) * np.reshape(p_max, (m, 1))
+    sc = random_scenario(m, k, seed=draw(st.integers(0, 10_000)), p_max=p_max, mask=mask,
+                         **ENSEMBLES[draw(st.sampled_from(["low", "high"]))])
+    mode, eps = draw(st.sampled_from(MODES)), draw(st.sampled_from([0.5, 1.5, 3.0]))
+    if mode != "nominal":
+        sc = sc.with_uncertainty(UncertaintySpec.uniform(
+            m, k, eps, mode=mode,
+            delta0=draw(st.sampled_from([0.0, 0.3, 1.0])) if mode == "probabilistic" else None))
+    return sc, GridSpec(resolution=draw(st.sampled_from([0.25, 0.5])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(instance=(matched_cross_scenario(), GridSpec(resolution=0.25)), chunk=1)
+@example(instance=(random_scenario(3, 2, seed=1, **ENSEMBLES["high"]).with_uncertainty(
+    UncertaintySpec.uniform(3, 2, 3.0)), GridSpec(resolution=0.5)), chunk=7)
+@given(instance=scan_instances(), chunk=st.just(oracle.SCAN_CHUNK))
+def test_scan_matches_the_per_profile_loop(instance, chunk):
+    # the stacked scan finds the loop's hits, array by array and in order,
+    # whatever the chunk size
+    sc, grid = instance
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
+        mp.setattr(oracle, "SCAN_CHUNK", chunk)
+        got = exhaustive_equilibrium_scan(sc, grid)
+        want = reference_scan(sc, grid)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_scan_takes_three_users():
+    sc = random_scenario(3, 2, seed=1, **ENSEMBLES["high"]).with_uncertainty(
+        UncertaintySpec.uniform(3, 2, 3.0))
+    hits = exhaustive_equilibrium_scan(sc, GridSpec(resolution=0.1))
+    assert len(hits) == 216
+    assert all(h.shape == (3, 2) for h in hits)
+    assert max(fixed_point_residual(np.stack(hits), sc)) <= 0.2
 
 
 def test_cluster_profiles_greedy():

@@ -310,11 +310,14 @@ def test_reply_to_a_profile_that_is_not_finite_is_a_value_error(bad):
 def test_residual_of_a_profile_whose_interference_overflows_is_a_value_error():
     # replies trust a played profile; the residual takes any finite profile,
     # and one of 1e308 on a channel this strong overflows its interference:
-    # it raises, and warns of no overflow first
+    # it raises, alone or in a stack, and warns of no overflow first
     sc = random_scenario(2, 3, seed=1, cross_range=(0.5, 1.0))
-    with warnings.catch_warnings(), pytest.raises(ValueError, match="finite"):
-        warnings.simplefilter("error", RuntimeWarning)
-        fixed_point_residual(np.full((2, 3), 1e308), sc)
+    stack = np.zeros((3, 2, 3))
+    stack[1] = 1e308
+    for profile in (np.full((2, 3), 1e308), stack):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="finite"):
+            warnings.simplefilter("error", RuntimeWarning)
+            fixed_point_residual(profile, sc)
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (2, 4), (4, 4), (3, 5)])
