@@ -65,7 +65,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from riwfa import (ENSEMBLES, GridSpec, RunConfig, Schedule, UncertaintySpec,  # noqa: E402
                    check_async_convergence, check_rne_uniqueness, exhaustive_equilibrium_scan,
                    fixed_point_residual, random_scenario, run, uniform_profile)
-from riwfa.cli import _draws, main as cli_main  # noqa: E402
+from riwfa.cli import PRESETS, _draws, main as cli_main  # noqa: E402
 from riwfa.dynamics import _stacks, sweep_reports  # noqa: E402
 from riwfa.model import _dumps, _interference  # noqa: E402
 from riwfa.waterfill import _replies, _waterfill  # noqa: E402
@@ -74,7 +74,6 @@ REPEATS = 7          # timed batches per layer row
 PLAY_REPEATS = 5     # run() calls per play row
 PRESET_REPEATS = 3   # subprocesses per preset
 BATCH_S = 0.05       # a layer row's batch runs at least this long
-PRESETS = ("table3", "table4", "fig1", "fig2", "fig3", "fig4")
 
 
 def _row(name: str, unit: str, samples: list[float], **extra) -> dict:

@@ -30,7 +30,6 @@ import numpy as np
 from .analysis import check_async_convergence, check_rne_uniqueness
 from .dynamics import (
     SCHEDULE_KINDS,
-    STOP_REASONS,
     RunConfig,
     Schedule,
     SweepResult,
@@ -408,12 +407,6 @@ def _play(args, scenarios, specs, max_iter: int = RunConfig.max_iter):
     return sweep_reports(scenarios, specs, config=RunConfig(max_iter=max_iter), jobs=args.jobs)
 
 
-def _stop_counts(reports) -> dict:
-    """How many of ``reports`` stopped for each reason."""
-    return {reason: sum(rep.stop_reason == reason for rep in reports)
-            for reason in STOP_REASONS}
-
-
 def _check_table_run(checks: Checks, label: str, scenario, report) -> None:
     checks.add("must", f"{label} converged", report.converged
                and report.residual <= 1e-6,
@@ -486,8 +479,7 @@ def _preset_fig1(args):
     config = {"realizations": count, "eps_grid": list(FIG_EPS_GRID),
               "accepted_seeds": [sc.seed for sc in scenarios]}
     data = {"mean_social_utility": means.tolist(), "utilities": utilities.tolist(),
-            "stop_reasons": [_stop_counts(row) for row in reports],
-            "best_responses": [sum(rep.best_responses for rep in row) for row in reports]}
+            "stop_reasons": result.stop_reasons, "best_responses": result.best_responses}
     return config, checks, data, result
 
 
@@ -509,8 +501,7 @@ def _preset_fig2(args):
     config = {"realizations": count, "eps_grid": grid, "seed": 900, "max_iter": 2000}
     data = {"mean_social_utility": means.tolist(),
             "num_converged": result.num_converged.tolist(),
-            "stop_reasons": [_stop_counts(row) for row in reports],
-            "best_responses": [sum(rep.best_responses for rep in row) for row in reports]}
+            "stop_reasons": result.stop_reasons, "best_responses": result.best_responses}
     return config, checks, data, result
 
 
@@ -524,15 +515,15 @@ def _delta0_comparison(args, preset: str, ensemble: str, base_seed: int,
               for d0 in grid]
     scenarios = _draws(ensemble, base_seed, count)
     reports = _play(args, scenarios, specs, max_iter)
-    nominal, wc, *prob = reports
+    nominal, worstcase, *prob = reports
     result = SweepResult.from_reports("delta0", grid, prob)
+    wc = SweepResult.from_reports("epsilon", [FIG_DELTA0_EPS], [worstcase])
     prob_utilities = result.utilities
-    wc_utilities = np.array([rep.social_utility if rep.converged else np.nan for rep in wc])
     all_converged = all(rep.converged for row in reports for rep in row)
     identity_nominal = all(np.array_equal(a.profile, b.profile)
                            for a, b in zip(prob[grid.index(0.5)], nominal))
     identity_worstcase = all(np.array_equal(a.profile, b.profile)
-                             for a, b in zip(prob[grid.index(1.0)], wc))
+                             for a, b in zip(prob[grid.index(1.0)], worstcase))
 
     checks = Checks()
     checks.add("must", "delta0=0.5 run identical to nominal run",
@@ -551,7 +542,7 @@ def _delta0_comparison(args, preset: str, ensemble: str, base_seed: int,
         checks.add("must", "utility falls beyond delta0=0.5 per realization",
                    bool(np.all(down <= MONOTONE_TOL)),
                    f"worst step={np.nanmax(down):+.4f}")
-        gaps = prob_utilities[0] - wc_utilities
+        gaps = prob_utilities[0] - wc.utilities[0]
         checks.add("should", "under-protection outperforms worst-case at delta0=0",
                    bool(np.all(gaps > 0)),
                    f"measured gaps={np.round(gaps, 3).tolist()} (negative: the "
@@ -562,12 +553,10 @@ def _delta0_comparison(args, preset: str, ensemble: str, base_seed: int,
     config = {"realizations": count, "delta0_grid": list(grid),
               "eps": FIG_DELTA0_EPS, "seed": base_seed, "max_iter": max_iter}
     data = {"prob_mean": result.mean_social_utility.tolist(),
-            "wc_mean": float(np.nanmean(wc_utilities)),
+            "wc_mean": float(wc.mean_social_utility[0]),
             "num_converged": result.num_converged.tolist(),
-            "stop_reasons": [_stop_counts(row) for row in prob],
-            "wc_stop_reasons": _stop_counts(wc),
-            "best_responses": [sum(rep.best_responses for rep in row) for row in prob],
-            "wc_best_responses": sum(rep.best_responses for rep in wc)}
+            "stop_reasons": result.stop_reasons, "wc_stop_reasons": wc.stop_reasons[0],
+            "best_responses": result.best_responses, "wc_best_responses": wc.best_responses[0]}
     return config, checks, data, result
 
 

@@ -33,7 +33,7 @@ Asynchronous play is never checked.
 
 ``sweep_reports`` plays a list of realized scenarios under every
 uncertainty spec of a grid, and ``SweepResult.from_reports`` turns its
-reports into social utilities along the grid.
+reports into social utilities, stop counts and reply totals along the grid.
 """
 from __future__ import annotations
 
@@ -383,23 +383,31 @@ def write_summary_csv(report: EquilibriumReport, scenario: Scenario, path,
 
 @dataclass
 class SweepResult:
-    """Converged social utility versus a swept uncertainty parameter.
+    """Converged social utility versus a swept uncertainty parameter, and
+    how each grid point's runs stopped.
 
     ``utilities[g, r]`` is realization r's social utility at grid point g
     (NaN where the run did not converge).  Non-converged runs are excluded
-    from means and are visible in ``num_converged``.
+    from means and are visible in ``num_converged``.  ``stop_reasons[g]``
+    counts grid point g's runs by stop reason, every one of STOP_REASONS a
+    key, and ``best_responses[g]`` totals the replies they evaluated.
     """
 
     parameter: str
     grid: np.ndarray
     utilities: np.ndarray
+    stop_reasons: list[dict[str, int]]
+    best_responses: list[int]
 
     @classmethod
     def from_reports(cls, parameter: str, grid, reports) -> "SweepResult":
         """From ``reports[g][r]`` as returned by sweep_reports."""
         utilities = np.array([[rep.social_utility if rep.converged else np.nan for rep in row]
                               for row in reports], dtype=float)
-        return cls(parameter=parameter, grid=np.asarray(grid, dtype=float), utilities=utilities)
+        return cls(parameter=parameter, grid=np.asarray(grid, dtype=float), utilities=utilities,
+                   stop_reasons=[{reason: sum(rep.stop_reason == reason for rep in row)
+                                  for reason in STOP_REASONS} for row in reports],
+                   best_responses=[sum(rep.best_responses for rep in row) for row in reports])
 
     @property
     def num_total(self) -> int:

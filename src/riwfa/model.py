@@ -19,6 +19,7 @@ one per-entry multiplier on the nominal s, computed when the spec is built.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -500,6 +501,14 @@ def _take_field(data: dict, name: str):
     return data[name]
 
 
+def _number(name: str, value, kind: type, what: str):
+    """``value``, which must be a ``kind`` (a `numbers` class) and not a bool:
+    a JSON 2.5, "5" or true is no integer, and "0.25" is no number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"scenario field '{name}' must be {what}, got {value!r}")
+    return value
+
+
 def _field_array(data: dict, name: str, shape: tuple) -> np.ndarray:
     try:
         arr = np.asarray(_take_field(data, name), dtype=float)
@@ -513,11 +522,8 @@ def _field_array(data: dict, name: str, shape: tuple) -> np.ndarray:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError("scenario document must be a JSON object")
-    try:
-        num_users = int(_take_field(data, "M"))
-        num_subchannels = int(_take_field(data, "K"))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"scenario fields 'M'/'K' must be integers: {exc}") from None
+    num_users = int(_number("M", _take_field(data, "M"), numbers.Integral, "an integer"))
+    num_subchannels = int(_number("K", _take_field(data, "K"), numbers.Integral, "an integer"))
     if num_users < 1 or num_subchannels < 1:
         raise ValueError("scenario fields 'M' and 'K' must be >= 1")
 
@@ -529,13 +535,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     mode = _take_field(data, "mode")
     if mode not in MODES:
         raise ValueError(f"scenario field 'mode' must be one of {MODES}, got {mode!r}")
-    delta0 = data.get("delta0")
-    seed = data.get("seed")
+    delta0, seed = data.get("delta0"), data.get("seed")
+    if delta0 is not None:
+        _number("delta0", delta0, numbers.Real, "a number or null")
     if seed is not None:
-        try:
-            seed = int(seed)
-        except (TypeError, ValueError):
-            raise ValueError("scenario field 'seed' must be an integer or null") from None
+        seed = int(_number("seed", seed, numbers.Integral, "an integer or null"))
 
     try:
         channel = ChannelRealization(gains=gains, noise=noise)

@@ -20,10 +20,6 @@ A row's totals are 0-d scalars and a stack's are columns: sequential play
 makes one call per user per tick on a lone row, where per-op overhead rules,
 and a K = 64 row takes about 16 us on scalars against 27 us on (1,) columns
 (2-core VM).
-``waterfill`` checks its input first.  ``best_response`` and ``_replies``
-trust the validated ``Scenario``, which keeps the interference of every
-feasible profile finite; ``best_response`` and ``dynamics._residuals``, the
-paths that take any profile, check that its effective interference is finite.
 """
 from __future__ import annotations
 
@@ -67,7 +63,9 @@ def waterfill(s_eff: np.ndarray, p_max: float, mask) -> WaterfillSolution:
     for name, value in (("s_eff entries", s), ("mask entries", mask), ("p_max", p_max)):
         if not np.all(np.isfinite(value)) or np.any(value <= 0):
             raise ValueError(f"{name} must be finite and > 0")
-    return _solution(*_waterfill(s, p_max, mask))
+    p, mu = _waterfill(s, p_max, mask)
+    mu = float(mu)
+    return WaterfillSolution(p=p, water_level=mu, lam=1.0 / mu, budget_active=mu < np.inf)
 
 
 def _waterfill(s: np.ndarray, p_max, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,11 +123,6 @@ def _signs(k: int) -> np.ndarray:
     return signs
 
 
-def _solution(p: np.ndarray, mu) -> WaterfillSolution:
-    mu = float(mu)
-    return WaterfillSolution(p=p, water_level=mu, lam=1.0 / mu, budget_active=mu < np.inf)
-
-
 def _replies(s_bar: np.ndarray, mult: np.ndarray, p_max: np.ndarray,
              mask: np.ndarray) -> np.ndarray:
     """Every row's reply: rows of nominal interference, multipliers and masks
@@ -148,11 +141,8 @@ def best_response(scenario: Scenario, user: int, profile: np.ndarray) -> Waterfi
 
     ``profile`` is a full (M, K) power profile; the user's own row is ignored.
     The nominal interference, scaled by the user's uncertainty multipliers, is
-    water-filled without re-checking what the ``Scenario`` guarantees.
+    water-filled by the checked ``waterfill``.
     """
-    s_bar = normalized_interference(scenario.channel, profile, user)
-    s_eff = effective_interference(s_bar, scenario.uncertainty, user)
-    if not np.isfinite(s_eff).all():
-        raise ValueError("the profile's effective interference must be finite")
-    constraints = scenario.constraints
-    return _solution(*_waterfill(s_eff, float(constraints.p_max[user]), constraints.mask[user]))
+    s_eff = effective_interference(normalized_interference(scenario.channel, profile, user),
+                                   scenario.uncertainty, user)
+    return waterfill(s_eff, scenario.constraints.p_max[user], scenario.constraints.mask[user])

@@ -2,6 +2,7 @@
 import concurrent.futures
 import io
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,6 +408,22 @@ def test_sweep_mean_decreases_in_eps_on_low_interference_ensemble():
     assert np.all(np.diff(means) < 0)
 
 
+def test_sweep_result_counts_each_grid_points_stops_and_replies():
+    # fig2's first three draws under a cap of 45 ticks: at eps = 0 one run
+    # converges, one cycles and one reaches the cap before its profile repeats
+    scenarios = [random_scenario(8, 64, seed=seed, **ENSEMBLES["high"])
+                 for seed in range(900, 903)]
+    grid = [0.0, 1.0, 2.0, 3.0]
+    reports = sweep_reports(scenarios, _eps_specs(8, 64, grid), config=RunConfig(max_iter=45))
+    result = SweepResult.from_reports("epsilon", grid, reports)
+    assert result.stop_reasons == [{"converged": 1, "cycle": 1, "max_iter": 1},
+                                   {"converged": 2, "cycle": 1, "max_iter": 0},
+                                   {"converged": 3, "cycle": 0, "max_iter": 0},
+                                   {"converged": 3, "cycle": 0, "max_iter": 0}]
+    assert result.best_responses == [784, 416, 112, 96]
+    assert result.num_converged.tolist() == [1, 2, 3, 3]
+
+
 def test_sweep_delta0_endpoint_identities():
     scenarios = _draw(2, 8, range(60, 63))
     grid = [0.0, 0.5, 1.0]
@@ -515,9 +532,16 @@ def test_sweep_identities_on_random_shapes(instance):
     assert same_run([nominal, eps_zero, worstcase, half, one][g][r], alone)
 
 
+def _sweep_of(utilities):
+    """The sweep of stand-in reports: a NaN entry is a run that reached its cap."""
+    reports = [[SimpleNamespace(converged=not np.isnan(u), social_utility=u, best_responses=1,
+                                stop_reason="max_iter" if np.isnan(u) else "converged")
+                for u in row] for row in utilities]
+    return SweepResult.from_reports("epsilon", [0.0, 1.0], reports)
+
+
 def test_sweep_result_stats_ignore_unconverged():
-    utilities = np.array([[1.0, 3.0, np.nan], [np.nan, np.nan, np.nan]])
-    result = SweepResult(parameter="epsilon", grid=np.array([0.0, 1.0]), utilities=utilities)
+    result = _sweep_of([[1.0, 3.0, np.nan], [np.nan, np.nan, np.nan]])
     assert result.num_converged.tolist() == [2, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # all-NaN rows must not warn
@@ -528,8 +552,7 @@ def test_sweep_result_stats_ignore_unconverged():
 
 
 def test_write_sweep_csv_schema_and_blanks(tmp_path):
-    utilities = np.array([[1.0, 3.0], [np.nan, np.nan]])
-    result = SweepResult(parameter="epsilon", grid=np.array([0.0, 1.0]), utilities=utilities)
+    result = _sweep_of([[1.0, 3.0], [np.nan, np.nan]])
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path, preamble='{"cmd": "sweep"}')
     lines = path.read_text().splitlines()

@@ -294,6 +294,13 @@ def test_malformed_scenario_diagnostics(capsys, tmp_path):
     assert code == EXIT_INPUT
     assert "gains" in err
 
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({**scenario_to_dict(load_bundled_scenario()), "seed": 1.7}))
+    code, out, err = run_cli(capsys, ["check", "--scenario", str(fractional)])
+    assert code == EXIT_INPUT and out == ""
+    assert err == ("error: malformed scenario file: "
+                   "scenario field 'seed' must be an integer or null, got 1.7\n")
+
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     code, _, err = run_cli(capsys, ["run", "--scenario", str(broken)])

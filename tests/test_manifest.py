@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from riwfa.cli import PRESETS
+
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "scripts" / "reproduce_all.sha256"
 _spec = importlib.util.spec_from_file_location("manifest", ROOT / "scripts" / "manifest.py")
@@ -27,6 +29,14 @@ def test_committed_manifest_is_well_formed():
     for folder in {path.split("/")[0] for path in paths}:
         assert {f"{folder}/{name}" for name in ("stdout.txt", "stderr.txt", "exit_code.txt")} \
             <= set(paths)
+
+
+def test_script_reproduces_every_preset_at_jobs_1():
+    # the --jobs 1 loop names every CLI preset, so none can miss the manifest
+    script = (ROOT / "scripts" / "reproduce_all.sh").read_text()
+    [names] = re.findall(r'for preset in ([\w ]+); do\n +reproduce "\$preset" "\$preset" '
+                         r'--jobs 1\n', script)
+    assert names.split() == list(PRESETS)
 
 
 def test_compare_names_each_added_missing_and_changed_file(tmp_path, capsys):

@@ -502,6 +502,13 @@ def test_scenario_dict_errors_name_the_field():
         scenario_from_dict(not_numeric)
     with pytest.raises(ValueError):
         scenario_from_dict([1, 2, 3])
+    # a scalar of another type is an error, not truncated or coerced
+    probabilistic = scenario_to_dict(random_scenario(2, 3, seed=1).with_uncertainty(
+        UncertaintySpec.uniform(2, 3, 0.5, mode="probabilistic", delta0=0.25)))
+    for name, value in (("M", 2.5), ("M", "2"), ("M", True), ("K", 3.9), ("seed", 1.7),
+                        ("seed", "5"), ("seed", True), ("delta0", "0.25"), ("delta0", True)):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            scenario_from_dict({**probabilistic, name: value})
 
 
 def test_load_scenario_rejects_bad_json(tmp_path):

@@ -281,7 +281,7 @@ def reply_instances(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(reply_instances())
 def test_best_response_is_the_checked_waterfill_of_its_interference(instance):
-    # best_response skips waterfill's checks, never its result
+    # best_response is waterfill, checks and all, on the interference it faces
     sc, x = instance
     for i in range(sc.num_users):
         with warnings.catch_warnings():
