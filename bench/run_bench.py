@@ -11,11 +11,13 @@ this checkout's ``src/``.  It writes:
   ``src/`` differs from that commit, and the ``src/`` line count;
 - ``rows``: one entry per measurement, each with its unit, the median, the
   quartiles and every sample.  Layer rows (the water-fill on one row and on
-  stacks, the all-users interference, one residual round, the certificates,
-  one sequential reply at M = 64, K = 1024 and one of fig4's tail of 10
-  games) are the per-call time of REPEATS timed batches.  Play rows time
-  whole ``run()`` calls and divide by the replies or ticks they played, or
-  give the time per run with the ticks played.  The sweep row times
+  stacks, with masks that bind, which the 2K form serves, and with mask =
+  p_max, which the K-level form serves; the all-users interference, one
+  residual round, the certificates, one sequential reply at M = 64,
+  K = 1024 and one of fig4's tail of 10 games) are the per-call time of
+  REPEATS timed batches.  Play rows time whole ``run()`` calls and divide
+  by the replies or ticks they played, or give the time per run with the
+  ticks played.  The sweep row times
   ``sweep_reports`` of one low 8x64 draw over eps 0, 0.25, 0.5 and 1, the
   engine part of a perfbench low-sweep op.  Two more layer rows time 21
   drawn asynchronous ticks and the indented-JSON writer ``_dumps`` (beside
@@ -144,6 +146,15 @@ def layer_rows() -> list[dict]:
         s, mask = rng.uniform(0.1, 2.0, (b, 64)), rng.uniform(0.5, 2.0, (b, 64))
         p_max = 0.3 * mask.sum(axis=1)
         rows.append(_layer_row(f"_waterfill stack, K=64, B={b}", "us",
+                               lambda: _waterfill(s, p_max, mask), 1e6))
+    # mask = p_max, as in every generated draw: the K lower levels serve these
+    for k in (6, 64, 1024):
+        s, mask = rng.uniform(0.1, 2.0, k), np.ones(k)
+        rows.append(_layer_row(f"_waterfill one row, mask = p_max, K={k}", "us",
+                               lambda: _waterfill(s, 1.0, mask), 1e6))
+    for b in (1, 2, 8, 64, 640):
+        s, p_max, mask = rng.uniform(0.1, 2.0, (b, 64)), np.ones(b), np.ones((b, 64))
+        rows.append(_layer_row(f"_waterfill stack, mask = p_max, K=64, B={b}", "us",
                                lambda: _waterfill(s, p_max, mask), 1e6))
     sc = random_scenario(8, 64, seed=7, **ENSEMBLES["high"])
     profile = uniform_profile(sc.constraints)

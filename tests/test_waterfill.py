@@ -1,4 +1,5 @@
 """Water-filling solver tests against closed forms and KKT conditions."""
+import importlib
 import warnings
 from dataclasses import replace
 
@@ -9,22 +10,31 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from riwfa import (
+    ENSEMBLES,
     DegenerateUncertaintyWarning,
+    GridSpec,
     PowerConstraints,
+    RunConfig,
     Scenario,
+    Schedule,
     UncertaintySpec,
     best_response,
     effective_interference,
+    exhaustive_equilibrium_scan,
     fixed_point_residual,
+    load_bundled_scenario,
     normalized_interference,
     random_scenario,
+    run,
+    sweep_reports,
     uniform_profile,
     user_utility,
     waterfill,
 )
 from riwfa.model import MODES
-from riwfa.waterfill import _waterfill
+from riwfa.waterfill import _waterfill, _waterfill_2k
 
+WATERFILL = importlib.import_module("riwfa.waterfill")  # the module, not the function
 PROPERTY = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
 
@@ -171,6 +181,132 @@ def test_waterfill_kernel_solves_each_row_of_a_stack_as_alone_bitwise(stack):
         for stacked in (rows, flipped, spread, cube):
             assert stacked[0][b].tobytes() == p.tobytes()
             assert stacked[1][b].tobytes() == mu.tobytes()
+
+
+@st.composite
+def guarded_instances(draw):
+    """(s, p_max, mask): a (K,) row and a float budget, or a stack of rows and
+    one budget per row.  Most rows have masks of at least their budget, where
+    the K lower levels are solved first: equal to it, as in every generated
+    draw, a random multiple of it or an ulp to either side of it.  The rest
+    have random masks, which may bind.  Levels spread over e^+-30, tie, lie a
+    budget above another level, or sit a few ulps apart near 1e16, where a
+    budget of 1 is below their resolution.  A row's lowest channel may sit
+    about a budget below the next, so that it takes the whole budget, give or
+    take an ulp."""
+    stack, k = draw(st.booleans()), draw(st.integers(1, 24))
+    shape = (draw(st.integers(1, 4)), k) if stack else (k,)
+    levels = st.one_of(st.floats(0.01, 2.0), st.floats(-30.0, 30.0).map(np.exp))
+    s = draw(arrays(float, shape, elements=levels))
+    p_max = draw(arrays(float, shape[:-1], elements=st.one_of(
+        st.sampled_from([0.3, 1.0, 7.0]), st.floats(1e-3, 10.0))))
+    mask = np.empty(shape)
+    for row in np.ndindex(shape[:-1]):
+        budget = float(p_max[row])
+        if draw(st.integers(0, 5)) == 0:
+            s[row] = 1e16 + 2.0 * draw(arrays(float, k, elements=st.integers(-4, 4)))
+        links = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.booleans())
+        for i, j, coincide in draw(st.lists(links, max_size=k)):
+            s[row][i] = s[row][j] + budget if coincide else s[row][j]
+        if k > 1 and draw(st.booleans()):
+            lowest = int(s[row].argmin())
+            below = np.sort(s[row])[1] - budget * draw(st.sampled_from(
+                [1.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))]))
+            s[row][lowest] = below if below > 0 else 1e-9
+        kind = draw(st.sampled_from(["equal", "above", "ulp", "random"]))
+        if kind == "random":
+            mask[row] = draw(arrays(float, k, elements=st.floats(0.05, 1.5)))
+        elif kind == "above":
+            mask[row] = budget * draw(arrays(float, k, elements=st.floats(1.0, 2.0)))
+        else:
+            mask[row] = (budget if kind == "equal" else
+                         np.nextafter(budget, draw(st.sampled_from([0.0, np.inf]))))
+    return s, (p_max if stack else float(p_max)), mask
+
+
+@PROPERTY
+@given(guarded_instances())
+# one channel, its mask the budget: the masks do not sum past it, so mu is inf
+# and p = mask, where the K-level form would leave p an ulp short
+@example((np.array([0.65]), 1.0, np.array([1.0])))
+# one channel takes the whole budget: its top is the water level, and the
+# K-level form's p overshoots its mask by an ulp before the clamp
+@example((np.array([1.7, 5.0]), 1.0, np.array([1.0, 1.0])))
+# the first channel's top meets the second level, and rounding puts the water
+# level an ulp above that top, where the 2K form saturates the channel
+@example((np.array([2.1, 3.3]), 1.2, np.array([1.2, 1.2])))
+# a budget below the levels' resolution: the water level does not rise above
+# the lowest level, and the 2K form saturates both channels
+@example((np.array([1e16, 1e16 + 2.0]), 0.5, np.array([0.8, 0.8])))
+# tied levels
+@example((np.array([0.3, 0.3, 0.3, 0.9, 0.9]), 1.0, np.full(5, 1.0)))
+# masks that sum to at most the budget
+@example((np.array([0.1, 0.2]), 2.5, np.array([0.5, 0.5])))
+# a mask below the budget that binds
+@example((np.array([0.1, 0.2, 2.0]), 1.0, np.array([0.3, 1.0, 1.0])))
+# a stack of a K-level row and one whose first mask binds: it falls back whole
+@example((np.array([[0.1, 0.2, 2.0], [0.1, 0.2, 2.0]]), np.array([1.0, 1.0]),
+          np.array([[1.0, 1.0, 1.0], [0.3, 1.0, 1.0]])))
+def test_guarded_waterfill_is_the_2k_form_bitwise(instance):
+    s, p_max, mask = instance
+    p, mu = _waterfill(s, p_max, mask)
+    want_p, want_mu = _waterfill_2k(s, p_max, mask)
+    assert type(mu) is type(want_mu) and np.shape(mu) == np.shape(want_mu)
+    assert p.shape == want_p.shape and p.tobytes() == want_p.tobytes()
+    assert np.asarray(mu).tobytes() == np.asarray(want_mu).tobytes()
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts of water-fills, and of those the 2K form serves, from here on."""
+    counts = {"_waterfill": 0, "_waterfill_2k": 0}
+
+    def counted(name):
+        kernel = getattr(WATERFILL, name)
+
+        def call(*args):
+            counts[name] += 1
+            return kernel(*args)
+        return call
+    for name in counts:
+        monkeypatch.setattr(WATERFILL, name, counted(name))
+    return counts
+
+
+def test_generated_draws_take_the_k_level_form_and_bundled_masks_fall_back(routes):
+    # fig2's first three draws, capped at 45 ticks: every mask is the budget,
+    # so no reply pays for the 2K levels
+    scenarios = [random_scenario(8, 64, seed=seed, **ENSEMBLES["high"])
+                 for seed in range(900, 903)]
+    specs = [UncertaintySpec.uniform(8, 64, eps) for eps in (0.0, 1.0, 2.0, 3.0)]
+    sweep_reports(scenarios, specs, config=RunConfig(max_iter=45))
+    assert routes["_waterfill"] > 0 and routes["_waterfill_2k"] == 0
+    # an equilibrium scan's stacks, where most rows put the whole budget on one
+    # channel, which then ends exactly at its top
+    calls = routes["_waterfill"]
+    sc = random_scenario(2, 2, seed=1, **ENSEMBLES["high"]).with_uncertainty(
+        UncertaintySpec.uniform(2, 2, 3.0))
+    exhaustive_equilibrium_scan(sc, GridSpec(0.05))
+    assert routes["_waterfill"] > calls and routes["_waterfill_2k"] == 0
+    # table2.json's masks of 0.5 bind against budgets of 1: every reply falls back
+    calls = routes["_waterfill"]
+    for spec in (UncertaintySpec.nominal(3, 6), UncertaintySpec.uniform(3, 6, 3.0)):
+        run(load_bundled_scenario().with_uncertainty(spec), Schedule("sequential"))
+    assert routes["_waterfill"] - calls == routes["_waterfill_2k"] > 0
+
+
+@pytest.mark.parametrize("s, p_max, mask, fast", [
+    ([0.1, 0.2, 2.0], 1.0, [1.0, 1.0, 1.0], True),
+    ([1.7, 5.0], 1.0, [1.0, 1.0], True),          # the first channel ends at its top
+    ([0.65], 1.0, [1.0], False),                  # one channel: its mask is the budget
+    ([2.1, 3.3], 1.2, [1.2, 1.2], False),         # a top an ulp below the water level
+    ([1e16, 1e16 + 2.0], 0.5, [0.8, 0.8], False),  # the water does not rise
+    ([0.1, 0.2, 2.0], 1.0, [0.3, 1.0, 1.0], False),  # a mask below the budget
+])
+def test_a_row_takes_the_k_level_form_only_where_its_answer_is_the_2k_forms(routes, s, p_max,
+                                                                            mask, fast):
+    WATERFILL._waterfill(np.array(s), p_max, np.array(mask))
+    assert routes == {"_waterfill": 1, "_waterfill_2k": 0 if fast else 1}
 
 
 def test_permutation_equivariance():
