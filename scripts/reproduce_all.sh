@@ -26,9 +26,9 @@
 # so no absolute path enters its output. The fixed commands run the same
 # way, each in OUT_DIR/cli-<name>. Running the script in two checkouts and
 # then `diff -r OUT_A OUT_B` shows every output byte the change between them
-# moved. On a 2-core VM fig2 and fig4 take about 2 s together (medians of 8
-# interleaved rounds: 0.35 s and 1.67 s), and the whole script took
-# 12.2-14.2 s in three runs.
+# moved. On a 2-core VM fig2 and fig4 take about 1.6 s together (medians of
+# 8 interleaved rounds: 0.29 s and 1.27 s), and the whole script took
+# 15.5-15.6 s in three runs.
 set -u
 
 if [ $# -ne 1 ]; then

@@ -26,11 +26,11 @@ the water level, the 2K form's totals below it are the same operations on
 the same sorted levels, its capped total is 0.0 and neither of its rare
 branches fires.  A top at the water level, as when one channel takes the
 whole budget, may be saturated by the 2K form, which then returns that top:
-the same level.  A row's totals are 0-d scalars and a
-stack's are columns: sequential play makes one call per user per tick on a
-lone row, where per-op overhead rules.  On a 2-core VM a K = 64 row takes
-about 12 us on the K levels against 19 us on the 2K, and an (8, 64) stack
-about 30 us against 60 us.
+the same level.  A row's totals are 0-d scalars and a stack's are columns:
+sequential play makes one call per user per tick on a lone row, where per-op
+overhead rules.  On a 2-core VM a K = 64 row takes about 12 us on the K
+levels against 19 us on the 2K, and an (8, 64) stack about 30 us against
+60 us.
 """
 from __future__ import annotations
 
