@@ -190,16 +190,21 @@ def fixed_point_residual(profile: np.ndarray, scenario: Scenario) -> float | np.
     shape = scenario.constraints.mask.shape
     if profile.shape[-2:] != shape or not np.isfinite(profile).all():
         raise ValueError(f"profile must be a finite {shape} array or a stack of them")
+    _warn_if_degenerate([scenario])
     residuals = _residuals(_stacks([scenario]), profile.reshape(-1, *shape))[0]
     return float(residuals[0]) if profile.ndim == 2 else residuals.reshape(profile.shape[:-2])
 
 
-def _stacks(scenarios) -> list[np.ndarray]:
-    """The cross gains, noise and direct gains of each game's channel, then
-    its multipliers, budgets and masks, stacked: one entry per game.  A batch
-    with a multiplier <= 0 warns here, one warning location for its replies."""
+def _warn_if_degenerate(scenarios) -> None:
+    """Warn of a multiplier <= 0 in any game: once per call of ``run``,
+    ``fixed_point_residual`` and ``sweep_reports``, whatever they play."""
     if any(sc.uncertainty.is_degenerate() for sc in scenarios):
         warnings.warn(DEGENERATE_MESSAGE, DegenerateUncertaintyWarning)
+
+
+def _stacks(scenarios) -> list[np.ndarray]:
+    """The cross gains, noise and direct gains of each game's channel, then
+    its multipliers, budgets and masks, stacked: one entry per game."""
     return [np.stack(a) for a in zip(*[
         (sc.channel.cross_gains, sc.channel.noise, sc.channel.direct_gains,
          sc.uncertainty.multipliers(), sc.constraints.p_max, sc.constraints.mask)
@@ -233,15 +238,16 @@ def run(scenario: Scenario, schedule: Schedule, config: RunConfig = RunConfig())
     """Iterate best responses under ``schedule`` until the stopping rule fires
     (see the module docstring).  Equal scenarios, schedules and configs give
     bitwise-equal reports, and every intermediate profile is feasible."""
+    _warn_if_degenerate([scenario])
     return _play([scenario], schedule, config)[0]
 
 
 def _play(scenarios: list[Scenario], schedule: Schedule,
           config: RunConfig) -> list[EquilibriumReport]:
-    """``[run(scenario, schedule, config) for scenario in scenarios]``, bitwise,
-    for scenarios of one (M, K) played in lockstep (see the module docstring).
-    One pass over the final profiles closes out every game: one interference
-    call gives the residuals and utilities, one comparison the supports."""
+    """``[run(scenario, schedule, config) for scenario in scenarios]``, bitwise
+    but unwarned, for scenarios of one (M, K) played in lockstep (see the module
+    docstring).  One pass over the final profiles closes out every game: one
+    interference call gives the residuals and utilities, one comparison the supports."""
     profile = np.stack([_initial_profile(sc, config) for sc in scenarios])
     stacks = _stacks(scenarios)  # kept whole for the close-out; the tick loop drops rows
     cross, noise, direct, mult, p_max, mask = stacks
@@ -432,12 +438,6 @@ class SweepResult:
             return np.nanstd(self.utilities, axis=1)
 
 
-def _play_chunk(task) -> list[EquilibriumReport]:
-    with warnings.catch_warnings():  # sweep_reports warned, in its own process
-        warnings.simplefilter("ignore", DegenerateUncertaintyWarning)
-        return _play(*task)
-
-
 def sweep_reports(scenarios, specs, schedule_kind: str = "sequential",
                   config: RunConfig = RunConfig(), jobs: int = 1) -> list[list[EquilibriumReport]]:
     """Play every scenario under every uncertainty spec: ``reports[g][r]`` is
@@ -452,17 +452,16 @@ def sweep_reports(scenarios, specs, schedule_kind: str = "sequential",
         raise ValueError("jobs must be >= 1")
     # channel-major, so a chunk pickles each of its channels once
     games = [scenario.with_uncertainty(spec) for scenario in scenarios for spec in specs]
-    if any(game.uncertainty.is_degenerate() for game in games):  # once, whatever ``jobs``
-        warnings.warn(DEGENERATE_MESSAGE, DegenerateUncertaintyWarning)
+    _warn_if_degenerate(games)  # in this process, whatever ``jobs``
     workers = min(jobs, len(games))
     chunks = [(games[w * len(games) // workers:(w + 1) * len(games) // workers],
                Schedule(kind=schedule_kind), config) for w in range(workers)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = [report for chunk in pool.map(_play_chunk, chunks) for report in chunk]
+            flat = [report for chunk in pool.map(_play, *zip(*chunks)) for report in chunk]
     else:
-        flat = [report for chunk in chunks for report in _play_chunk(chunk)]
+        flat = [report for chunk in chunks for report in _play(*chunk)]
     return [flat[g::len(specs)] for g in range(len(specs))]
 
 

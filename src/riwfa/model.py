@@ -391,7 +391,7 @@ def effective_interference(s_nominal: np.ndarray, uncertainty: UncertaintySpec,
 
     The result is clamped below at EFFECTIVE_INTERFERENCE_FLOOR.  A
     DegenerateUncertaintyWarning is emitted if any multiplier is <= 0; the
-    tick loop scales its stacks itself and warns once per batch instead.
+    tick loop scales its stacks itself, and its callers warn once per call.
     """
     s_nominal = np.asarray(s_nominal, dtype=float)
     mult = uncertainty.multipliers()[user]

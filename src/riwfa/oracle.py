@@ -2,11 +2,12 @@
 
 ``brute_force_best_response`` restricts powers to a lattice with a fixed
 step and scores candidates with nothing but the utility definition, so it
-shares no code with ``waterfill``.  ``exhaustive_equilibrium_scan`` by design
-scores grid profiles with ``fixed_point_residual``, whose exact best responses
-call ``waterfill``: it checks equilibria, not the water-filler.  It takes any
-number of users within ``GridSpec.max_points`` and returns its hits in
-lexicographic order.
+shares no solver code with ``waterfill``, only its input check.  It takes
+any K within ``GridSpec.max_points``.  ``exhaustive_equilibrium_scan`` by
+design scores grid profiles with ``fixed_point_residual``, whose exact best
+responses call ``waterfill``: it checks equilibria, not the water-filler.  It
+takes any number of users within ``GridSpec.max_points`` and returns its hits
+in lexicographic order.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import fixed_point_residual
 from .model import Scenario
+from .waterfill import _checked
 
-MAX_SUBCHANNELS = 8
 # Grid profiles the scan scores in one stacked residual call: bounds its memory.
 SCAN_CHUNK = 4096
 
@@ -53,21 +54,10 @@ def brute_force_best_response(s_eff, p_max: float, mask, grid: GridSpec) -> np.n
     dynamic program over integer budget steps, channel by channel; the
     first-index argmax at each step realizes the lexicographic tie-break.
 
-    Raises ValueError when K exceeds 8 or the lattice work exceeds
-    ``grid.max_points``.
+    Raises ValueError on the inputs ``waterfill`` rejects, with its
+    messages, or when the lattice work exceeds ``grid.max_points``.
     """
-    s = np.asarray(s_eff, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("s_eff must be a nonempty 1-d array")
-    if s.size > MAX_SUBCHANNELS:
-        raise ValueError(f"brute force supports K <= {MAX_SUBCHANNELS}, got K={s.size}")
-    if not np.all(np.isfinite(s)) or np.any(s <= 0):
-        raise ValueError("s_eff entries must be finite and > 0")
-    mask = np.broadcast_to(np.asarray(mask, dtype=float), s.shape)
-    p_max = float(p_max)
-    if not np.all(np.isfinite(mask)) or np.any(mask <= 0) or p_max <= 0:
-        raise ValueError("mask and p_max must be finite and > 0")
-
+    s, p_max, mask = _checked(s_eff, p_max, mask)
     res = grid.resolution
     budget_steps = _grid_steps(p_max, res) - 1
     levels = [_grid_steps(min(mask[k], p_max), res) for k in range(s.size)]

@@ -66,6 +66,15 @@ def waterfill(s_eff: np.ndarray, p_max: float, mask) -> WaterfillSolution:
     p_max : total power budget, > 0.
     mask : per-channel caps, scalar or length-K array, strictly positive.
     """
+    p, mu = _waterfill(*_checked(s_eff, p_max, mask))
+    mu = float(mu)
+    return WaterfillSolution(p=p, water_level=mu, lam=1.0 / mu, budget_active=mu < np.inf)
+
+
+def _checked(s_eff, p_max, mask) -> tuple[np.ndarray, float, np.ndarray]:
+    """``(s, p_max, mask)`` as a float (K,) row, a float and a (K,) array, or
+    ValueError unless every entry is finite and > 0: the one input check of
+    ``waterfill`` and of the oracle's ``brute_force_best_response``."""
     s = np.asarray(s_eff, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("s_eff must be a nonempty 1-d array")
@@ -74,9 +83,7 @@ def waterfill(s_eff: np.ndarray, p_max: float, mask) -> WaterfillSolution:
     for name, value in (("s_eff entries", s), ("mask entries", mask), ("p_max", p_max)):
         if not np.all(np.isfinite(value)) or np.any(value <= 0):
             raise ValueError(f"{name} must be finite and > 0")
-    p, mu = _waterfill(s, p_max, mask)
-    mu = float(mu)
-    return WaterfillSolution(p=p, water_level=mu, lam=1.0 / mu, budget_active=mu < np.inf)
+    return s, p_max, mask
 
 
 def _waterfill(s: np.ndarray, p_max, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -473,8 +473,8 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     # sweep_reports imports the pool only when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)

@@ -18,6 +18,7 @@ from riwfa import (
     ChannelRealization,
     DegenerateUncertaintyWarning,
     PowerConstraints,
+    RunConfig,
     Scenario,
     Schedule,
     UncertaintySpec,
@@ -27,6 +28,7 @@ from riwfa import (
     random_scenario,
     run,
     save_scenario,
+    uniform_profile,
 )
 from riwfa import cli
 from riwfa.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
@@ -366,6 +368,22 @@ def test_check_norms_of_a_huge_eps_are_finite_or_an_input_error(tmp_path):
     done = riwfa_subprocess(tmp_path, ["check", "--generate", "low", "--eps", "1e308"])
     assert done.returncode == EXIT_INPUT and done.stdout == ""
     assert done.stderr == "error: a certificate term exceeds float64\n"
+
+
+def test_run_from_the_uniform_profile(capsys):
+    # the run starts at uniform_profile bitwise, the CLI echoes the start, and
+    # on a low draw the run ends where the zero-start run does, within a few tol
+    sc = random_scenario(8, 64, seed=7, **ENSEMBLES["low"])
+    config = RunConfig(init="uniform", record_trajectory=True)
+    uniform = run(sc, Schedule("sequential"), config)
+    assert uniform.trajectory[0].tobytes() == uniform_profile(sc.constraints).tobytes()
+    zero = run(sc, Schedule("sequential"))
+    assert uniform.converged and zero.converged
+    assert np.abs(uniform.profile - zero.profile).max() <= 3 * config.tol
+    code, out, _ = run_cli(capsys, ["run", "--generate", "low", "--users", "3",
+                                    "--subchannels", "4", "--init", "uniform"])
+    assert code == EXIT_OK
+    assert '"init": "uniform"' in out and json.loads(out)["config"]["init"] == "uniform"
 
 
 def test_degenerate_uncertainty_warns_once_per_command():

@@ -817,3 +817,23 @@ def test_csv_writers_require_trajectory(tmp_path):
         write_trajectory_csv(report, tmp_path / "x.csv")
     with pytest.raises(ValueError):
         write_summary_csv(report, sc, tmp_path / "y.csv")
+
+
+def test_only_the_entry_points_warn_of_degenerate_multipliers():
+    # the tick loop warns of nothing; run, fixed_point_residual and
+    # sweep_reports each warn once per call, whatever they play
+    base = random_scenario(3, 4, seed=1)
+    spec = UncertaintySpec.uniform(3, 4, 2.5, "probabilistic", delta0=0.1)
+    sc = base.with_uncertainty(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, _ = _play([sc, sc], Schedule("sequential"), RunConfig())
+        dynamics._stacks([sc])
+    assert report.degenerate_uncertainty
+    for call in (lambda: run(sc, Schedule("sequential")),
+                 lambda: fixed_point_residual(report.profile, sc),
+                 lambda: dynamics.sweep_reports([base, base], [spec, spec])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [DegenerateUncertaintyWarning]

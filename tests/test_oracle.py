@@ -12,13 +12,19 @@ from riwfa import (
     ChannelRealization,
     GridSpec,
     PowerConstraints,
+    RunConfig,
     Scenario,
+    Schedule,
     UncertaintySpec,
     brute_force_best_response,
     cluster_profiles,
+    effective_interference,
     exhaustive_equilibrium_scan,
     fixed_point_residual,
+    normalized_interference,
     random_scenario,
+    run,
+    uniform_profile,
     user_utility,
     waterfill,
 )
@@ -62,6 +68,66 @@ def test_oracle_never_beats_waterfill_beyond_grid_error():
         assert user_utility(best, s) >= user_utility(closed.p, s) - bound
 
 
+def fig_reply_rows() -> list[tuple[np.ndarray, float]]:
+    """The 64-channel rows the replies of fig1's first draw (low, seed 100)
+    and fig2's (high, seed 900) water-fill at worst-case eps 0.5, at the
+    uniform profile and after a 30-tick run, with each user's budget."""
+    rows = []
+    for ensemble, seed in (("low", 100), ("high", 900)):
+        sc = random_scenario(8, 64, seed=seed, **ENSEMBLES[ensemble]).with_uncertainty(
+            UncertaintySpec.uniform(8, 64, 0.5))
+        played = run(sc, Schedule("sequential"), RunConfig(max_iter=30)).profile
+        for profile in (uniform_profile(sc.constraints), played):
+            rows += [(effective_interference(normalized_interference(sc.channel, profile, i),
+                                             sc.uncertainty, i), float(sc.constraints.p_max[i]))
+                     for i in range(8)]
+    return rows
+
+
+def test_waterfill_beats_the_oracle_at_64_channels():
+    # at the size every generated reply runs at: mask = p_max takes the
+    # K-level form, masks of 0.3 the 2K form, and on some rows they bind
+    grid, binds = GridSpec(resolution=0.02), []
+    for s, p_max in fig_reply_rows():
+        for mask in (np.full(64, p_max), np.full(64, 0.3)):
+            closed = waterfill(s, p_max, mask).p
+            best = brute_force_best_response(s, p_max, mask, grid)
+            assert closed.min() >= 0.0 and (closed <= mask).all()
+            assert closed.sum() <= p_max * (1 + 1e-12)
+            assert user_utility(closed, s) >= user_utility(best, s) - 1e-12
+            binds.append((closed == mask).any())
+    assert any(binds[1::2]) and not any(binds[::2])
+
+
+@st.composite
+def waterfill_inputs(draw):
+    """``(s_eff, p_max, mask)``, each valid or not: entries that are 0, < 0,
+    nan or inf, rows that are empty or not 1-d, and masks of the wrong length."""
+    entry = st.sampled_from([0.1, 0.7, 1.0, 0.0, -1.0, np.nan, np.inf])
+    valid = st.sampled_from([0.1, 0.7, 1.0])
+    pick = st.one_of(valid, entry)
+    s = draw(st.one_of(st.lists(pick, min_size=1, max_size=3),
+                       st.sampled_from([[], [[0.1, 0.7]], 0.1])))
+    k = len(s) if isinstance(s, list) else 1
+    mask = draw(st.one_of(pick, st.lists(pick, min_size=k, max_size=k),
+                          st.lists(valid, min_size=k + 1, max_size=k + 1)))
+    return s, draw(pick), mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(waterfill_inputs())
+def test_oracle_rejects_what_waterfill_rejects(inputs):
+    # one input check: both accept an input, or both raise the same message
+    outcomes = []
+    for solve in (waterfill, lambda *args: brute_force_best_response(*args, GridSpec(0.05))):
+        try:
+            solve(*inputs)
+            outcomes.append(None)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_oracle_deterministic():
     s = [0.2, 0.5, 0.9]
     a = brute_force_best_response(s, 0.7, [1.0, 1.0, 1.0], GridSpec(resolution=0.01))
@@ -70,9 +136,13 @@ def test_oracle_deterministic():
 
 
 def test_oracle_size_limits():
-    with pytest.raises(ValueError):
-        brute_force_best_response(np.full(9, 0.1), 1.0, np.full(9, 1.0),
-                                  GridSpec(resolution=0.1))
+    # max_points is the only size limit: K = 9 is searched, a finer grid is not
+    best = brute_force_best_response(np.full(9, 0.1), 1.0, np.full(9, 1.0),
+                                     GridSpec(resolution=0.1))
+    assert best.shape == (9,) and best.sum() <= 1.0 + 1e-12
+    for p_max in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^p_max must be finite and > 0$"):
+            brute_force_best_response([0.1, 0.1], p_max, [1.0, 1.0], GridSpec(resolution=0.1))
     with pytest.raises(ValueError):
         brute_force_best_response([0.1, 0.1], 1.0, [1.0, 1.0],
                                   GridSpec(resolution=1e-7, max_points=1000))
